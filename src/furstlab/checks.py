@@ -9,10 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from .dyadic import shannon_entropy
 from .errors import CapExceededError, LogBranchError
 from .sl2 import (GaussianRational, GroupElement, ProjPoint, E1, E2,
                   _principal_log_sl2, dist_cp1, proj_act)
@@ -543,6 +544,21 @@ def _group_products(items: List[Tuple[GroupElement, float]], exact: bool,
     return reps, False
 
 
+def _grouped_products(sys: System, n_max: int, cap: int,
+                      tau_eq: float) -> Iterator[Tuple[int, list, bool]]:
+    """Yield (n, grouped, ambiguous) for n = 1..n_max: the distinct length-n
+    products with their summed word weights (see _group_products), each level
+    expanded from the distinct representatives of the level before."""
+    if sys.size ** n_max > cap:
+        raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
+    level = [(GroupElement.identity(exact=sys.exact), 1.0)]
+    for n in range(1, n_max + 1):
+        nxt = [(g @ gi, w * p) for g, w in level
+               for gi, p in zip(sys.generators, sys.probs)]
+        level, ambiguous = _group_products(nxt, sys.exact, tau_eq)
+        yield n, level, ambiguous
+
+
 # ---------------------------------------------------------------------------
 # Diophantine probe
 # ---------------------------------------------------------------------------
@@ -566,23 +582,10 @@ def diophantine_probe(sys: System, n_max: int, cap: int = 2_000_000,
     """Minimum pairwise distance between distinct length-n products for each
     n <= n_max, with exact collisions counted separately, plus a log-linear
     fit of the separation decay rate."""
-    if sys.size ** n_max > cap:
-        raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
-
     rows: List[dict] = []
     collisions_total = 0
     branch_total = 0
-    level: List[Tuple[GroupElement, float]] = \
-        [(GroupElement.identity(exact=sys.exact), 1.0)]
-
-    for n in range(1, n_max + 1):
-        nxt: List[Tuple[GroupElement, float]] = []
-        for g, w in level:
-            for i, gi in enumerate(sys.generators):
-                nxt.append((g @ gi, w * sys.probs[i]))
-        level = nxt
-
-        grouped, _amb = _group_products(level, sys.exact, tau_eq)
+    for n, grouped, _ in _grouped_products(sys, n_max, cap, tau_eq):
         n_words = sys.size ** n
         n_distinct = len(grouped)
         collisions = n_words - n_distinct
@@ -613,9 +616,6 @@ def diophantine_probe(sys: System, n_max: int, cap: int = 2_000_000,
         rows.append({"n": n, "words": n_words, "distinct": n_distinct,
                      "collisions": collisions, "pairs": pair_count,
                      "branch_pairs": branch_pairs, "min_separation": min_sep})
-
-        # keep only distinct representatives for the next level
-        level = grouped
 
     xs = [r["n"] for r in rows if r["min_separation"]]
     ys = [math.log(r["min_separation"]) for r in rows if r["min_separation"]]
@@ -648,37 +648,21 @@ class EntropyTable:
         raise KeyError(n)
 
 
-def shannon_entropy(weights: Sequence[float]) -> float:
-    return max(0.0, -math.fsum(w * math.log2(w) for w in weights if w > 0))
-
-
 def random_walk_entropy(sys: System, n_max: int, cap: int = 2_000_000,
                         tau_eq: float = 1e-8) -> EntropyTable:
     """H(X_1 ... X_n) for n <= n_max by exact grouping of equal products
     (tau_eq clustering in float mode). The estimate is the minimum of H_n/n
     over computed rows; when all products are distinct at n_max the walk is
     free at this depth and the estimate equals H(p)."""
-    if sys.size ** n_max > cap:
-        raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
-
     hp = shannon_entropy(sys.probs)
     rows: List[Tuple[int, float, float]] = []
-    level: List[Tuple[GroupElement, float]] = \
-        [(GroupElement.identity(exact=sys.exact), 1.0)]
     ambiguous = False
     free = True
-    for n in range(1, n_max + 1):
-        nxt: List[Tuple[GroupElement, float]] = []
-        for g, w in level:
-            for i, gi in enumerate(sys.generators):
-                nxt.append((g @ gi, w * sys.probs[i]))
-        grouped, amb = _group_products(nxt, sys.exact, tau_eq)
+    for n, grouped, amb in _grouped_products(sys, n_max, cap, tau_eq):
         ambiguous = ambiguous or amb
         h_n = shannon_entropy([w for _, w in grouped])
         rows.append((n, h_n, h_n / n))
-        if n == n_max:
-            free = len(grouped) == sys.size ** n_max
-        level = grouped
+        free = len(grouped) == sys.size ** n
 
     h_est = hp if free else min(r[2] for r in rows)
     return EntropyTable(rows, h_est, free, hp, ambiguous, tau_eq)

@@ -202,9 +202,10 @@ def cmd_exp(cfg: RunConfig, name: str) -> int:
                                 delta=cfg.param("delta", 2.0 ** -10, float),
                                 seed=seed)
     elif name == "boundary-convergence":
-        n_values = tuple(int(t) for t in
-                         cfg.param("n_values", "10,20,30").split(","))
-        rep = EXPERIMENTS[name](cfg.system, n_values=n_values,
+        n_values = cfg.param("n_values")
+        lengths = {} if n_values is None else \
+            {"n_values": tuple(int(t) for t in n_values.split(","))}
+        rep = EXPERIMENTS[name](cfg.system, **lengths,
                                 eta=cfg.param("eta", 0.2, float),
                                 trials=cfg.param("trials", 1024, int),
                                 seed=seed, workers=workers)

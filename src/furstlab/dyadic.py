@@ -20,6 +20,7 @@ scheme.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -99,7 +100,7 @@ class EmpiricalMeasure:
     def on_sphere(cls, rows: np.ndarray,
                   weights: Optional[np.ndarray] = None) -> "EmpiricalMeasure":
         rows = np.asarray(rows, dtype=complex)
-        return cls(CP1, _canonicalize_rows(rows), _norm_weights(weights, len(rows)))
+        return cls(CP1, canonicalize_rows(rows), _norm_weights(weights, len(rows)))
 
     @classmethod
     def on_plane(cls, zs: np.ndarray,
@@ -124,7 +125,7 @@ class EmpiricalMeasure:
     def finite_mask(self) -> np.ndarray:
         if self.space != C_INF:
             return np.ones(self.size, dtype=bool)
-        return np.isfinite(self.points.real) & np.isfinite(self.points.imag)
+        return np.isfinite(self.points)
 
     def inf_mass(self) -> float:
         if self.space != C_INF:
@@ -142,35 +143,23 @@ class EmpiricalMeasure:
 
     def cell_keys(self, level: int) -> np.ndarray:
         """Sortable per-point cell keys at the given level (see _keys_*)."""
-        if self.space == C_INF:
-            return _keys_cinf(self.points, level)
-        if self.space == CP1:
-            return _keys_cp1(self.points, level)
-        if self.space == RP1:
-            return _keys_rp1(self.points, level)
-        return _keys_gchart(self.points, level)
+        return _cell_keys(self.space, self.points, level)
+
+    def cell_labels(self, level: int) -> np.ndarray:
+        """Per-point integer cell labels at the given level, numbered
+        0, 1, ... in cell-key order."""
+        return _unique_inverse(self.cell_keys(level))[1]
 
     def cell_of(self, i: int, level: int) -> DyadicCellId:
         """Decoded cell id of point i."""
-        if self.space == C_INF:
-            z = self.points[i]
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-                return DyadicCellId(C_INF, level, (), atom=True)
-            s = 2.0 ** level
-            return DyadicCellId(C_INF, level,
-                                (int(math.floor(z.real * s)),
-                                 int(math.floor(z.imag * s))))
-        if self.space == CP1:
-            chart, ix, iy = _cp1_cell(self.points[i], level)
-            return DyadicCellId(CP1, level, (chart, ix, iy))
-        if self.space == RP1:
-            i0 = min(int(self.points[i] / math.pi * 2 ** level), 2 ** level - 1)
-            return DyadicCellId(RP1, level, (i0,))
-        s = 2.0 ** level
-        return DyadicCellId(G_CHART, level,
-                            tuple(int(math.floor(x * s)) for x in self.points[i]))
+        key = _cell_keys(self.space, self.points[[i]], level)[0]
+        return _decode_key(self.space, key, level)
 
     # -- entropy -------------------------------------------------------------
+
+    def _cell_entropy(self, level: int) -> Tuple[float, int]:
+        masses = np.bincount(self.cell_labels(level), weights=self.weights)
+        return shannon_entropy(masses), int(np.count_nonzero(masses > 0))
 
     def entropy(self, level: int,
                 cond: Optional[int] = None) -> EntropyReport:
@@ -178,12 +167,12 @@ class EmpiricalMeasure:
         coarser level `cond` (chain rule for nested partitions)."""
         if cond is not None and cond > level:
             raise ValueError("conditioning level must be coarser")
-        h, occ = _plugin_entropy(self.cell_keys(level), self.weights)
+        h, occ = self._cell_entropy(level)
         if cond is None:
             norm = h / level if level > 0 else h
             note = _bias_note(occ, self.size)
             return EntropyReport(level, None, h, norm, self.size, occ, note)
-        hc, _ = _plugin_entropy(self.cell_keys(cond), self.weights)
+        hc, _ = self._cell_entropy(cond)
         gap = level - cond
         hcond = max(0.0, h - hc)
         norm = hcond / gap if gap > 0 else hcond
@@ -195,12 +184,11 @@ class EmpiricalMeasure:
     def components(self, level: int):
         """Occupied level cells with their masses and conditional measures,
         ordered by cell key. Returns list of (DyadicCellId, mass, measure)."""
-        keys = self.cell_keys(level)
-        uniq, inverse = _unique_inverse(keys)
+        uniq, labels = _unique_inverse(self.cell_keys(level))
         out = []
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.searchsorted(inverse[order], np.arange(len(uniq)))
-        bounds = np.append(bounds, len(inverse))
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], np.arange(len(uniq)))
+        bounds = np.append(bounds, len(labels))
         for k in range(len(uniq)):
             idx = order[bounds[k]:bounds[k + 1]]
             mass = float(np.sum(self.weights[idx]))
@@ -208,7 +196,7 @@ class EmpiricalMeasure:
                 continue
             sub = EmpiricalMeasure(self.space, self.points[idx],
                                    self.weights[idx] / mass)
-            out.append((self.cell_of(int(idx[0]), level), mass, sub))
+            out.append((_decode_key(self.space, uniq[k], level), mass, sub))
         return out
 
     # -- export ---------------------------------------------------------------
@@ -258,15 +246,15 @@ def _bias_note(occupied: int, samples: int) -> Optional[str]:
 
 def _keys_cinf(zs: np.ndarray, level: int) -> np.ndarray:
     s = 2.0 ** level
-    finite = np.isfinite(zs.real) & np.isfinite(zs.imag)
-    fx = np.floor(np.where(finite, zs.real, 0.0) * s)
-    fy = np.floor(np.where(finite, zs.imag, 0.0) * s)
-    keys = fx + 1j * fy
+    finite = np.isfinite(zs)             # both parts finite
+    zs = np.where(finite, zs, 0j)
+    keys = np.floor(zs.real * s) + 1j * np.floor(zs.imag * s)
     keys[~finite] = np.inf + 0j          # reserved atom for infinity
     return keys
 
 
-def _canonicalize_rows(rows: np.ndarray) -> np.ndarray:
+def canonicalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Unit rows with the leading nonzero coordinate real and positive."""
     norms = np.sqrt(np.abs(rows[:, 0]) ** 2 + np.abs(rows[:, 1]) ** 2)
     rows = rows / norms[:, None]
     lead = np.abs(rows[:, 0]) > 1e-14
@@ -298,16 +286,7 @@ def _keys_cp1(rows: np.ndarray, level: int) -> np.ndarray:
     top = 2.0 ** level - 1.0
     ix = np.clip(np.floor((w.real + 1.0) * half), 0.0, top)
     iy = np.clip(np.floor((w.imag + 1.0) * half), 0.0, top)
-    return (ix + chart * 2.0 ** (level + 1)) + 1j * iy
-
-
-def _cp1_cell(row: np.ndarray, level: int) -> Tuple[int, int, int]:
-    chart, w = _cp1_chart_coords(row[None, :])
-    half = 2.0 ** (level - 1)
-    top = 2 ** level - 1
-    ix = int(np.clip(np.floor((w[0].real + 1.0) * half), 0, top))
-    iy = int(np.clip(np.floor((w[0].imag + 1.0) * half), 0, top))
-    return int(chart[0]), ix, iy
+    return (ix + chart * 2.0 ** (level + 1)) + 1j * iy   # chart above ix
 
 
 def _keys_rp1(angles: np.ndarray, level: int) -> np.ndarray:
@@ -321,6 +300,31 @@ def _keys_gchart(coords: np.ndarray, level: int) -> np.ndarray:
     return np.floor(coords * s).astype(np.int64)
 
 
+def _cell_keys(space: str, points: np.ndarray, level: int) -> np.ndarray:
+    if space == C_INF:
+        return _keys_cinf(points, level)
+    if space == CP1:
+        return _keys_cp1(points, level)
+    if space == RP1:
+        return _keys_rp1(points, level)
+    return _keys_gchart(points, level)
+
+
+def _decode_key(space: str, key, level: int) -> DyadicCellId:
+    """Cell id of one key produced by _cell_keys."""
+    if space == G_CHART:
+        return DyadicCellId(G_CHART, level, tuple(int(x) for x in key))
+    if space == C_INF and not math.isfinite(key.real):
+        return DyadicCellId(C_INF, level, (), atom=True)
+    re, im = int(key.real), int(key.imag)
+    if space == CP1:
+        chart = re >> (level + 1)
+        return DyadicCellId(CP1, level, (chart, re - (chart << (level + 1)), im))
+    if space == RP1:
+        return DyadicCellId(RP1, level, (re,))
+    return DyadicCellId(C_INF, level, (re, im))
+
+
 def _unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if keys.ndim == 1:
         return np.unique(keys, return_inverse=True)
@@ -328,12 +332,15 @@ def _unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return uniq, inverse.ravel()
 
 
-def _plugin_entropy(keys: np.ndarray, weights: np.ndarray) -> Tuple[float, int]:
-    uniq, inverse = _unique_inverse(keys)
-    masses = np.bincount(inverse, weights=weights, minlength=len(uniq))
-    masses = masses[masses > 0]
-    h = float(max(0.0, -math.fsum(m * math.log2(m) for m in masses)))
-    return h, len(masses)
+def shannon_entropy(masses) -> float:
+    """-sum m log2 m in bits over the positive masses.
+
+    math.log2 rather than np.log2, whose vectorised results differ in the
+    last bit on some hosts; fsum is correctly rounded, so the result does
+    not depend on the order of the masses."""
+    m = np.asarray(masses, dtype=float)
+    m = m[m > 0].tolist()
+    return max(0.0, -math.fsum(map(operator.mul, m, map(math.log2, m))))
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +370,6 @@ def dyadic_cell(space: str, point, level: int) -> DyadicCellId:
     else:
         raise ValueError(f"unknown space {space!r}")
     return m.cell_of(0, level)
-
-
-def entropy_of(m: EmpiricalMeasure, level: int,
-               cond: Optional[int] = None) -> EntropyReport:
-    return m.entropy(level, cond)
-
-
-def components_of(m: EmpiricalMeasure, level: int):
-    return m.components(level)
 
 
 def component_average(m: EmpiricalMeasure, levels: Sequence[int], fn) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
                         run_blocks)
-from .dyadic import (C_INF, CP1, EmpiricalMeasure, _plugin_entropy,
-                     _unique_inverse, sphere_embedding)
+from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
+                     shannon_entropy, sphere_embedding)
 from .errors import StallError, UndersampledError
 from .words import System
 
@@ -196,8 +196,7 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
             raise StallError(f"chi failed to pass {chi_goal:.1f} "
                              f"within {max_len} letters")
         rows = batch_top_directions(mats)
-        from .dyadic import _canonicalize_rows
-        return (_canonicalize_rows(rows), first, chi_stop, steps)
+        return (canonicalize_rows(rows), first, chi_stop, steps)
 
     parts = run_blocks(block, count, workers)
     rows = np.concatenate([p[0] for p in parts])
@@ -299,51 +298,58 @@ class DeltaLadder:
                               f"conditional-entropy@q={r['q']}")
 
 
-def _conditional_letter_entropy(cell_keys: np.ndarray, letters: np.ndarray,
+def _conditional_letter_entropy(labels: np.ndarray, letters: np.ndarray,
                                 k: int) -> Tuple[float, int, float]:
-    """H(letter | cell) = H(joint) - H(cell); returns (value, bins, median
-    per-sample bin count). The median is sample-weighted: the bin count seen
-    by the median sample, so stray singleton bins do not dominate."""
+    """H(letter | cell) = H(joint) - H(cell) from integer cell labels;
+    returns (value, bins, median per-sample bin count). The median is
+    sample-weighted: the bin count seen by the median sample, so stray
+    singleton bins do not dominate."""
+    w = np.full(len(letters), 1.0 / len(letters))
+    cell_mass = np.bincount(labels, weights=w)
+    joint_mass = np.bincount(labels * k + letters, weights=w)
+    counts = np.bincount(labels)
+    h = shannon_entropy(joint_mass) - shannon_entropy(cell_mass)
+    return (max(0.0, h), int(np.count_nonzero(counts)),
+            float(np.median(counts[labels])))
+
+
+def delta_ladder(cloud: BoundaryCloud, sys: System, q_max: int,
+                 min_bin_count: float = 20.0) -> DeltaLadder:
+    """Ladder of conditional entropies of the first letter given the level-q
+    cell of the boundary direction, q = 2..q_max, with standard errors over
+    16 chunks of the cloud. Levels whose median bin count falls below
+    min_bin_count are flagged undersampled."""
+    letters = cloud.first_letters
     n = len(letters)
-    w = np.full(n, 1.0 / n)
-    h_cell, bins = _plugin_entropy(cell_keys, w)
-    joint = cell_keys * (k + 1) + letters.astype(float)
-    h_joint, _ = _plugin_entropy(joint, w)
-    _, inverse = _unique_inverse(cell_keys)
-    counts = np.bincount(inverse)
-    med = float(np.median(counts[inverse]))
-    return max(0.0, h_joint - h_cell), bins, med
+    chunk_ids = np.arange(n) // max(1, n // 16)
+    rows = []
+    for q in range(2, q_max + 1):
+        labels = cloud.measure.cell_labels(q)
+        val, bins, med = _conditional_letter_entropy(labels, letters, sys.size)
+        sub = []
+        for c in range(int(chunk_ids.max()) + 1):
+            m = chunk_ids == c
+            v, _, _ = _conditional_letter_entropy(labels[m], letters[m],
+                                                  sys.size)
+            sub.append(v)
+        stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
+        rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
+                     "median_bin_count": med,
+                     "undersampled": med < min_bin_count})
+    return DeltaLadder(rows, shannon_entropy(sys.probs), n)
 
 
 def delta_estimate(sys: System, q_max: int = 14, count: int = 200_000,
                    seed: int = 0, workers: int = 1,
                    target_bits: Optional[float] = None,
                    min_bin_count: float = 20.0) -> DeltaLadder:
-    """Ladder of conditional entropies of the first letter given the level-q
-    cell of the boundary direction. Decreasing in q; the limit is the
-    conditional entropy given the full boundary point."""
+    """Sample a boundary cloud and return its Delta ladder (delta_ladder).
+    Decreasing in q; the limit is the conditional entropy of the first
+    letter given the full boundary point."""
     if target_bits is None:
         target_bits = max(DEFAULT_TARGET_BITS, float(2 * q_max))
     cloud = sample_boundary(sys, target_bits, count, seed, workers)
-    rows = []
-    letters = cloud.first_letters
-    n = len(letters)
-    chunk_ids = np.arange(n) // max(1, n // 16)   # stderr over 16 chunks
-    from .checks import shannon_entropy
-    hp = shannon_entropy(sys.probs)
-    for q in range(2, q_max + 1):
-        keys = cloud.measure.cell_keys(q)
-        val, bins, med = _conditional_letter_entropy(keys, letters, sys.size)
-        sub = []
-        for c in range(chunk_ids.max() + 1):
-            m = chunk_ids == c
-            v, _, _ = _conditional_letter_entropy(keys[m], letters[m], sys.size)
-            sub.append(v)
-        stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
-        rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
-                     "median_bin_count": med,
-                     "undersampled": med < min_bin_count})
-    return DeltaLadder(rows, hp, n)
+    return delta_ladder(cloud, sys, q_max, min_bin_count)
 
 
 # ---------------------------------------------------------------------------

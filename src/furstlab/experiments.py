@@ -16,11 +16,11 @@ import numpy as np
 
 from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
-from .dyadic import (CP1, EmpiricalMeasure, sphere_embedding,
-                     sphere_to_plane)
+from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
+                     project_component, sphere_embedding, sphere_to_plane)
 from .engine import (BoundaryCloud, batch_frame_distance_ratio,
                      batch_log2_opnorm, batch_renorm, batch_right_frame,
-                     batch_sig2, draw_letters,
+                     batch_sig2, delta_ladder, draw_letters,
                      entropy_slope_dimension, gen_stack, local_dimension,
                      lyapunov_estimate, sample_boundary)
 from .errors import StallError, UndersampledError
@@ -116,8 +116,7 @@ def apply_atoms_to_sphere(measure: EmpiricalMeasure, theta: ThetaSpec,
             continue
         m = np.array([[g.a, g.b], [g.c, g.d]])
         rows[mask] = rows[mask] @ m.T
-    from .dyadic import _canonicalize_rows
-    return EmpiricalMeasure(CP1, _canonicalize_rows(rows), measure.weights)
+    return EmpiricalMeasure(CP1, canonicalize_rows(rows), measure.weights)
 
 
 def push_stationary(measure: EmpiricalMeasure, sys: System,
@@ -225,21 +224,11 @@ def _projected_entropy_min(comp: EmpiricalMeasure, level: int, m: int,
                            directions: int) -> Tuple[float, float]:
     """(min over the direction grid of (1/m) H(projection, D_{level+m}),
     argmin angle)."""
-    zs = comp.points
-    w = comp.weights
-    s = 2.0 ** (level + m)
     best = math.inf
     best_angle = 0.0
     for k in range(directions):
         ang = k * math.pi / directions
-        d = complex(math.cos(ang), math.sin(ang))
-        t = (zs * np.conj(d)).real
-        proj = t * d
-        keys = np.floor(proj.real * s) + 1j * np.floor(proj.imag * s)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        masses = np.bincount(inv, weights=w, minlength=len(uniq))
-        masses = masses[masses > 0]
-        h = float(max(0.0, -(masses * np.log2(masses)).sum())) / m
+        h = project_component(comp, ang).entropy(level + m).entropy / m
         if h < best:
             best, best_angle = h, ang
     return best, best_angle
@@ -617,22 +606,19 @@ def exp_linearization_check(g: Optional[GroupElement] = None,
     xi_pts = z_center + w + 1j * v
 
     level = k + int(round(math.log2(1.0 / delta)))
-    s = 2.0 ** level
 
     # action cloud: all pairs phi_h(w)
     imgs = np.empty((len(atoms), xi_count), dtype=complex)
     for i, h in enumerate(atoms):
         imgs[i] = (h.a * xi_pts + h.b) / (h.c * xi_pts + h.d)
-    keys = np.floor(imgs.real * s).ravel() + 1j * np.floor(imgs.imag * s).ravel()
-    h_action = _entropy_of_keys(keys)
+    h_action = EmpiricalMeasure.on_plane(imgs.ravel()).entropy(level).entropy
 
     # linear surrogate: (theta.z) * (S_{phi'_g(z)} xi)
     fg = mobius_derivative(g, z_center)
     orbit = np.array([(h.a * z_center + h.b) / (h.c * z_center + h.d)
                       for h in atoms])
     lin = orbit[:, None] + fg * xi_pts[None, :]
-    keys2 = np.floor(lin.real * s).ravel() + 1j * np.floor(lin.imag * s).ravel()
-    h_lin = _entropy_of_keys(keys2)
+    h_lin = EmpiricalMeasure.on_plane(lin.ravel()).entropy(level).entropy
 
     gap = abs(h_action - h_lin)
     verdict = VERDICT_CONSISTENT if gap < eps_bits else VERDICT_INCONSISTENT
@@ -647,18 +633,11 @@ def exp_linearization_check(g: Optional[GroupElement] = None,
         {"gap_bits": gap}, verdict)
 
 
-def _entropy_of_keys(keys: np.ndarray) -> float:
-    uniq, inv = np.unique(keys, return_inverse=True)
-    masses = np.bincount(inv).astype(float)
-    masses /= masses.sum()
-    return float(max(0.0, -(masses * np.log2(masses)).sum()))
-
-
 # ---------------------------------------------------------------------------
 # boundary convergence rate
 # ---------------------------------------------------------------------------
 
-def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (10, 20, 30),
+def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100),
                              eta: float = 0.2, trials: int = 1024,
                              seed: int = 0, workers: int = 1,
                              chi_hint: Optional[float] = None) -> ExperimentReport:
@@ -667,7 +646,8 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (10, 20, 30)
 
     The lemma promises a fraction >= 1 - eta only for n large enough (it
     tends to 1 as n grows); at short lengths the central-limit fluctuation of
-    log ||g_n|| can hold it below 1 - eta.
+    log ||g_n|| can hold it below 1 - eta. The default lengths start at 30:
+    on the twist preset the n = 10 fraction sits on 1 - eta itself.
 
     d is computed without subtracting two nearby unit vectors, so it is
     resolved far below 2^-52. g_{w|n} = U diag(sigma, 1/sigma) V* is frozen
@@ -781,28 +761,6 @@ class PipelineBudget:
                               local_dim_centers=200, pair_check_words=600)
 
 
-def _delta_ladder_from_cloud(cloud: BoundaryCloud, k_letters: int,
-                             q_max: int, min_bin_count: float = 20.0):
-    from .engine import _conditional_letter_entropy
-    letters = cloud.first_letters
-    n = len(letters)
-    rows = []
-    chunk_ids = np.arange(n) // max(1, n // 16)
-    for q in range(2, q_max + 1):
-        keys = cloud.measure.cell_keys(q)
-        val, bins, med = _conditional_letter_entropy(keys, letters, k_letters)
-        sub = []
-        for c in range(int(chunk_ids.max()) + 1):
-            m = chunk_ids == c
-            v, _, _ = _conditional_letter_entropy(keys[m], letters[m], k_letters)
-            sub.append(v)
-        stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
-        rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
-                     "median_bin_count": med,
-                     "undersampled": med < min_bin_count})
-    return rows
-
-
 def _matched_norm_pair_check(sys: System, budget: PipelineBudget,
                              seed: int) -> dict:
     """Sampled pairs with comparable norms and nearly equal top directions
@@ -879,8 +837,7 @@ def _entropy_scaling_check(sys: System, cloud: BoundaryCloud, chi_hat: float,
     base = cloud.measure.entropy(m_level).entropy / n_w
     mat = np.array([[g.a, g.b], [g.c, g.d]])
     rows = cloud.measure.points @ mat.T
-    from .dyadic import _canonicalize_rows
-    pushed = EmpiricalMeasure(CP1, _canonicalize_rows(rows),
+    pushed = EmpiricalMeasure(CP1, canonicalize_rows(rows),
                               cloud.measure.weights)
     moved = pushed.entropy(deep).entropy / n_w
     diff = abs(moved - base)
@@ -944,7 +901,7 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
         "local": dim_local.value, "local_stderr": dim_local.stderr,
         "inf_mass": nu_plane.inf_mass()}
 
-    delta_rows = _delta_ladder_from_cloud(cloud, sys.size, budget.delta_qmax)
+    delta_rows = delta_ladder(cloud, sys, budget.delta_qmax).rows
     for r in delta_rows:
         rows.append({"kind": "delta", **r})
     good = [r for r in delta_rows if not r["undersampled"]]

@@ -343,11 +343,6 @@ def proj_line(x: RPoint, w: complex) -> complex:
     return (w * z.conjugate()).real * z
 
 
-def line_coordinate(x: RPoint, w: complex) -> float:
-    """Signed coordinate of the projection of w along the line direction."""
-    return (w * x.direction().conjugate()).real
-
-
 # ---------------------------------------------------------------------------
 # Moebius action on the sphere
 # ---------------------------------------------------------------------------

@@ -201,3 +201,14 @@ def test_cli_rejects_bad_env_seed(tmp_path, monkeypatch):
     cfg.write_text(MINIMAL)
     monkeypatch.setenv("FURST_SEED", "not-a-number")
     assert main(["hrw", "--config", str(cfg)]) == 1
+
+
+def test_cli_boundary_convergence_default_lengths(tmp_path):
+    # the default lengths start at n = 30; at n = 10 the twist fraction sits
+    # on 1 - eta = 0.8 and reads 0.793 at seed 7
+    out = tmp_path / "r.json"
+    code = main(["exp", "boundary-convergence", "--preset", "twist",
+                 "--seed", "7", "--out", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["n"] for r in rows] == [30, 60, 100]

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from furstlab.dyadic import (C_INF, CP1, RP1, EmpiricalMeasure,
+from furstlab.dyadic import (C_INF, CP1, G_CHART, RP1, EmpiricalMeasure,
                              component_average, dyadic_grid_square,
-                             project_component, sphere_embedding,
-                             total_variation, uniform_square,
-                             uniform_segment)
+                             project_component, shannon_entropy,
+                             sphere_embedding, total_variation,
+                             uniform_square, uniform_segment)
 from furstlab.sl2 import dist_cp1, ProjPoint
 
 RNG = np.random.default_rng(99)
@@ -76,6 +78,56 @@ def test_sphere_embedding_is_isometric():
         p = ProjPoint.from_vector(*m.points[i])
         q = ProjPoint.from_vector(*m.points[j])
         assert abs(d1 - dist_cp1(p, q)) <= 1e-12
+
+
+def _random_measure(space, n, seed):
+    """Weighted cloud in `space` with some points on cell and chart edges."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) + 0.01
+    scale = 2.0 ** rng.integers(-4, 5)
+    if space == C_INF:
+        zs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+        zs[::7] = np.round(zs[::7] * 8) / 8           # on grid lines
+        zs[::11] = np.inf + 0j                        # the infinity atom
+        return EmpiricalMeasure.on_plane(zs, w)
+    if space == CP1:
+        rows = rng.standard_normal((n, 4))
+        pairs = np.stack([rows[:, 0] + 1j * rows[:, 1],
+                          rows[:, 2] + 1j * rows[:, 3]], axis=1)
+        pairs[::5, 1] = pairs[::5, 0]                 # |z1| = |z2|
+        pairs[::13, 0] = 0.0                          # e2
+        return EmpiricalMeasure.on_sphere(pairs, w)
+    if space == RP1:
+        t = rng.random(n) * math.pi
+        t[::6] = 0.0
+        return EmpiricalMeasure.on_lines(t, w)
+    return EmpiricalMeasure.on_group_chart(rng.standard_normal((n, 6)) * scale,
+                                           w)
+
+
+@pytest.mark.parametrize("space", [C_INF, CP1, RP1, G_CHART])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 10), st.integers(0, 2 ** 32 - 1))
+def test_cells_labels_and_entropy_agree(space, n, level, seed):
+    m = _random_measure(space, n, seed)
+    labels = m.cell_labels(level)
+    comps = m.components(level)
+    # all weights are positive, so component k is the cell labelled k
+    assert len(comps) == labels.max() + 1
+    for i in range(n):
+        assert comps[labels[i]][0] == m.cell_of(i, level)
+    masses = np.bincount(labels, weights=m.weights)
+    assert m.entropy(level).entropy == shannon_entropy(masses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_plane_entropy_refinement_bounds(n, level, seed):
+    m = _random_measure(C_INF, n, seed)
+    h0 = m.entropy(level).entropy
+    h1 = m.entropy(level + 1).entropy
+    assert h0 <= h1 + 1e-12
+    assert h1 <= h0 + 2.0 + 1e-12
 
 
 # -- entropy ---------------------------------------------------------------------

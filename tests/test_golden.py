@@ -1,0 +1,99 @@
+"""Golden digests: sha256 of small-budget outputs at fixed seeds.
+
+Determinism tests elsewhere compare reruns of one version; these pin the
+bytes across versions, so a refactor that claims "same behaviour" is checked.
+A change that alters any of these outputs on purpose updates its digest here
+and says why in CHANGES.md.
+
+Reports are hashed as `to_json()`. Other outputs are hashed as JSON with
+Python's shortest round-trip float repr, which is exact to the bit.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from furstlab import (PipelineBudget, delta_estimate, diophantine_probe,
+                      exp_linearization_check, exp_main_theorem,
+                      exp_projection_entropy, exp_uniform_entropy_dim,
+                      get_preset, random_walk_entropy)
+from furstlab.dyadic import uniform_square
+
+
+def _plain(obj) -> str:
+    return json.dumps(obj, sort_keys=True)
+
+
+def _main_theorem():
+    return exp_main_theorem(get_preset("twist"),
+                            PipelineBudget().small(8192), seed=7).to_json()
+
+
+def _delta_ladder():
+    lad = delta_estimate(get_preset("twist"), q_max=8, count=8192, seed=3)
+    return _plain([lad.rows, lad.letter_entropy, lad.samples])
+
+
+def _hrw(name, n_max):
+    def run():
+        t = random_walk_entropy(get_preset(name), n_max)
+        return _plain([t.rows, t.h_rw_estimate, t.free, t.letter_entropy,
+                       t.ambiguity_warning])
+    return run
+
+
+def _dio(name, n_max):
+    def run():
+        r = diophantine_probe(get_preset(name), n_max)
+        return _plain([r.rows, r.fitted_c, r.collisions_total,
+                       r.branch_pairs_total])
+    return run
+
+
+def _uniform_entropy_dim():
+    return exp_uniform_entropy_dim(
+        uniform_square(40_000, seed=4), m=4, levels=(1, 3), seed=5,
+        comps_per_level=16, min_component_points=200).to_json()
+
+
+def _projection_entropy():
+    return exp_projection_entropy(
+        uniform_square(20_000, seed=1), m=4, levels=(2, 4), directions=24,
+        seed=2, comps_per_level=12).to_json()
+
+
+def _linearization():
+    return exp_linearization_check(k=6, theta_count=128, xi_count=512,
+                                   seed=2).to_json()
+
+
+CASES = {
+    "main-theorem": _main_theorem,
+    "delta-ladder": _delta_ladder,
+    "hrw-sanov": _hrw("sanov", 8),
+    "hrw-twist": _hrw("twist", 6),
+    "dio-sanov": _dio("sanov", 6),
+    "dio-twist": _dio("twist", 4),
+    "uniform-entropy-dim": _uniform_entropy_dim,
+    "projection-entropy": _projection_entropy,
+    "linearization": _linearization,
+}
+
+DIGESTS = {
+    "delta-ladder": "615004025ed190c86f48e7ac806587791eec49d080c0388667ff05b87ceb4a83",
+    "dio-sanov": "ebdc5343ebe09f7af5824e7e817b4bfbb4eb8b445afcff46b860814a5a83666d",
+    "dio-twist": "75bc2e94f2251df13a128ff6c67e116ab37e5ca07c53b7dd002bc59b792d6490",
+    "hrw-sanov": "cd788fa4102562fe176a4dc12cdf8ec05d7a7dc176d0d3f6b9ba3bed58fc1db5",
+    "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
+    "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
+    "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
+    "projection-entropy": "8e0cdaaad289c68bd76e4786fd4c072be5604e8340e233aa71596d494f108925",
+    "uniform-entropy-dim": "f5b2d2cdcaeadd7c81fccc2613d575e7914d5460c65d4f33e3df94425bcd1345",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digest(name):
+    text = CASES[name]()
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[name]
