@@ -6,14 +6,16 @@ comma-separated entries (re,im pairs row-major); entries may be decimal or
 exact rational literals `p/q`. A probability line `p = ...` and an optional
 `exact = true/false` complete the system.
 
-Float-mode inline matrices are accepted when |det - 1| <= 1e-8 and then
-rescaled by the principal square root of the determinant, so downstream code
-sees determinant one to machine precision. Exact mode requires rational
+Entries and determinants must be finite. Float-mode inline matrices are
+accepted when |det - 1| <= 1e-8 and then rescaled by the principal square
+root of the determinant, so downstream code sees determinant one to machine
+precision. Exact mode requires rational
 entries with determinant exactly one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,7 +89,7 @@ def _parse_scalar(tok: str, line_no: int) -> Tuple[float, Optional[Fraction]]:
             fr = Fraction(int(tok))
             return float(fr), fr
         return float(tok), None
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad numeric literal {tok!r}: {exc}", line_no)
 
 
@@ -99,6 +101,11 @@ def _build_matrix(tokens: List[str], line_no: int, want_exact: bool) -> GroupEle
     floats = [v[0] for v in vals]
     fracs = [v[1] for v in vals]
     a, b, c, d = (complex(floats[2 * i], floats[2 * i + 1]) for i in range(4))
+    det = a * d - b * c
+    if not all(map(cmath.isfinite, (a, b, c, d, det))):
+        raise ConfigError(
+            f"matrix entries and determinant must be finite; entries "
+            f"({a}, {b}; {c}, {d}), determinant {det}", line_no)
     if want_exact:
         if any(f is None for f in fracs):
             raise ConfigError("exact mode needs rational entries (p/q or "
@@ -109,7 +116,6 @@ def _build_matrix(tokens: List[str], line_no: int, want_exact: bool) -> GroupEle
             raise ConfigError(
                 f"exact determinant is {det.re}+{det.im}i, not 1", line_no)
         return GroupElement.from_exact(*gr)
-    det = a * d - b * c
     if abs(det - 1.0) > DET_TOL:
         raise ConfigError(
             f"determinant {det:.12g} violates |det-1| <= {DET_TOL:g}; "
@@ -203,8 +209,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"{len(toks)} probabilities for {len(gens)} matrices", ln)
         probs = tuple(_parse_scalar(t, ln)[0] for t in toks)
-        if any(p <= 0 for p in probs):
-            raise ConfigError("probabilities must be positive", ln)
+        if not all(0 < p < math.inf for p in probs):
+            raise ConfigError("probabilities must be positive and finite", ln)
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise ConfigError(
                 f"probabilities sum to {math.fsum(probs)!r}, not 1", ln)

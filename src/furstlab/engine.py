@@ -33,42 +33,16 @@ class EstimateWithCI:
 
 
 # ---------------------------------------------------------------------------
-# batched SL(2,C) kernels
+# batched SL(2,C) walk kernel
 # ---------------------------------------------------------------------------
 
-def gen_stack(sys: System, transpose: bool = False) -> np.ndarray:
-    gens = [g.transpose() if transpose else g for g in sys.generators]
-    return np.array([[[g.a, g.b], [g.c, g.d]] for g in gens], dtype=complex)
-
-
-def batch_renorm(mats: np.ndarray, log2s: np.ndarray) -> None:
-    """In place: divide each matrix by a power of two near its max entry."""
-    m = np.abs(mats).reshape(len(mats), 4).max(axis=1)
-    e = np.frexp(m)[1].astype(float)
-    np.multiply(mats, np.exp2(-e)[:, None, None], out=mats)
-    log2s += e
-
-
-def batch_sig2(mats: np.ndarray) -> np.ndarray:
-    """Squared top singular value of each matrix."""
-    f2 = (np.abs(mats) ** 2).reshape(len(mats), 4).sum(axis=1)
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    adet2 = np.abs(det) ** 2
-    return 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * adet2, 0.0)))
-
-
-def batch_log2_opnorm(mats: np.ndarray, log2s: np.ndarray) -> np.ndarray:
-    return log2s + 0.5 * np.log2(batch_sig2(mats))
-
-
-def batch_top_directions(mats: np.ndarray) -> np.ndarray:
-    """Rows spanning the top left-singular direction of each matrix
-    (eigenvector of m m* for the top eigenvalue); e1 on degenerate input.
+def _top_directions(a, b, c, d) -> Tuple[np.ndarray, np.ndarray]:
+    """Components of a vector spanning the top left-singular direction of
+    each matrix [[a, b], [c, d]] (eigenvector of m m* for the top
+    eigenvalue); e1 on degenerate input.
 
     The eigenvector is taken from the columns of (H - lam_min I) with
     lam_min = det H / lam_max, which has no cancellation at large norms."""
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
     h11 = (np.abs(a) ** 2 + np.abs(b) ** 2).real
     h22 = (np.abs(c) ** 2 + np.abs(d) ** 2).real
     h12 = a * np.conj(c) + b * np.conj(d)
@@ -85,46 +59,122 @@ def batch_top_directions(mats: np.ndarray) -> np.ndarray:
     vb = np.where(pick1, v1b, v2b)
     norm = np.sqrt(np.abs(va) ** 2 + np.abs(vb) ** 2)
     degenerate = norm <= 1e-300
-    va = np.where(degenerate, 1.0 + 0j, va)
-    vb = np.where(degenerate, 0j, vb)
-    return np.stack([va, vb], axis=1)
+    return (np.where(degenerate, 1.0 + 0j, va), np.where(degenerate, 0j, vb))
 
 
-def batch_right_frame(mats: np.ndarray) -> np.ndarray:
-    """V* of each matrix m = U diag(s1, s2) V*: unitary rows v1*, v2*, with
-    v1 the top right-singular direction (top left-singular direction of m*)."""
-    v = batch_top_directions(np.conj(np.swapaxes(mats, 1, 2)))
-    v /= np.sqrt((np.abs(v) ** 2).sum(axis=1))[:, None]
-    va, vb = v[:, 0], v[:, 1]
-    return np.stack([np.stack([np.conj(va), np.conj(vb)], axis=1),
-                     np.stack([-vb, va], axis=1)], axis=1)
+def _dot(x0, y0, x1, y1) -> np.ndarray:
+    """x0 y0 + x1 y1, with the sum formed in place: half the cost of the
+    plain expression on these array sizes, and the same bits."""
+    z = x0 * y0
+    z += x1 * y1
+    return z
 
 
-def batch_frame_distance_ratio(tail: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """r = d(e1, L(diag(1, s) tail)) / s for each matrix, where L is the top
-    left-singular direction and s >= 0 may be far below 2^-52.
+class Walk:
+    """A batch of random products, row i holding
+    g_i = 2^log2s[i] [[a[i], b[i]], [c[i], d[i]]].
 
-    With rows r1, r2 of `tail`, H = diag(1, s) tail tail* diag(1, s) has
-    diagonal p = |r1|^2, t = s^2 |r2|^2 and off-diagonal s <r1, r2>; its top
-    eigenvector is (lam_max - t, s <r2, r1>), so with c = |<r1, r2>|,
-    r = c / |(lam_max - t, s c)|. lam_max - t is formed from non-negative
-    terms only, so r keeps relative precision however small s is and however
-    close to rank one `tail` is."""
-    r1, r2 = tail[:, 0, :], tail[:, 1, :]
-    p = (np.abs(r1) ** 2).sum(axis=1)
-    t = s * s * (np.abs(r2) ** 2).sum(axis=1)
-    c = np.abs((r1 * np.conj(r2)).sum(axis=1))
-    q2 = (s * c) ** 2
-    half = 0.5 * (p - t)
-    root = np.sqrt(half * half + q2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lead = np.where(half >= 0, half + root, q2 / (root - half))
-        return np.where(c > 0, c / np.sqrt(lead * lead + q2), 0.0)
+    The entries are four complex arrays, and a letter is applied by
+    elementwise products with the generators' entries: numpy's matmul on a
+    stack of complex 2x2 matrices makes one BLAS call per matrix, which
+    costs tens of times more than the arithmetic.
+    `renorm` divides by a power of two, which is exact, so how often it runs
+    changes no bit of the product."""
 
+    def __init__(self, gens: Tuple[np.ndarray, ...],
+                 entries: Tuple[np.ndarray, ...],
+                 log2s: Optional[np.ndarray] = None):
+        self.gens = gens                   # generator entries, by letter
+        self.a, self.b, self.c, self.d = entries
+        self.log2s = np.zeros(len(self.a)) if log2s is None else log2s
 
-def batch_apply(mats: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Image rows m_i v_i (not canonicalized)."""
-    return np.einsum("nij,nj->ni", mats, rows)
+    @classmethod
+    def identity(cls, sys: System, n: int, transpose: bool = False) -> "Walk":
+        """n rows of the identity, over sys's generators (or their
+        transposes)."""
+        gens = [g.transpose() if transpose else g for g in sys.generators]
+        ents = tuple(np.array(e, dtype=complex)
+                     for e in zip(*(g.entries() for g in gens)))
+        one = np.ones(n, dtype=complex)
+        zero = np.zeros(n, dtype=complex)
+        return cls(ents, (one, zero, zero.copy(), one.copy()))
+
+    def right(self, letters: np.ndarray) -> None:
+        """g <- g gens[letters]."""
+        e, f, g, h = (x[letters] for x in self.gens)
+        a, b, c, d = self.entries()
+        self.a, self.b = _dot(a, e, b, g), _dot(a, f, b, h)
+        self.c, self.d = _dot(c, e, d, g), _dot(c, f, d, h)
+
+    def left(self, letters: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """g <- gens[letters] g; returns the letters' entries (e, f, g, h)."""
+        sel = e, f, g, h = tuple(x[letters] for x in self.gens)
+        a, b, c, d = self.entries()
+        self.a, self.b = _dot(e, a, f, c), _dot(e, b, f, d)
+        self.c, self.d = _dot(g, a, h, c), _dot(g, b, h, d)
+        return sel
+
+    def renorm(self) -> None:
+        """Divide each product by the power of two near its max entry."""
+        m = np.maximum(np.maximum(np.abs(self.a), np.abs(self.b)),
+                       np.maximum(np.abs(self.c), np.abs(self.d)))
+        e = np.frexp(m)[1].astype(float)
+        scale = np.exp2(-e)
+        for x in (self.a, self.b, self.c, self.d):
+            x *= scale
+        self.log2s += e
+
+    def rows(self, sel: np.ndarray) -> "Walk":
+        """A new walk holding the selected rows (index or mask)."""
+        return Walk(self.gens, tuple(x[sel] for x in self.entries()),
+                    self.log2s[sel])
+
+    def entries(self) -> Tuple[np.ndarray, ...]:
+        return (self.a, self.b, self.c, self.d)
+
+    def sig2(self, s: Optional[np.ndarray] = None) -> np.ndarray:
+        """Squared top singular value of [[a, b], [s c, s d]] (s = 1 if
+        not given)."""
+        a, b, c, d = self.entries()
+        if s is not None:
+            c, d = c * s, d * s
+        f2 = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
+        adet2 = np.abs(a * d - b * c) ** 2
+        return 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * adet2, 0.0)))
+
+    def log2_opnorm(self, s: Optional[np.ndarray] = None) -> np.ndarray:
+        """log2 ||diag(1, s) g|| (s = 1 if not given)."""
+        return self.log2s + 0.5 * np.log2(self.sig2(s))
+
+    def right_frame(self) -> Tuple[np.ndarray, ...]:
+        """Entries of V* for g = U diag(s1, s2) V*: unitary rows v1*, v2*,
+        with v1 the top right-singular direction (top left-singular
+        direction of g*)."""
+        va, vb = _top_directions(np.conj(self.a), np.conj(self.c),
+                                 np.conj(self.b), np.conj(self.d))
+        norm = np.sqrt(np.abs(va) ** 2 + np.abs(vb) ** 2)
+        va, vb = va / norm, vb / norm
+        return (np.conj(va), np.conj(vb), -vb, va)
+
+    def frame_distance_ratio(self, s: np.ndarray) -> np.ndarray:
+        """r = d(e1, L(diag(1, s) g)) / s for each row, where L is the top
+        left-singular direction and s >= 0 may be far below 2^-52.
+
+        With rows r1, r2 of g, H = diag(1, s) g g* diag(1, s) has diagonal
+        p = |r1|^2, t = s^2 |r2|^2 and off-diagonal s <r1, r2>; its top
+        eigenvector is (lam_max - t, s <r2, r1>), so with c = |<r1, r2>|,
+        r = c / |(lam_max - t, s c)|. lam_max - t is formed from
+        non-negative terms only, so r keeps relative precision however small
+        s is and however close to rank one g is."""
+        p = np.abs(self.a) ** 2 + np.abs(self.b) ** 2
+        t = s * s * (np.abs(self.c) ** 2 + np.abs(self.d) ** 2)
+        c = np.abs(self.a * np.conj(self.c) + self.b * np.conj(self.d))
+        q2 = (s * c) ** 2
+        half = 0.5 * (p - t)
+        root = np.sqrt(half * half + q2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lead = np.where(half >= 0, half + root, q2 / (root - half))
+            return np.where(c > 0, c / np.sqrt(lead * lead + q2), 0.0)
 
 
 def draw_letters(rng: np.random.Generator, probs: np.ndarray,
@@ -157,45 +207,51 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
     The truncation error is exponentially small in target_bits; raises
     StallError when the norm cocycle fails to grow (non-proximal input).
     """
-    gens = gen_stack(sys, transpose=transpose)
     probs = sys.probs_array()
     chi_goal = 2.0 * target_bits
 
     def block(start: int, n: int, index: int):
         rng = block_rng(seed, TAG_BOUNDARY, index)
-        mats = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
-        log2s = np.zeros(n)
+        walk = Walk.identity(sys, n, transpose)
+        live = np.arange(n)                # original row of each walk row
+        out = np.empty((4, n), dtype=complex)
         first = np.full(n, -1, dtype=np.int64)
-        alive = np.ones(n, dtype=bool)
         chi_stop = np.zeros(n)
         steps = np.zeros(n, dtype=np.int64)
+        retired_log2s = -math.inf
         for step in range(max_len):
+            # one draw per row, retired rows included, keeps the streams
             letters = draw_letters(rng, probs, n)
             if step == 0:
                 first[:] = letters
-            if not alive.any():
+            if not len(live):
                 break
-            sel = gens[letters[alive]]
-            mats[alive] = np.matmul(mats[alive], sel)
-            sub_logs = log2s[alive]
-            sub = mats[alive]
-            batch_renorm(sub, sub_logs)
-            mats[alive] = sub
-            log2s[alive] = sub_logs
-            chi = 2.0 * batch_log2_opnorm(sub, sub_logs)
-            done = chi > chi_goal
-            idx = np.flatnonzero(alive)
-            fin = idx[done]
-            chi_stop[fin] = chi[done]
-            steps[fin] = step + 1
-            alive[fin] = False
-            if step == 255 and log2s.max() * 2.0 < 0.02 * chi_goal:
+            walk.right(letters[live])
+            walk.renorm()
+            # every entry is below 1 after renorm, so chi <= 2 log2s + 2
+            near = np.flatnonzero(2.0 * walk.log2s + 2.0 > chi_goal)
+            chi = 2.0 * walk.rows(near).log2_opnorm()
+            passed = chi > chi_goal
+            if passed.any():
+                gone = near[passed]            # walk rows that retire
+                done = walk.rows(gone)
+                fin = live[gone]
+                out[:, fin] = done.entries()
+                chi_stop[fin] = chi[passed]
+                steps[fin] = step + 1
+                retired_log2s = max(retired_log2s, done.log2s.max())
+                keep = np.ones(len(live), dtype=bool)
+                keep[gone] = False
+                walk = walk.rows(keep)
+                live = live[keep]
+            if (step == 255 and walk.log2s.max(initial=retired_log2s) * 2.0
+                    < 0.02 * chi_goal):
                 raise StallError("norm cocycle is not growing; "
                                  "system looks non-proximal")
-        if alive.any():
+        if len(live):
             raise StallError(f"chi failed to pass {chi_goal:.1f} "
                              f"within {max_len} letters")
-        rows = batch_top_directions(mats)
+        rows = np.stack(_top_directions(*out), axis=1)
         return (canonicalize_rows(rows), first, chi_stop, steps)
 
     parts = run_blocks(block, count, workers)
@@ -241,29 +297,25 @@ def lyapunov_estimate(sys: System, n: int = 10_000, trials: int = 1000,
     """Two estimators from the same paths: normalized log operator norm of
     the product (primary), and telescoped vector-norm growth along the orbit
     of e1 (recorded for cross-checking). Jackknife standard errors."""
-    gens = gen_stack(sys)
     probs = sys.probs_array()
 
     def block(start: int, m: int, index: int):
         rng = block_rng(seed, TAG_LYAPUNOV, index)
-        mats = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
-        log2s = np.zeros(m)
-        vecs = np.zeros((m, 2), dtype=complex)
-        vecs[:, 0] = 1.0
+        walk = Walk.identity(sys, m)
+        v0 = np.ones(m, dtype=complex)     # the orbit of e1
+        v1 = np.zeros(m, dtype=complex)
         vlog = np.zeros(m)
         for step in range(n):
-            letters = draw_letters(rng, probs, m)
-            sel = gens[letters]
-            mats = np.matmul(sel, mats)           # reversed composition order
-            vecs = batch_apply(sel, vecs)
+            # reversed composition order: g_{w|n} = w_n ... w_1
+            e, f, g, h = walk.left(draw_letters(rng, probs, m))
+            v0, v1 = _dot(e, v0, f, v1), _dot(g, v0, h, v1)
             if step % 8 == 7 or step == n - 1:
-                batch_renorm(mats, log2s)
-                vn = np.sqrt(np.abs(vecs[:, 0]) ** 2 + np.abs(vecs[:, 1]) ** 2)
+                walk.renorm()
+                vn = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
                 vlog += np.log2(vn)
-                vecs /= vn[:, None]
-        a_vals = batch_log2_opnorm(mats, log2s) / n
-        b_vals = vlog / n
-        return a_vals, b_vals
+                v0 /= vn
+                v1 /= vn
+        return walk.log2_opnorm() / n, vlog / n
 
     parts = run_blocks(block, trials, workers, block_size=1024)
     a = np.concatenate([p[0] for p in parts])

@@ -18,10 +18,8 @@ from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
 from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
                      project_component, sphere_embedding, sphere_to_plane)
-from .engine import (BoundaryCloud, batch_frame_distance_ratio,
-                     batch_log2_opnorm, batch_renorm, batch_right_frame,
-                     batch_sig2, delta_ladder, draw_letters,
-                     entropy_slope_dimension, gen_stack, local_dimension,
+from .engine import (BoundaryCloud, Walk, delta_ladder, draw_letters,
+                     entropy_slope_dimension, local_dimension,
                      lyapunov_estimate, sample_boundary)
 from .errors import StallError, UndersampledError
 from .reporting import (ExperimentReport, VERDICT_CONSISTENT,
@@ -159,6 +157,7 @@ def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
     Component entropy at m extra levels saturates below ~2^(m dim) points,
     so the level range must keep typical components above
     min_component_points; undersampled components are skipped and tracked.
+    Given a measure, its size is reported as `count`.
     """
     if isinstance(sys_or_measure, System):
         _, nu = _nu_hat(sys_or_measure, count, seed, workers)
@@ -166,6 +165,7 @@ def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
         tag = _sys_tag(sys_or_measure)
     else:
         nu = sys_or_measure
+        count = nu.size
         if nu.space == CP1:
             nu = sphere_to_plane(nu).drop_infinity()
         tag = "measure"
@@ -243,13 +243,14 @@ def exp_projection_entropy(sys_or_measure, m: int = 8,
                            dim_hint: Optional[float] = None) -> ExperimentReport:
     """Distribution over mass-sampled components of the worst-direction
     normalized projection entropy; gamma-hat is its 5th percentile above
-    dim - 1."""
+    dim - 1. Given a measure, its size is reported as `count`."""
     if isinstance(sys_or_measure, System):
         _, nu = _nu_hat(sys_or_measure, count, seed, workers)
         nu = nu.drop_infinity()
         tag = _sys_tag(sys_or_measure)
     else:
         nu = sys_or_measure
+        count = nu.size
         if nu.space == CP1:
             nu = sphere_to_plane(nu).drop_infinity()
         tag = "measure"
@@ -654,7 +655,7 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
     at step n and the tail product h is carried as V* h; then
     d = d(e1, L(diag(1, sigma^-2) V* h)) = sigma^-2 r, with sigma^-2 taken
     from the walk's power-of-two exponent and r from
-    `batch_frame_distance_ratio`, both to relative precision.
+    `Walk.frame_distance_ratio`, both to relative precision.
 
     Each row also reports `norm_fraction`, the share of paths with
     ||g_{w|n}||^-2 <= bound. Since log2 d = -2 log2 ||g_{w|n}|| + log2 r,
@@ -669,7 +670,6 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
             seed, [], {"chi": chi_hint, "note": "vacuous bound at chi ~ 0"},
             VERDICT_INCONCLUSIVE)
 
-    gens = gen_stack(sys)
     probs = sys.probs_array()
     rows = []
     all_pass = True
@@ -679,29 +679,27 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
 
         def block(start, m, index, n=n, target_chi=target_chi):
             rng = block_rng(seed, TAG_EXPERIMENT, 100_000 + 1000 * n + index)
-            mats = np.tile(np.eye(2, dtype=complex), (m, 1, 1))
-            log2s = np.zeros(m)
+            head = Walk.identity(sys, m)
             for _ in range(n):
-                mats = np.matmul(mats, gens[draw_letters(rng, probs, m)])
-                batch_renorm(mats, log2s)
-            # g_n = 2^log2s mats, so sigma^-2 = 2^exps / sig2 to rounding
-            sig2 = batch_sig2(mats)
-            exps = (-2.0 * log2s).astype(np.int64)
+                head.right(draw_letters(rng, probs, m))
+                head.renorm()
+            # g_n = 2^log2s head, so sigma^-2 = 2^exps / sig2 to rounding
+            sig2 = head.sig2()
+            exps = (-2.0 * head.log2s).astype(np.int64)
             s = np.ldexp(1.0 / sig2, exps)
             log2_inv_norm2 = exps - np.log2(sig2)
-            row_scale = np.stack([np.ones(m), s], axis=1)[:, :, None]
-            tail = batch_right_frame(mats)
-            tail_log2s = np.zeros(m)
+            tail = Walk(head.gens, head.right_frame())
             step = n
-            # ||g_N|| = sigma ||diag(1, sigma^-2) V* h||
-            while (2.0 * batch_log2_opnorm(tail * row_scale, tail_log2s)
-                   - log2_inv_norm2 <= target_chi).any():
+            # ||g_N|| = sigma ||diag(1, sigma^-2) V* h||; every row walks
+            # until the last one passes target_chi
+            while (2.0 * tail.log2_opnorm(s) - log2_inv_norm2
+                   <= target_chi).any():
                 if step >= 100_000:
                     raise StallError("path norm growth stalled")
-                tail = np.matmul(tail, gens[draw_letters(rng, probs, m)])
-                batch_renorm(tail, tail_log2s)
+                tail.right(draw_letters(rng, probs, m))
+                tail.renorm()
                 step += 1
-            d_mant = batch_frame_distance_ratio(tail, s) / sig2  # d = 2^exps d_mant
+            d_mant = tail.frame_distance_ratio(s) / sig2  # d = 2^exps d_mant
             with np.errstate(divide="ignore"):
                 log2_d = exps + np.log2(d_mant)
             return np.stack([np.ldexp(d_mant, exps), log2_d, log2_inv_norm2],

@@ -5,11 +5,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from furstlab.cli import main
 from furstlab.config import parse_config
 from furstlab.errors import ConfigError
-from furstlab.presets import get_preset
+from furstlab.presets import PRESETS, get_preset
 
 MINIMAL = """
 [system]
@@ -91,6 +93,141 @@ def test_roundtrip_preset_and_inline():
         assert again.seed == cfg.seed
         assert again.params == cfg.params
         assert again.out_format == cfg.out_format
+
+
+# -- parse / to_text properties (hypothesis) ----------------------------------
+
+GAUSS_INT = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def exact_matrix(draw):
+    """Gaussian-integer matrix of determinant one: a product of shears."""
+    a, b, c, d = (1, 0), (0, 0), (0, 0), (1, 0)
+    mul = lambda x, y: (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    add = lambda x, y: (x[0] + y[0], x[1] + y[1])
+    for upper, k in draw(st.lists(st.tuples(st.booleans(), GAUSS_INT),
+                                  max_size=4)):
+        if upper:       # right factor [[1, k], [0, 1]]
+            b, d = add(mul(a, k), b), add(mul(c, k), d)
+        else:           # right factor [[1, 0], [k, 1]]
+            a, c = add(a, mul(b, k)), add(c, mul(d, k))
+    return [x for z in (a, b, c, d) for x in z]
+
+
+@st.composite
+def float_matrix(draw):
+    """Float matrix with d = (1 + b c) / a, so det = 1 to rounding."""
+    part = st.floats(-4.0, 4.0, allow_nan=False)
+    a = complex(draw(st.floats(0.25, 4.0)), draw(part))
+    b, c = (complex(draw(part), draw(part)) for _ in range(2))
+    d = (1 + b * c) / a
+    return [x for z in (a, b, c, d) for x in (z.real, z.imag)]
+
+
+@st.composite
+def config_text(draw):
+    exact = draw(st.booleans())
+    k = draw(st.integers(1, 3))
+    lines = ["[system]"]
+    if draw(st.booleans()):
+        lines.append(f"preset = {draw(st.sampled_from(sorted(PRESETS)))}")
+    else:
+        for _ in range(k):
+            entries = draw(exact_matrix() if exact else float_matrix())
+            lines.append("g = " + ",".join(f"{x!r}" for x in entries))
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        lines.append("p = " + ",".join(repr(w / sum(weights))
+                                       for w in weights))
+        lines.append(f"exact = {'true' if exact else 'false'}")
+    lines.append("[params]")
+    lines.append(f"seed = {draw(st.integers(0, 2 ** 64 - 1))}")
+    lines.append(f"workers = {draw(st.integers(1, 8))}")
+    keys = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+    values = st.text("abcdefghijklmnopqrstuvwxyz0123456789.,/-", min_size=1,
+                     max_size=12)
+    for key, val in draw(st.dictionaries(keys, values, max_size=4)).items():
+        if key not in ("seed", "workers"):
+            lines.append(f"{key} = {val}")
+    lines.append("[output]")
+    if draw(st.booleans()):
+        lines.append(f"path = {draw(values)}.json")
+    lines.append(f"format = {draw(st.sampled_from(['json', 'csv']))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_text())
+def test_roundtrip_property(text):
+    cfg = parse_config(text)
+    again = parse_config(cfg.to_text())
+    assert again.preset == cfg.preset
+    assert (again.seed, again.workers) == (cfg.seed, cfg.workers)
+    assert again.params == cfg.params
+    assert (again.out_path, again.out_format) == (cfg.out_path, cfg.out_format)
+    sys0, sys1 = cfg.system, again.system
+    assert (sys1.exact, sys1.probs) == (sys0.exact, sys0.probs)
+    for g0, g1 in zip(sys0.generators, sys1.generators, strict=True):
+        if sys0.exact:
+            assert g1.exact_key() == g0.exact_key()
+        # float entries are rescaled by sqrt(det) on every parse, and det
+        # carries the rounding of a d - b c: a few ulps of |a d| + |b c|
+        for z0, z1 in zip(g0.entries(), g1.entries()):
+            assert abs(z1 - z0) <= 1e-12 * max(1.0, abs(z0))
+
+
+BAD_LITERALS = ["nan", "inf", "-inf", "1e400", "-2e308", "1e999999"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(float_matrix(), st.integers(0, 7), st.sampled_from(BAD_LITERALS))
+def test_nonfinite_matrix_entry_rejected(entries, pos, bad):
+    toks = [repr(x) for x in entries]
+    toks[pos] = bad
+    with pytest.raises(ConfigError) as err:
+        parse_config("[system]\ng = " + ",".join(toks) + "\n")
+    assert "line 2" in str(err.value)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1e155, 1e300), st.sampled_from([(0, 6), (0, 2, 4, 6)]))
+def test_overflowing_determinant_rejected(big, where):
+    # finite entries whose products overflow: det is inf, or inf - inf = nan
+    toks = ["1.0", "0", "0", "0", "0", "0", "1.0", "0"]
+    for pos in where:
+        toks[pos] = repr(big)
+    with pytest.raises(ConfigError) as err:
+        parse_config("[system]\ng = " + ",".join(toks) + "\n")
+    assert "line 2" in str(err.value)
+
+
+def test_underflow_overflow_pair_rejected():
+    # 1e400 parses as inf and 1e-400 as 0, so det = inf * 0 = nan; an all-nan
+    # generator used to pass the |det - 1| check
+    with pytest.raises(ConfigError) as err:
+        parse_config("[system]\ng = 1e400,0,0,0,0,0,1e-400,0\n")
+    assert "line 2" in str(err.value)
+
+
+def test_overflowing_exact_entry_rejected():
+    huge = str(10 ** 400)
+    text = (f"[system]\ng = {huge},0,0,0,0,0,1/{huge},0\n"
+            "exact = true\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "line 2" in str(err.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 1), st.sampled_from(BAD_LITERALS + ["0", "0.0", "-0.5"]))
+def test_bad_probability_rejected(pos, bad):
+    probs = ["0.5", "0.5"]
+    probs[pos] = bad
+    text = ("[system]\ng = 1,0,0,0,0,0,1,0\ng = 2,0,0,0,0,0,0.5,0\n"
+            f"p = {','.join(probs)}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert "line 4" in str(err.value)
 
 
 def test_cli_unknown_subcommand_exits_1(capsys):

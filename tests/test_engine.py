@@ -3,15 +3,18 @@ answers, and self-consistency oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import furstlab as fl
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
                              sphere_to_plane, total_variation, uniform_square,
                              uniform_segment)
-from furstlab.engine import (boundary_mass_probe, delta_estimate, dim_estimate,
-                             lyapunov_estimate, sample_boundary)
+from furstlab.engine import (Walk, boundary_mass_probe, delta_estimate,
+                             dim_estimate, lyapunov_estimate, sample_boundary)
 from furstlab.errors import StallError, UndersampledError
 from furstlab.experiments import push_stationary, small_ball_max_mass
+from furstlab.presets import PRESETS
 from furstlab.sl2 import E1, GroupElement, dist_cp1, ProjPoint
 from furstlab.words import System
 
@@ -25,6 +28,46 @@ SINGLE = System((GroupElement(2 + 0j, 0j, 0j, 0.5 + 0j),), (1.0,),
 REPEATED = System((GroupElement(2 + 0j, 1 + 0j, 0j, 0.5 + 0j),
                    GroupElement(2 + 0j, 1 + 0j, 0j, 0.5 + 0j)),
                   (0.5, 0.5), name="repeated-loxodromic")
+
+
+# -- walk kernel ---------------------------------------------------------------
+
+def _rel_gap(walk, row, direct):
+    got = [complex(np.ldexp(z.real, int(walk.log2s[row])),
+                   np.ldexp(z.imag, int(walk.log2s[row])))
+           for z in (x[row] for x in walk.entries())]
+    gap = sum(abs(u - v) ** 2 for u, v in zip(got, direct.entries()))
+    return (gap / direct.frobenius2()) ** 0.5
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PRESETS)), st.booleans(), st.integers(0, 60),
+       st.integers(1, 4), st.integers(1, 9), st.data())
+def test_walk_matches_direct_product(name, transpose, length, rows, every,
+                                     data):
+    # the renormalised product times 2^log2s is the GroupElement product,
+    # on the right (sampler) and on the left (Lyapunov) at any schedule
+    sys_ = fl.get_preset(name)
+    gens = [g.transpose() if transpose else g for g in sys_.generators]
+    letter = st.integers(0, sys_.size - 1)
+    words = np.array(data.draw(st.lists(
+        st.lists(letter, min_size=length, max_size=length),
+        min_size=rows, max_size=rows)), dtype=np.intp).reshape(rows, length)
+    right = Walk.identity(sys_, rows, transpose)
+    left = Walk.identity(sys_, rows, transpose)
+    for t in range(length):
+        right.right(words[:, t])
+        right.renorm()
+        left.left(words[:, t])
+        if t % every == every - 1:
+            left.renorm()
+    for i in range(rows):
+        head = tail = GroupElement.identity()
+        for k in words[i]:
+            head = head @ gens[k]
+            tail = gens[k] @ tail
+        assert _rel_gap(right, i, head) <= 1e-12
+        assert _rel_gap(left, i, tail) <= 1e-12
 
 
 # -- boundary sampling ---------------------------------------------------------

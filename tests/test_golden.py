@@ -17,7 +17,7 @@ import pytest
 from furstlab import (PipelineBudget, delta_estimate, diophantine_probe,
                       exp_linearization_check, exp_main_theorem,
                       exp_projection_entropy, exp_uniform_entropy_dim,
-                      get_preset, random_walk_entropy)
+                      get_preset, random_walk_entropy, sample_boundary)
 from furstlab.dyadic import uniform_square
 
 
@@ -33,6 +33,17 @@ def _main_theorem():
 def _delta_ladder():
     lad = delta_estimate(get_preset("twist"), q_max=8, count=8192, seed=3)
     return _plain([lad.rows, lad.letter_entropy, lad.samples])
+
+
+def _boundary_cloud(name, transpose=False):
+    def run():
+        cloud = sample_boundary(get_preset(name), count=8192, seed=3,
+                                transpose=transpose)
+        rows = cloud.measure.points
+        return _plain([rows.real.tolist(), rows.imag.tolist(),
+                       cloud.first_letters.tolist(), cloud.stop_chi.tolist(),
+                       cloud.steps.tolist()])
+    return run
 
 
 def _hrw(name, n_max):
@@ -70,6 +81,10 @@ def _linearization():
 
 CASES = {
     "main-theorem": _main_theorem,
+    "boundary-cloud-twist": _boundary_cloud("twist"),
+    "boundary-cloud-twist-transpose": _boundary_cloud("twist", transpose=True),
+    "boundary-cloud-sanov": _boundary_cloud("sanov"),
+    "boundary-cloud-discrete-gaussian": _boundary_cloud("discrete-gaussian"),
     "delta-ladder": _delta_ladder,
     "hrw-sanov": _hrw("sanov", 8),
     "hrw-twist": _hrw("twist", 6),
@@ -81,6 +96,10 @@ CASES = {
 }
 
 DIGESTS = {
+    "boundary-cloud-discrete-gaussian": "cfce7a07e8f853c69d0834e7a570c8e6fd48e496f994a73317cb20edfbf879f2",
+    "boundary-cloud-sanov": "a63af36e3ada0b754876ce89f5fff4016997b60f536adabf442cdb0d964d3694",
+    "boundary-cloud-twist": "23d4abeeaceb94103c3f3662c85fba82d4e31eea11627eb95122bb90cdda362e",
+    "boundary-cloud-twist-transpose": "c59893e561a4ce9453de82ae6ef9faad8deab8993e419e31e1bd422febbd1f98",
     "delta-ladder": "615004025ed190c86f48e7ac806587791eec49d080c0388667ff05b87ceb4a83",
     "dio-sanov": "ebdc5343ebe09f7af5824e7e817b4bfbb4eb8b445afcff46b860814a5a83666d",
     "dio-twist": "75bc2e94f2251df13a128ff6c67e116ab37e5ca07c53b7dd002bc59b792d6490",
@@ -88,8 +107,8 @@ DIGESTS = {
     "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
     "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
-    "projection-entropy": "8e0cdaaad289c68bd76e4786fd4c072be5604e8340e233aa71596d494f108925",
-    "uniform-entropy-dim": "f5b2d2cdcaeadd7c81fccc2613d575e7914d5460c65d4f33e3df94425bcd1345",
+    "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
+    "uniform-entropy-dim": "2bb47b24ad39d7366ee84515617465315fb3876368d21cb35473c72885146b9d",
 }
 
 
