@@ -17,7 +17,6 @@ BLOCK_SIZE = 8192
 # stream tags, one per sampling kernel
 TAG_BOUNDARY = 1
 TAG_LYAPUNOV = 2
-TAG_DELTA = 3
 TAG_COCYCLE = 4
 TAG_DIM = 5
 TAG_EXPERIMENT = 6

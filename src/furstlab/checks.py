@@ -16,16 +16,12 @@ import numpy as np
 from .dyadic import shannon_entropy
 from .errors import CapExceededError, LogBranchError
 from .sl2 import (GaussianRational, GroupElement, ProjPoint, E1, E2,
-                  _principal_log_sl2, dist_cp1, proj_act)
-from .words import System
+                  dist_cp1, principal_log_norm, proj_act)
+from .words import ScaledMatrix, System, draw_letters
 
 TAU_EIG = 1e-9
 NORM_THRESHOLD_BITS = 32.0   # unboundedness passes at ||g||_op > 2^32
 TRACE_SLACK = 1e-9
-
-# distance value recorded for pairs whose ratio sits on the log branch cut;
-# such pairs are order-one separated, never competitive for the minimum
-BRANCH_CUT_SEPARATION = math.pi * math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,6 @@ def check_proximality(sys: System, depth: int = 64, trials: int = 256,
 
     if cur_log2 <= NORM_THRESHOLD_BITS:
         # greedy stalled; try random words with renormalized products
-        from .words import ScaledMatrix
         for _ in range(trials):
             acc = ScaledMatrix.identity()
             for _step in range(depth):
@@ -336,8 +331,7 @@ def check_proximality(sys: System, depth: int = 64, trials: int = 256,
         exhaustive_len += 1
     for _ in range(trials):
         length = int(rng.integers(2, max(3, depth // 2)))
-        word = tuple(int(i) for i in
-                     rng.choice(sys.size, size=length, p=sys.probs_array()))
+        word = tuple(draw_letters(rng, sys.probs_array(), length).tolist())
         g = GroupElement.identity()
         for i in word:
             g = g @ sys.generators[i]
@@ -600,10 +594,7 @@ def diophantine_probe(sys: System, n_max: int, cap: int = 2_000_000,
             for j in range(i + 1, n_distinct):
                 pair_count += 1
                 try:
-                    m = gi_inv @ grouped[j][0]
-                    la, lb, lc, ld = _principal_log_sl2(m)
-                    sep = math.sqrt(abs(la) ** 2 + abs(lb) ** 2
-                                    + abs(lc) ** 2 + abs(ld) ** 2)
+                    sep = principal_log_norm(gi_inv @ grouped[j][0])
                 except LogBranchError:
                     # ratio on the log branch cut: such pairs are order-one
                     # separated (the cut sits at distance >= pi*sqrt(2) from

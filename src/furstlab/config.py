@@ -120,6 +120,10 @@ def _build_matrix(tokens: List[str], line_no: int, want_exact: bool) -> GroupEle
         raise ConfigError(
             f"determinant {det:.12g} violates |det-1| <= {DET_TOL:g}; "
             f"entries ({a}, {b}; {c}, {d})", line_no)
+    if abs(det - 1.0) <= 8.0 * math.ulp(1.0) * (abs(a * d) + abs(b * c)):
+        # det is 1 up to the rounding of a d - b c: rescaling would only
+        # move the entries, and re-reading a written config would drift
+        return GroupElement(a, b, c, d)
     s = det ** 0.5
     return GroupElement(a / s, b / s, c / s, d / s)
 

@@ -26,6 +26,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._parallel import TAG_FIXTURE, block_rng
+from .sl2 import INFINITY, ProjPoint
+
 CP1 = "cp1"
 C_INF = "c_inf"
 RP1 = "rp1"
@@ -351,7 +354,6 @@ def dyadic_cell(space: str, point, level: int) -> DyadicCellId:
     """Cell id of a single point: complex (or INFINITY) for the plane, a
     canonical unit pair for the sphere, an angle for the line space, six
     chart coordinates for the group."""
-    from .sl2 import INFINITY, ProjPoint
     if space == C_INF:
         if point is INFINITY:
             return DyadicCellId(C_INF, level, (), atom=True)
@@ -434,7 +436,6 @@ def total_variation(a: EmpiricalMeasure, b: EmpiricalMeasure,
 def uniform_square(n: int, seed: int, side: float = 1.0,
                    origin: complex = 0j) -> EmpiricalMeasure:
     """Uniform sample fixture on an axis-aligned square."""
-    from ._parallel import TAG_FIXTURE, block_rng
     rng = block_rng(seed, TAG_FIXTURE, 0)
     xy = rng.random((n, 2)) * side
     return EmpiricalMeasure.on_plane(origin + xy[:, 0] + 1j * xy[:, 1])
@@ -442,7 +443,6 @@ def uniform_square(n: int, seed: int, side: float = 1.0,
 
 def uniform_segment(n: int, seed: int, length: float = 1.0,
                     angle: float = 0.0, origin: complex = 0j) -> EmpiricalMeasure:
-    from ._parallel import TAG_FIXTURE, block_rng
     rng = block_rng(seed, TAG_FIXTURE, 1)
     t = rng.random(n) * length
     d = complex(math.cos(angle), math.sin(angle))

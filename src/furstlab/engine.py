@@ -19,7 +19,7 @@ from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
 from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
                      shannon_entropy, sphere_embedding)
 from .errors import StallError, UndersampledError
-from .words import System
+from .words import System, draw_letters
 
 DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
 
@@ -175,14 +175,6 @@ class Walk:
         with np.errstate(divide="ignore", invalid="ignore"):
             lead = np.where(half >= 0, half + root, q2 / (root - half))
             return np.where(c > 0, c / np.sqrt(lead * lead + q2), 0.0)
-
-
-def draw_letters(rng: np.random.Generator, probs: np.ndarray,
-                 size: int) -> np.ndarray:
-    """Inverse-CDF letter draws; one uniform per letter."""
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(size), side="right")
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,16 @@ from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
 from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
                      project_component, sphere_embedding, sphere_to_plane)
-from .engine import (BoundaryCloud, Walk, delta_ladder, draw_letters,
+from .engine import (BoundaryCloud, Walk, delta_ladder,
                      entropy_slope_dimension, local_dimension,
                      lyapunov_estimate, sample_boundary)
-from .errors import StallError, UndersampledError
+from .errors import LogBranchError, StallError, UndersampledError
 from .reporting import (ExperimentReport, VERDICT_CONSISTENT,
                         VERDICT_INCONCLUSIVE, VERDICT_INCONSISTENT)
-from .sl2 import (GroupElement, chart_g, chart_g_inverse, dist_g_proxy,
-                  mobius_derivative, proj_act, psi, INFINITY)
-from .words import ScaledMatrix, System, sample_word
+from .sl2 import (GroupElement, boundary_direction, chart_g, chart_g_inverse,
+                  dist_g_proxy, mobius_derivative, proj_act, psi, INFINITY)
+from .words import (ScaledMatrix, System, draw_letters, product_of_word,
+                    sample_word, scaled_product)
 
 
 def _sys_tag(sys: System) -> str:
@@ -323,25 +324,13 @@ class CocycleTrace:
 def _build_trace(sys: System, n: int, q_bits: float, rng,
                  fixed_point: Optional[object] = None,
                  check_stride: int = 16) -> CocycleTrace:
-    probs = sys.probs_array()
-    letters = [int(i) for i in rng.choice(sys.size, size=n, p=probs)]
+    letters = draw_letters(rng, sys.probs_array(), n).tolist()
     pole_events = 0
 
     if fixed_point is None:
-        # tail boundary point: run letters until chi passes 2*q_bits
-        acc = ScaledMatrix.identity()
-        tail_first: Optional[GroupElement] = None
-        guard = 0
-        while acc.chi() <= 2.0 * q_bits:
-            i = int(rng.choice(sys.size, p=probs))
-            acc = acc.times(sys.generators[i])
-            if tail_first is None:
-                tail_first = sys.generators[i]
-            guard += 1
-            if guard > 100_000:
-                raise StallError("tail norm growth stalled")
-        from .sl2 import boundary_direction
-        p_next = boundary_direction(acc.g)
+        # tail boundary point: the first-passage word past chi = 2*q_bits
+        tail = sample_word(sys, rng, first_passage=(0, 1, 2 * q_bits))
+        p_next = boundary_direction(scaled_product(sys, tail).g)
     else:
         p_next = fixed_point
 
@@ -764,7 +753,6 @@ def _matched_norm_pair_check(sys: System, budget: PipelineBudget,
     """Sampled pairs with comparable norms and nearly equal top directions
     must sit at bounded group distance."""
     from scipy.spatial import cKDTree
-    from .sl2 import boundary_direction
 
     rng = block_rng(seed, TAG_EXPERIMENT, 6)
     lev = budget.pair_check_level
@@ -775,10 +763,7 @@ def _matched_norm_pair_check(sys: System, budget: PipelineBudget,
         if w in seen:                      # repeated draws are uninformative
             continue
         seen.add(w)
-        acc = GroupElement.identity()
-        for i in w:
-            acc = acc @ sys.generators[i]
-        mats.append(acc)
+        mats.append(product_of_word(sys, w))
     if len(mats) < 2:
         return {"pairs": 0, "max_distance": None, "passes": None}
     norms = np.array([g.op_norm() for g in mats])
@@ -790,7 +775,6 @@ def _matched_norm_pair_check(sys: System, budget: PipelineBudget,
     cand = tree.query_pairs(r=radius, output_type="ndarray")
     dists = []
     n_pairs = 0
-    from .errors import LogBranchError
     for i, j in cand:
         g1, g2 = mats[int(i)], mats[int(j)]
         ratio = norms[int(i)] / norms[int(j)]
@@ -819,10 +803,7 @@ def _entropy_scaling_check(sys: System, cloud: BoundaryCloud, chi_hat: float,
     n_w = 12
     g = None
     for _ in range(400):
-        w = sample_word(sys, rng, length=n_w)
-        acc = GroupElement.identity()
-        for i in w:
-            acc = acc @ sys.generators[i]
+        acc = product_of_word(sys, sample_word(sys, rng, length=n_w))
         rate = math.log2(acc.op_norm()) / n_w
         if abs(rate - chi_hat) < max(0.1 * chi_hat, 0.05):
             g = acc

@@ -235,13 +235,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-# ExtendedComplex values are `complex` or the INFINITY singleton.
-ExtendedComplex = object
-
-
-def is_infinity(z) -> bool:
-    return z is INFINITY
-
 
 # ---------------------------------------------------------------------------
 # projective points
@@ -328,9 +321,6 @@ class RPoint:
 
     def inverse_el(self) -> "RPoint":
         return RPoint.from_angle(-self.theta)
-
-
-RP_IDENTITY = RPoint(0.0)
 
 
 def dist_rp1(x: RPoint, y: RPoint) -> float:
@@ -439,8 +429,8 @@ def boundary_direction(g: GroupElement) -> ProjPoint:
 # distance on the group
 # ---------------------------------------------------------------------------
 
-def _principal_log_sl2(m: GroupElement) -> Tuple[complex, complex, complex, complex]:
-    """Principal logarithm of m in SL(2,C), as entries of a traceless matrix.
+def principal_log_norm(m: GroupElement) -> float:
+    """||log m||_F for the principal logarithm of m in SL(2,C) (natural log).
 
     Uses log(m) = b * (m - (t/2) I) where t = tr(m) and b = log(lam)/delta
     for the eigenvalues t/2 +- delta. Raises LogBranchError when an
@@ -466,7 +456,8 @@ def _principal_log_sl2(m: GroupElement) -> Tuple[complex, complex, complex, comp
         b = cmath.log(lam) / delta
 
     half_t = t * 0.5
-    return (b * (m.a - half_t), b * m.b, b * m.c, b * (m.d - half_t))
+    la, lb, lc, ld = (b * (m.a - half_t), b * m.b, b * m.c, b * (m.d - half_t))
+    return math.sqrt(abs(la) ** 2 + abs(lb) ** 2 + abs(lc) ** 2 + abs(ld) ** 2)
 
 
 def dist_g_proxy(g: GroupElement, h: GroupElement) -> float:
@@ -475,9 +466,7 @@ def dist_g_proxy(g: GroupElement, h: GroupElement) -> float:
     Exactly left-invariant by construction; raises LogBranchError when the
     principal logarithm of g^-1 h does not exist.
     """
-    m = g.inverse() @ h
-    la, lb, lc, ld = _principal_log_sl2(m)
-    return math.sqrt(abs(la) ** 2 + abs(lb) ** 2 + abs(lc) ** 2 + abs(ld) ** 2)
+    return principal_log_norm(g.inverse() @ h)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,16 @@ class System:
         return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
+def draw_letters(rng: np.random.Generator, probs: np.ndarray,
+                 size: int) -> np.ndarray:
+    """Inverse-CDF letter draws; one uniform per letter. The steps of
+    `Generator.choice(len(probs), size, p=probs)` when the cumulative sum
+    ends at exactly 1.0, without its per-call checks of probs."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, rng.random(size), side="right")
+
+
 @dataclass
 class WordSet:
     """Finite word family with its cylinder weights p_u."""
@@ -139,12 +149,20 @@ def product_of_word(sys: System, u: Sequence[int],
     return acc
 
 
-def chi_word(sys: System, u: Sequence[int]) -> float:
-    """chi_u = 2 log2 ||g_u||_op, via a renormalized product (no overflow)."""
-    acc = ScaledMatrix.identity()
+def scaled_product(sys: System, u: Sequence[int],
+                   acc: Optional[ScaledMatrix] = None) -> ScaledMatrix:
+    """acc g_{u_0} ... g_{u_{n-1}} in renormalized form; acc defaults to
+    the identity."""
+    if acc is None:
+        acc = ScaledMatrix.identity()
     for i in u:
         acc = acc.times(sys.generators[i])
-    return acc.chi()
+    return acc
+
+
+def chi_word(sys: System, u: Sequence[int]) -> float:
+    """chi_u = 2 log2 ||g_u||_op, via a renormalized product (no overflow)."""
+    return scaled_product(sys, u).chi()
 
 
 def word_weight(sys: System, u: Sequence[int]) -> float:
@@ -201,9 +219,7 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
     frontier: List[Tuple[Word, ScaledMatrix, float]] = []
     examined = 0
     for u0 in itertools.product(range(sys.size), repeat=j):
-        acc = ScaledMatrix.identity()
-        for i in u0:
-            acc = acc.times(sys.generators[i])
+        acc = scaled_product(sys, u0)
         examined += 1
         w = word_weight(sys, u0)
         if acc.chi() > n:
@@ -252,22 +268,19 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
         raise ValueError("specify exactly one of length / first_passage")
     p = sys.probs_array()
     if length is not None:
-        return tuple(int(i) for i in rng.choice(sys.size, size=length, p=p))
+        return tuple(draw_letters(rng, p, length).tolist())
 
     j, l, n = first_passage
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
-    word = tuple(int(i) for i in rng.choice(sys.size, size=j, p=p))
-    acc = ScaledMatrix.identity()
-    for i in word:
-        acc = acc.times(sys.generators[i])
+    word = tuple(draw_letters(rng, p, j).tolist())
+    acc = scaled_product(sys, word)
     if acc.chi() > n:
         return word
     for _ in range(max_blocks):
-        block = tuple(int(i) for i in rng.choice(sys.size, size=l, p=p))
+        block = tuple(draw_letters(rng, p, l).tolist())
         word = word + block
-        for i in block:
-            acc = acc.times(sys.generators[i])
+        acc = scaled_product(sys, block, acc)
         if acc.chi() > n:
             return word
     raise StallError(f"chi failed to pass {n} within {max_blocks} blocks")
@@ -283,15 +296,10 @@ def is_doubling_word(sys: System, word: Sequence[int], j: int, l: int) -> bool:
     word = tuple(word)
     if len(word) < j + l or (len(word) - j) % l != 0:
         raise ValueError("word length must be j + k*l with k >= 1")
-    prefix_log_norms = []
-    acc = ScaledMatrix.identity()
-    for i in word[:j]:
-        acc = acc.times(sys.generators[i])
-    prefix_log_norms.append(acc.log2_op_norm())
-    rest = word[j:]
-    for s in range(0, len(rest), l):
-        for i in rest[s:s + l]:
-            acc = acc.times(sys.generators[i])
+    acc = scaled_product(sys, word[:j])
+    prefix_log_norms = [acc.log2_op_norm()]
+    for s in range(j, len(word), l):
+        acc = scaled_product(sys, word[s:s + l], acc)
         prefix_log_norms.append(acc.log2_op_norm())
     full = prefix_log_norms.pop()
     # squared-norm doubling <=> log2 gap > 1/2
@@ -319,9 +327,7 @@ def doubling_word_sets(sys: System, j: int, l: int, n: int,
     frontier: List[Tuple[Word, ScaledMatrix, float, List[float]]] = []
     examined = 0
     for u0 in itertools.product(range(sys.size), repeat=j):
-        acc = ScaledMatrix.identity()
-        for i in u0:
-            acc = acc.times(sys.generators[i])
+        acc = scaled_product(sys, u0)
         examined += 1
         frontier.append((tuple(u0), acc, word_weight(sys, u0),
                          [acc.log2_op_norm()]))
@@ -337,9 +343,7 @@ def doubling_word_sets(sys: System, j: int, l: int, n: int,
                 if examined > cap:
                     raise CapExceededError(
                         f"doubling-word enumeration passed cap={cap}")
-                nxt = acc
-                for i in b:
-                    nxt = nxt.times(sys.generators[i])
+                nxt = scaled_product(sys, b, acc)
                 nw = word + b
                 lg = nxt.log2_op_norm()
                 if all(lg > q + 0.5 for q in prefs):

@@ -12,12 +12,16 @@ Python's shortest round-trip float repr, which is exact to the bit.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from furstlab import (PipelineBudget, delta_estimate, diophantine_probe,
+from furstlab import (PipelineBudget, check_proximality, delta_estimate,
+                      diophantine_probe, doubling_word_sets,
+                      enumerate_first_passage, exp_direction_cocycle,
                       exp_linearization_check, exp_main_theorem,
                       exp_projection_entropy, exp_uniform_entropy_dim,
-                      get_preset, random_walk_entropy, sample_boundary)
+                      get_preset, random_walk_entropy, sample_boundary,
+                      sample_word)
 from furstlab.dyadic import uniform_square
 
 
@@ -79,6 +83,34 @@ def _linearization():
                                    seed=2).to_json()
 
 
+def _direction_cocycle():
+    return exp_direction_cocycle(get_preset("twist"), n=800, trials=3,
+                                 seed=4).to_json()
+
+
+def _proximality():
+    out = []
+    for name in ("twist", "su2-control"):
+        r = check_proximality(get_preset(name), rng=np.random.default_rng(11))
+        trace = None if r.strict_trace is None else [r.strict_trace.real,
+                                                     r.strict_trace.imag]
+        out.append([r.status, r.max_log2_norm, r.steps, r.strict,
+                    r.strict_witness, trace])
+    return _plain(out)
+
+
+def _first_passage_words():
+    fp = enumerate_first_passage(get_preset("sanov"), 1, 2, 8)
+    dw, m_bound = doubling_word_sets(get_preset("discrete-gaussian"), 0, 1, 4)
+    twist = get_preset("twist")
+    rng = np.random.default_rng(9)
+    passage = [sample_word(twist, rng, first_passage=(1, 2, 12))
+               for _ in range(200)]
+    fixed = [sample_word(twist, rng, length=12) for _ in range(50)]
+    return _plain([fp.words, fp.weights, fp.block_norm_const, fp.exact_ties,
+                   dw.words, dw.weights, m_bound, passage, fixed])
+
+
 CASES = {
     "main-theorem": _main_theorem,
     "boundary-cloud-twist": _boundary_cloud("twist"),
@@ -86,6 +118,9 @@ CASES = {
     "boundary-cloud-sanov": _boundary_cloud("sanov"),
     "boundary-cloud-discrete-gaussian": _boundary_cloud("discrete-gaussian"),
     "delta-ladder": _delta_ladder,
+    "direction-cocycle": _direction_cocycle,
+    "first-passage-words": _first_passage_words,
+    "proximality": _proximality,
     "hrw-sanov": _hrw("sanov", 8),
     "hrw-twist": _hrw("twist", 6),
     "dio-sanov": _dio("sanov", 6),
@@ -101,13 +136,16 @@ DIGESTS = {
     "boundary-cloud-twist": "23d4abeeaceb94103c3f3662c85fba82d4e31eea11627eb95122bb90cdda362e",
     "boundary-cloud-twist-transpose": "c59893e561a4ce9453de82ae6ef9faad8deab8993e419e31e1bd422febbd1f98",
     "delta-ladder": "615004025ed190c86f48e7ac806587791eec49d080c0388667ff05b87ceb4a83",
+    "direction-cocycle": "16a4c08344bdc3a18fac2a6ccb0a70be32ad0fa883b625ccaa3000d280dd632e",
     "dio-sanov": "ebdc5343ebe09f7af5824e7e817b4bfbb4eb8b445afcff46b860814a5a83666d",
     "dio-twist": "75bc2e94f2251df13a128ff6c67e116ab37e5ca07c53b7dd002bc59b792d6490",
+    "first-passage-words": "2193289d4ea1d9064a79aa1263d88bb8b80cfc063e2250f1ff1fbfeee1fee1c0",
     "hrw-sanov": "cd788fa4102562fe176a4dc12cdf8ec05d7a7dc176d0d3f6b9ba3bed58fc1db5",
     "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
     "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
     "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
+    "proximality": "0b2644e5616229eeabdf50df6210837e8eb4da07afae85e355934d3d92949504",
     "uniform-entropy-dim": "2bb47b24ad39d7366ee84515617465315fb3876368d21cb35473c72885146b9d",
 }
 
