@@ -86,8 +86,10 @@ def _parse_scalar(tok: str, line_no: int) -> Tuple[float, Optional[Fraction]]:
             fr = Fraction(tok)
             return float(fr), fr
         if "." not in tok and "e" not in tok.lower():
+            # float(tok), not float(fr): "-0" (how to_text writes -0.0)
+            # keeps its sign
             fr = Fraction(int(tok))
-            return float(fr), fr
+            return float(tok), fr
         return float(tok), None
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad numeric literal {tok!r}: {exc}", line_no)

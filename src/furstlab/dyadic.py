@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -145,18 +146,27 @@ class EmpiricalMeasure:
     # -- cells ---------------------------------------------------------------
 
     def cell_keys(self, level: int) -> np.ndarray:
-        """Sortable per-point cell keys at the given level (see _keys_*)."""
+        """Per-point int64 cell keys at the given level, ordered like the
+        cells (see _pack). Keys of two calls are not comparable."""
         return _cell_keys(self.space, self.points, level)
 
     def cell_labels(self, level: int) -> np.ndarray:
         """Per-point integer cell labels at the given level, numbered
-        0, 1, ... in cell-key order."""
-        return _unique_inverse(self.cell_keys(level))[1]
+        0, 1, ... in cell order."""
+        return np.unique(self.cell_keys(level), return_inverse=True)[1]
+
+    def cell_indices(self, level: int) -> np.ndarray:
+        """(N, axes) per-axis integer cell indices of every point, as
+        floats: the index tuples `cell_of` decodes (cp1: chart, ix, iy).
+        Points in the infinity atom hold the indices of 0."""
+        return np.stack(_cell_axes(self.space, self.points, level), axis=1)
 
     def cell_of(self, i: int, level: int) -> DyadicCellId:
         """Decoded cell id of point i."""
-        key = _cell_keys(self.space, self.points[[i]], level)[0]
-        return _decode_key(self.space, key, level)
+        if self.space == C_INF and not np.isfinite(self.points[i]):
+            return DyadicCellId(C_INF, level, (), atom=True)
+        axes = _cell_axes(self.space, self.points[[i]], level)
+        return DyadicCellId(self.space, level, tuple(int(a[0]) for a in axes))
 
     # -- entropy -------------------------------------------------------------
 
@@ -184,23 +194,10 @@ class EmpiricalMeasure:
 
     # -- components ----------------------------------------------------------
 
-    def components(self, level: int):
-        """Occupied level cells with their masses and conditional measures,
-        ordered by cell key. Returns list of (DyadicCellId, mass, measure)."""
-        uniq, labels = _unique_inverse(self.cell_keys(level))
-        out = []
-        order = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[order], np.arange(len(uniq)))
-        bounds = np.append(bounds, len(labels))
-        for k in range(len(uniq)):
-            idx = order[bounds[k]:bounds[k + 1]]
-            mass = float(np.sum(self.weights[idx]))
-            if mass <= 0:
-                continue
-            sub = EmpiricalMeasure(self.space, self.points[idx],
-                                   self.weights[idx] / mass)
-            out.append((_decode_key(self.space, uniq[k], level), mass, sub))
-        return out
+    def components(self, level: int) -> "Components":
+        """Occupied level cells of positive mass with their masses and
+        conditional measures, in cell order (see Components)."""
+        return Components(self, level)
 
     # -- export ---------------------------------------------------------------
 
@@ -240,20 +237,107 @@ def _bias_note(occupied: int, samples: int) -> Optional[str]:
     return None
 
 
+class Components(Sequence):
+    """The occupied cells of one level with positive mass, in cell order.
+
+    Holds the sort order of the points, the cell bounds in it and the cell
+    masses; `comps[k]` is (DyadicCellId, mass, conditional measure) and
+    builds that measure only when read. Each mass is the pairwise `np.sum`
+    of the cell's weights in point order."""
+
+    def __init__(self, m: EmpiricalMeasure, level: int):
+        keys = m.cell_keys(level)
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
+        ends = np.append(starts[1:], len(keys))
+        masses = _slice_sums(m.weights[order], starts, ends)
+        keep = masses > 0
+        self.measure = m
+        self.level = level
+        self.masses = masses[keep]
+        self._order = order
+        self._starts = starts[keep]
+        self._ends = ends[keep]
+
+    def __len__(self) -> int:
+        return len(self.masses)
+
+    def __getitem__(self, k):
+        k = range(len(self))[operator.index(k)]
+        idx = self._order[self._starts[k]:self._ends[k]]
+        m = self.measure
+        mass = float(self.masses[k])
+        sub = EmpiricalMeasure(m.space, m.points[idx], m.weights[idx] / mass)
+        return m.cell_of(int(idx[0]), self.level), mass, sub
+
+
+def _slice_sums(w: np.ndarray, starts: np.ndarray,
+                ends: np.ndarray) -> np.ndarray:
+    """np.sum(w[a:b]) for each slice, with the same bits: slices of one
+    length are gathered as the rows of a C-ordered matrix, and numpy sums
+    each row along its contiguous axis with the same pairwise summation."""
+    lengths = ends - starts
+    by_length = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[by_length]
+    bounds = np.flatnonzero(
+        np.r_[True, sorted_lengths[1:] != sorted_lengths[:-1], True])
+    out = np.empty(len(starts))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        rows = by_length[a:b]
+        n = int(sorted_lengths[a])
+        out[rows] = w[starts[rows, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # vectorized cell keys
 # ---------------------------------------------------------------------------
-# Keys are complex128 pairs of (exact small) floats, or an (N,6) int array for
-# the group chart. Floor indices are exact for |index| < 2^53; mass in the
-# far tail of c_inf beyond that is binned approximately.
+# A cell is a tuple of per-axis integer indices, major axis first, computed
+# as floats by _cell_axes (exact below 2^53; mass in the far tail of c_inf
+# beyond that is binned approximately). _pack turns the tuples into one
+# int64 key per point, in the lexicographic order of the tuples, so sorting
+# keys sorts cells. Keys are offsets from the minima of one call: decode a
+# cell from the indices of a member point, never from its key.
 
-def _keys_cinf(zs: np.ndarray, level: int) -> np.ndarray:
-    s = 2.0 ** level
-    finite = np.isfinite(zs)             # both parts finite
-    zs = np.where(finite, zs, 0j)
-    keys = np.floor(zs.real * s) + 1j * np.floor(zs.imag * s)
-    keys[~finite] = np.inf + 0j          # reserved atom for infinity
-    return keys
+_KEY_SPAN = 1 << 62          # finite keys lie in [0, 2^62)
+_ATOM_KEY = _KEY_SPAN        # the c_inf infinity atom, above every finite key
+_EXACT_AXIS = 1 << 61        # axes inside (-2^61, 2^61) pack without ranking
+_PROJECTION_BLOCK_KEYS = 1 << 20   # keys projection_entropies sorts at once
+
+
+def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
+    uniq, inverse = np.unique(a, return_inverse=True)
+    return inverse, len(uniq)
+
+
+def _pack(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """int64 keys ordered like the rows (axes[0][i], axes[1][i], ...).
+
+    Each axis is offset by its minimum and packed mixed-radix. An axis
+    outside (-2^61, 2^61) is replaced by its dense ranks; when the product of
+    the spans would pass 2^62, the major part packed so far is rank-compressed
+    first."""
+    key = np.zeros(len(axes[0]), dtype=np.int64)
+    if not len(key):
+        return key
+    span = 1
+    for a in axes:
+        lo, hi = a.min(), a.max()
+        if -_EXACT_AXIS < lo and hi < _EXACT_AXIS:
+            off = a.astype(np.int64)
+            off -= int(lo)
+            width = int(hi) - int(lo) + 1
+        else:
+            off, width = _ranks(a)
+        if span * width > _KEY_SPAN:
+            key, span = _ranks(key)
+            if span * width > _KEY_SPAN:
+                off, width = _ranks(a)
+        key *= width
+        key += off
+        span *= width
+    return key
 
 
 def canonicalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -283,56 +367,37 @@ def _cp1_chart_coords(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return chart, w
 
 
-def _keys_cp1(rows: np.ndarray, level: int) -> np.ndarray:
-    chart, w = _cp1_chart_coords(rows)
-    half = 2.0 ** (level - 1)             # grid of 2^level cells over [-1, 1]
-    top = 2.0 ** level - 1.0
-    ix = np.clip(np.floor((w.real + 1.0) * half), 0.0, top)
-    iy = np.clip(np.floor((w.imag + 1.0) * half), 0.0, top)
-    return (ix + chart * 2.0 ** (level + 1)) + 1j * iy   # chart above ix
-
-
-def _keys_rp1(angles: np.ndarray, level: int) -> np.ndarray:
-    idx = np.minimum(np.floor(angles / math.pi * 2.0 ** level),
-                     2.0 ** level - 1.0)
-    return idx + 0j
-
-
-def _keys_gchart(coords: np.ndarray, level: int) -> np.ndarray:
+def _plane_axes(zs: np.ndarray, level: int) -> List[np.ndarray]:
     s = 2.0 ** level
-    return np.floor(coords * s).astype(np.int64)
+    return [np.floor(zs.real * s), np.floor(zs.imag * s)]
+
+
+def _cell_axes(space: str, points: np.ndarray, level: int) -> List[np.ndarray]:
+    """Per-axis integer cell indices (as floats), major axis first."""
+    if space == C_INF:
+        return _plane_axes(np.where(np.isfinite(points), points, 0j), level)
+    if space == CP1:
+        chart, w = _cp1_chart_coords(points)
+        half = 2.0 ** (level - 1)         # grid of 2^level cells over [-1, 1]
+        top = 2.0 ** level - 1.0
+        return [chart, np.clip(np.floor((w.real + 1.0) * half), 0.0, top),
+                np.clip(np.floor((w.imag + 1.0) * half), 0.0, top)]
+    if space == RP1:
+        return [np.minimum(np.floor(points / math.pi * 2.0 ** level),
+                           2.0 ** level - 1.0)]
+    return list(np.floor(points * 2.0 ** level).T)
 
 
 def _cell_keys(space: str, points: np.ndarray, level: int) -> np.ndarray:
-    if space == C_INF:
-        return _keys_cinf(points, level)
-    if space == CP1:
-        return _keys_cp1(points, level)
-    if space == RP1:
-        return _keys_rp1(points, level)
-    return _keys_gchart(points, level)
-
-
-def _decode_key(space: str, key, level: int) -> DyadicCellId:
-    """Cell id of one key produced by _cell_keys."""
-    if space == G_CHART:
-        return DyadicCellId(G_CHART, level, tuple(int(x) for x in key))
-    if space == C_INF and not math.isfinite(key.real):
-        return DyadicCellId(C_INF, level, (), atom=True)
-    re, im = int(key.real), int(key.imag)
-    if space == CP1:
-        chart = re >> (level + 1)
-        return DyadicCellId(CP1, level, (chart, re - (chart << (level + 1)), im))
-    if space == RP1:
-        return DyadicCellId(RP1, level, (re,))
-    return DyadicCellId(C_INF, level, (re, im))
-
-
-def _unique_inverse(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    if keys.ndim == 1:
-        return np.unique(keys, return_inverse=True)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return uniq, inverse.ravel()
+    axes = _cell_axes(space, points, level)
+    if space != C_INF:
+        return _pack(axes)
+    finite = np.isfinite(points)
+    if finite.all():
+        return _pack(axes)
+    keys = np.full(len(points), _ATOM_KEY, dtype=np.int64)
+    keys[finite] = _pack([a[finite] for a in axes])
+    return keys
 
 
 def shannon_entropy(masses) -> float:
@@ -386,16 +451,53 @@ def component_average(m: EmpiricalMeasure, levels: Sequence[int], fn) -> float:
     return float(np.mean(vals))
 
 
-def project_component(m: EmpiricalMeasure, angle: float) -> EmpiricalMeasure:
-    """Pushforward of a plane measure under orthogonal projection onto the
-    line of the given angle. Refuses measures with mass at infinity."""
+def _projection_check(m: EmpiricalMeasure) -> None:
     if m.space != C_INF:
         raise ValueError("projection needs a plane measure")
     if m.inf_mass() > 0:
         raise ValueError("measure carries mass at infinity")
+
+
+def _project(zs: np.ndarray, angle: float) -> np.ndarray:
+    """Orthogonal projection t d of the points onto the line of direction
+    d = e^{i angle}, t = Re(z conj(d))."""
     d = complex(math.cos(angle), math.sin(angle))
-    t = (m.points * np.conj(d)).real
-    return EmpiricalMeasure(C_INF, t * d, m.weights)
+    return (zs * np.conj(d)).real * d
+
+
+def project_component(m: EmpiricalMeasure, angle: float) -> EmpiricalMeasure:
+    """Pushforward of a plane measure under orthogonal projection onto the
+    line of the given angle. Refuses measures with mass at infinity."""
+    _projection_check(m)
+    return EmpiricalMeasure(C_INF, _project(m.points, angle), m.weights)
+
+
+def projection_entropies(m: EmpiricalMeasure, level: int,
+                         angles: Sequence[float]) -> List[float]:
+    """H(project_component(m, a), D_level) in bits for each angle a, with
+    the same bits, without building the projected measures: the directions
+    of a block of at most _PROJECTION_BLOCK_KEYS keys are keyed with the
+    direction as the major axis, sorted once, and counted with bincount."""
+    _projection_check(m)
+    n = m.size
+    per_block = max(1, _PROJECTION_BLOCK_KEYS // n)
+    out: List[float] = []
+    for b in range(0, len(angles), per_block):
+        block = angles[b:b + per_block]
+        xs = np.empty((len(block), n))
+        ys = np.empty((len(block), n))
+        for j, angle in enumerate(block):
+            xs[j], ys[j] = _plane_axes(_project(m.points, angle), level)
+        dirs = np.repeat(np.arange(len(block)), n)
+        labels = np.unique(_pack([dirs, xs.ravel(), ys.ravel()]),
+                           return_inverse=True)[1]
+        masses = np.bincount(labels, weights=np.tile(m.weights, len(block)))
+        # the direction is the major axis: its cells are one run of labels
+        first = np.append(labels.reshape(len(block), n).min(axis=1),
+                          len(masses))
+        out.extend(shannon_entropy(masses[first[j]:first[j + 1]])
+                   for j in range(len(block)))
+    return out
 
 
 def sphere_to_plane(m: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -423,13 +525,11 @@ def total_variation(a: EmpiricalMeasure, b: EmpiricalMeasure,
     """TV distance between the level-`level` cell-weight vectors."""
     if a.space != b.space:
         raise ValueError("space mismatch")
-    ka, kb = a.cell_keys(level), b.cell_keys(level)
-    if ka.ndim != 1:
-        raise ValueError("TV needs 1-d keys")
-    allk = np.concatenate([ka, kb])
-    uniq, inverse = np.unique(allk, return_inverse=True)
-    wa = np.bincount(inverse[:len(ka)], weights=a.weights, minlength=len(uniq))
-    wb = np.bincount(inverse[len(ka):], weights=b.weights, minlength=len(uniq))
+    # one call keys both measures, so their keys share one offset
+    keys = _cell_keys(a.space, np.concatenate([a.points, b.points]), level)
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    wa = np.bincount(inverse[:a.size], weights=a.weights, minlength=len(uniq))
+    wb = np.bincount(inverse[a.size:], weights=b.weights, minlength=len(uniq))
     return 0.5 * float(np.abs(wa - wb).sum())
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
 from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
-                     project_component, sphere_embedding, sphere_to_plane)
+                     projection_entropies, sphere_embedding, sphere_to_plane)
 from .engine import (BoundaryCloud, Walk, delta_ladder,
                      entropy_slope_dimension, local_dimension,
                      lyapunov_estimate, sample_boundary)
@@ -181,9 +181,8 @@ def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
     unresolved_total = []
     for lev in range(levels[0], levels[1] + 1):
         comps = nu.components(lev)
-        masses = np.array([mass for _, mass, _ in comps])
         pick = rng.choice(len(comps), size=min(comps_per_level, 4 * len(comps)),
-                          replace=True, p=masses / masses.sum())
+                          replace=True, p=comps.masses / comps.masses.sum())
         hits = 0
         used = 0
         unresolved = 0
@@ -227,9 +226,9 @@ def _projected_entropy_min(comp: EmpiricalMeasure, level: int, m: int,
     argmin angle)."""
     best = math.inf
     best_angle = 0.0
-    for k in range(directions):
-        ang = k * math.pi / directions
-        h = project_component(comp, ang).entropy(level + m).entropy / m
+    angles = [k * math.pi / directions for k in range(directions)]
+    for ang, ent in zip(angles, projection_entropies(comp, level + m, angles)):
+        h = ent / m
         if h < best:
             best, best_angle = h, ang
     return best, best_angle
@@ -267,9 +266,8 @@ def exp_projection_entropy(sys_or_measure, m: int = 8,
     sampled = 0
     for lev in range(levels[0], levels[1] + 1):
         comps = nu.components(lev)
-        masses = np.array([mass for _, mass, _ in comps])
         pick = rng.choice(len(comps), size=comps_per_level, replace=True,
-                          p=masses / masses.sum())
+                          p=comps.masses / comps.masses.sum())
         for k in pick:
             sampled += 1
             _, mass, comp = comps[int(k)]

@@ -208,7 +208,8 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
     chi exceeds n at the final block only.
 
     The family is block-prefix-free and carries total weight 1; enumeration
-    fails loudly when the frontier passes `cap` words.
+    fails loudly when the words it has stored pass `cap` letters, so memory
+    stays bounded even where the family is infinite (a norm-one generator).
     """
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
@@ -217,10 +218,10 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
     ties = 0
 
     frontier: List[Tuple[Word, ScaledMatrix, float]] = []
-    examined = 0
+    letters = 0
     for u0 in itertools.product(range(sys.size), repeat=j):
         acc = scaled_product(sys, u0)
-        examined += 1
+        letters += j
         w = word_weight(sys, u0)
         if acc.chi() > n:
             out_words.append(tuple(u0))
@@ -239,10 +240,10 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
         new_frontier: List[Tuple[Word, ScaledMatrix, float]] = []
         for word, acc, w in frontier:
             for b, bm, bw in zip(blocks, block_mats, block_ws):
-                examined += 1
-                if examined > cap:
+                letters += len(word) + l
+                if letters > cap:
                     raise CapExceededError(
-                        f"first-passage enumeration passed cap={cap}")
+                        f"first-passage enumeration passed cap={cap} letters")
                 nxt = acc.times(bm)
                 nw = word + b
                 if nxt.chi() > n:

@@ -186,6 +186,13 @@ def test_rescaled_matrix_is_a_roundtrip_fixed_point():
     assert len(set(prints)) == 1
 
 
+def test_negative_zero_entry_is_a_roundtrip_fixed_point():
+    # to_text writes -0.0 as "-0", which must read back as -0.0
+    cfg = parse_config("[system]\ng = 1.0,-0.0,0.0,0.0,0.0,0.0,1.0,0.0\n")
+    again = parse_config(cfg.to_text())
+    assert again.system.fingerprint() == cfg.system.fingerprint()
+
+
 BAD_LITERALS = ["nan", "inf", "-inf", "1e400", "-2e308", "1e999999"]
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from furstlab.dyadic import (C_INF, CP1, G_CHART, RP1, EmpiricalMeasure,
-                             component_average, dyadic_grid_square,
-                             project_component, shannon_entropy,
+from furstlab.dyadic import (C_INF, CP1, G_CHART, RP1, DyadicCellId,
+                             EmpiricalMeasure, component_average,
+                             dyadic_grid_square, project_component,
+                             projection_entropies, shannon_entropy,
                              sphere_embedding, total_variation,
                              uniform_square, uniform_segment)
 from furstlab.sl2 import dist_cp1, ProjPoint
@@ -50,15 +51,17 @@ def test_refinement_floor_halving():
     }
     for space, m in spaces.items():
         for lev in (1, 4, 7):
-            fine = m.cell_keys(lev + 1)
-            coarse = m.cell_keys(lev)
+            fine = m.cell_indices(lev + 1)
+            coarse = m.cell_indices(lev)
             for i in range(0, m.size, 977):
                 cell = m.cell_of(i, lev + 1)
                 assert cell.parent() == m.cell_of(i, lev), space
-            # vectorized check of the complex-key halving rule
-            if space in (C_INF, CP1):
-                assert np.all(np.floor(fine.real / 2) == coarse.real)
-                assert np.all(np.floor(fine.imag / 2) == coarse.imag)
+            # vectorized halving rule on every point's per-axis indices; the
+            # cp1 chart bit is not halved
+            halved = np.floor(fine / 2)
+            if space == CP1:
+                halved[:, 0] = fine[:, 0]
+            assert np.array_equal(halved, coarse), space
 
 
 def test_cp1_cell_count_bound():
@@ -128,6 +131,173 @@ def test_plane_entropy_refinement_bounds(n, level, seed):
     h1 = m.entropy(level + 1).entropy
     assert h0 <= h1 + 1e-12
     assert h1 <= h0 + 2.0 + 1e-12
+
+
+# -- reference: the complex-key cells the int64 keys replace ---------------------
+# Plane, sphere and line keys were complex128 pairs of floor indices, sorted
+# lexicographically; group-chart keys were (N, 6) int64 rows, uniqued with
+# axis=0. The int64 keys must give the same labels, components and masses.
+
+def _ref_keys(space, points, level):
+    s = 2.0 ** level
+    if space == C_INF:
+        finite = np.isfinite(points)
+        zs = np.where(finite, points, 0j)
+        keys = np.floor(zs.real * s) + 1j * np.floor(zs.imag * s)
+        keys[~finite] = np.inf + 0j
+        return keys
+    if space == CP1:
+        a0, a1 = np.abs(points[:, 0]), np.abs(points[:, 1])
+        chart = (a1 > a0).astype(np.int64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = np.where(chart == 0, points[:, 1] / points[:, 0],
+                         points[:, 0] / points[:, 1])
+        half, top = 2.0 ** (level - 1), 2.0 ** level - 1.0
+        ix = np.clip(np.floor((w.real + 1.0) * half), 0.0, top)
+        iy = np.clip(np.floor((w.imag + 1.0) * half), 0.0, top)
+        return (ix + chart * 2.0 ** (level + 1)) + 1j * iy
+    if space == RP1:
+        return np.minimum(np.floor(points / math.pi * s), s - 1.0) + 0j
+    return np.floor(points * s).astype(np.int64)
+
+
+def _ref_unique(keys):
+    if keys.ndim == 1:
+        return np.unique(keys, return_inverse=True)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    return uniq, inverse.ravel()
+
+
+def _ref_decode(space, key, level):
+    if space == G_CHART:
+        return DyadicCellId(G_CHART, level, tuple(int(x) for x in key))
+    if space == C_INF and not math.isfinite(key.real):
+        return DyadicCellId(C_INF, level, (), atom=True)
+    re, im = int(key.real), int(key.imag)
+    if space == CP1:
+        chart = re >> (level + 1)
+        return DyadicCellId(CP1, level, (chart, re - (chart << (level + 1)), im))
+    if space == RP1:
+        return DyadicCellId(RP1, level, (re,))
+    return DyadicCellId(C_INF, level, (re, im))
+
+
+def _ref_components(m, level):
+    uniq, labels = _ref_unique(_ref_keys(m.space, m.points, level))
+    order = np.argsort(labels, kind="stable")
+    bounds = np.append(np.searchsorted(labels[order], np.arange(len(uniq))),
+                       len(labels))
+    out = []
+    for k in range(len(uniq)):
+        idx = order[bounds[k]:bounds[k + 1]]
+        mass = float(np.sum(m.weights[idx]))
+        if mass <= 0:
+            continue
+        sub = EmpiricalMeasure(m.space, m.points[idx], m.weights[idx] / mass)
+        out.append((_ref_decode(m.space, uniq[k], level), mass, sub))
+    return out
+
+
+def _wide_measure(space, n, seed, log2_scale, level):
+    """Cloud whose floor indices at `level` span about 2^(log2_scale + level)
+    per axis, with repeated points, so the plane keys pass through the
+    rank-compression paths of the packing at large scales."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) + 0.01
+    scale = 2.0 ** log2_scale
+    if space == C_INF:
+        zs = (rng.standard_normal(n) * scale
+              + 1j * rng.standard_normal(n) * 2.0 ** rng.integers(-4, 5))
+        zs[::3] = zs[::3].imag + 1j * zs[::3].real     # the wide axis swaps
+        zs[::5] = zs[0]
+        zs[::11] = np.inf + 0j
+        return EmpiricalMeasure.on_plane(zs, w)
+    if space == G_CHART:
+        # old keys were int64 casts: stay below 2^62 at `level`
+        cap = 2.0 ** min(log2_scale, 58 - level)
+        coords = rng.standard_normal((n, 6)) * cap
+        coords[::4] = coords[0]
+        return EmpiricalMeasure.on_group_chart(coords, w)
+    return _random_measure(space, n, seed)
+
+
+@pytest.mark.parametrize("space", [C_INF, CP1, RP1, G_CHART])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 40), st.integers(-4, 60),
+       st.integers(0, 2 ** 32 - 1))
+def test_cell_labels_match_complex_key_reference(space, n, level, log2_scale,
+                                                 seed):
+    m = _wide_measure(space, n, seed, log2_scale, level)
+    _, ref = _ref_unique(_ref_keys(space, m.points, level))
+    assert np.array_equal(m.cell_labels(level), ref)
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e15])
+def test_wide_plane_cloud_labels(scale):
+    # at level 40: 1e5 keeps each axis below 2^61 but their product passes
+    # 2^62; 1e15 puts each axis beyond 2^61
+    rng = np.random.default_rng(21)
+    zs = (rng.uniform(-1, 1, 4000) + 1j * rng.uniform(-1, 1, 4000)) * scale
+    zs[::7] = zs[::7].round(-3)
+    zs[::13] = np.inf + 0j
+    m = EmpiricalMeasure.on_plane(zs)
+    _, ref = _ref_unique(_ref_keys(C_INF, m.points, 40))
+    assert np.array_equal(m.cell_labels(40), ref)
+    assert m.cell_keys(40)[13] > m.cell_keys(40)[~np.isinf(zs)].max()
+
+
+@pytest.mark.parametrize("space", [C_INF, CP1, RP1, G_CHART])
+def test_components_match_reference_list(space):
+    for seed, level in ((3, 0), (4, 2), (5, 4)):
+        m = _random_measure(space, 3000, seed)
+        w = m.weights.copy()
+        w[::3] = 0.0                       # zero-weight points ...
+        labels = m.cell_labels(level)
+        if labels.max() > 0:
+            w[labels == labels[1]] = 0.0   # ... and a zero-mass cell
+        m = EmpiricalMeasure(space, m.points, w / w.sum())
+        comps = m.components(level)
+        ref = _ref_components(m, level)
+        assert len(comps) == len(ref)
+        assert np.array_equal(comps.masses, [r[1] for r in ref])
+        for (cell, mass, sub), (rcell, rmass, rsub) in zip(comps, ref):
+            assert cell == rcell
+            assert type(mass) is float and mass == rmass
+            assert np.array_equal(sub.points, rsub.points, equal_nan=True)
+            assert np.array_equal(sub.weights, rsub.weights)
+        assert comps[-1][0] == ref[-1][0]
+
+
+def test_projection_entropies_match_projected_measures():
+    m = uniform_square(20_000, seed=3, side=0.5, origin=0.25 + 0.1j)
+    w = m.weights.copy()
+    w[::9] = 0.0
+    m = EmpiricalMeasure.on_plane(m.points, w)
+    angles = [k * math.pi / 180 for k in range(180)]   # four key blocks
+    for level in (3, 9):
+        got = projection_entropies(m, level, angles)
+        want = [project_component(m, a).entropy(level).entropy for a in angles]
+        assert got == want
+
+
+def _ref_total_variation(a, b, level):
+    ka = _ref_keys(a.space, a.points, level)
+    kb = _ref_keys(b.space, b.points, level)
+    uniq, inverse = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    wa = np.bincount(inverse[:len(ka)], weights=a.weights, minlength=len(uniq))
+    wb = np.bincount(inverse[len(ka):], weights=b.weights, minlength=len(uniq))
+    return 0.5 * float(np.abs(wa - wb).sum())
+
+
+def test_total_variation_matches_reference():
+    a = uniform_square(3000, seed=1, side=0.25)
+    b = uniform_square(2000, seed=2, side=8.0, origin=-3 - 3j)
+    for level in (0, 3, 6):
+        assert total_variation(a, b, level) == _ref_total_variation(a, b, level)
+    far = uniform_square(1000, seed=3, origin=5 + 5j)
+    tv = total_variation(a, far, 4)
+    assert tv == _ref_total_variation(a, far, 4)
+    assert abs(tv - 1.0) <= 1e-12
 
 
 # -- entropy ---------------------------------------------------------------------

@@ -2,6 +2,9 @@
 norm-doubling words."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +105,39 @@ def test_first_passage_block_prefix_free():
 def test_first_passage_cap_error():
     with pytest.raises(CapExceededError):
         enumerate_first_passage(SANOV, 0, 1, 40, cap=50)
+
+
+# Child process: cap its own address space at 512 MiB above what it has
+# mapped after the imports, then enumerate twist's first-passage family at
+# (j, l, n) = (0, 1, 1) with the default cap. The rotation generator has
+# norm one, so the powers of it never pass the level and the family is
+# infinite; the enumeration must stop with CapExceededError, not run out of
+# memory.
+_TWIST_CAP_CHILD = """
+import resource
+import furstlab as fl
+from furstlab.errors import CapExceededError
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = vm * 1024 + (512 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    fl.enumerate_first_passage(fl.get_preset("twist"), 0, 1, 1)
+except CapExceededError:
+    print("cap")
+except MemoryError:
+    print("memory")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmSize from /proc")
+def test_first_passage_cap_bounds_memory_on_norm_one_generator():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", _TWIST_CAP_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.strip() == "cap", proc.stderr
 
 
 def test_sample_word_degenerate():
