@@ -12,6 +12,8 @@ from typing import Callable, List
 
 import numpy as np
 
+from .errors import UndersampledError
+
 BLOCK_SIZE = 8192
 
 # stream tags, one per sampling kernel
@@ -36,6 +38,8 @@ def run_blocks(fn: Callable[[int, int, int], object], n_items: int,
     The block decomposition is a function of n_items alone; workers only cap
     concurrency. Results come back in block order.
     """
+    if n_items < 1:
+        raise UndersampledError(f"need at least one sample or trial, got {n_items}")
     blocks = []
     idx = 0
     for start in range(0, n_items, block_size):

@@ -20,17 +20,22 @@ from .sl2 import (GaussianRational, GroupElement, ProjPoint, E1, E2,
 from .words import ScaledMatrix, System, draw_letters
 
 TAU_EIG = 1e-9
+TAU_SCALAR = 1e-12           # entrywise tolerance for "g is scalar"
+TAU_CIRCLE_DET = 1e-12       # |det| of a Hermitian class read as zero
+TAU_EQ = 1e-8                # float-mode products closer than this are equal
 NORM_THRESHOLD_BITS = 32.0   # unboundedness passes at ||g||_op > 2^32
 TRACE_SLACK = 1e-9
+PROXIMALITY_DEPTH = 64       # compositions per proximality search
+PROXIMALITY_TRIALS = 256     # random words per proximality search
 
 
 # ---------------------------------------------------------------------------
 # eigendirections
 # ---------------------------------------------------------------------------
 
-def _is_scalar(g: GroupElement, tol: float = 1e-12) -> bool:
-    return (abs(g.b) <= tol and abs(g.c) <= tol
-            and abs(g.a - g.d) <= tol)
+def _is_scalar(g: GroupElement) -> bool:
+    return (abs(g.b) <= TAU_SCALAR and abs(g.c) <= TAU_SCALAR
+            and abs(g.a - g.d) <= TAU_SCALAR)
 
 
 def eig_directions(g: GroupElement) -> List[ProjPoint]:
@@ -255,10 +260,9 @@ class ProximalityReport:
     strict_trace: Optional[complex] = None
 
 
-def check_proximality(sys: System, depth: int = 64, trials: int = 256,
-                      rng=None) -> ProximalityReport:
-    """Greedy/random norm growth up to `depth` compositions, plus a search
-    for a product with |trace| > 2 (a strictly contracting witness)."""
+def check_proximality(sys: System, rng=None) -> ProximalityReport:
+    """Greedy/random norm growth up to PROXIMALITY_DEPTH compositions, plus a
+    search for a product with |trace| > 2 (a strictly contracting witness)."""
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -268,7 +272,7 @@ def check_proximality(sys: System, depth: int = 64, trials: int = 256,
     steps = 0
     cur = best
     cur_log2 = best_log2
-    while steps < depth and cur_log2 <= NORM_THRESHOLD_BITS:
+    while steps < PROXIMALITY_DEPTH and cur_log2 <= NORM_THRESHOLD_BITS:
         steps += 1
         cands = [cur @ cur] + [cur @ g for g in sys.generators] \
             + [g @ cur for g in sys.generators]
@@ -283,9 +287,9 @@ def check_proximality(sys: System, depth: int = 64, trials: int = 256,
 
     if cur_log2 <= NORM_THRESHOLD_BITS:
         # greedy stalled; try random words with renormalized products
-        for _ in range(trials):
+        for _ in range(PROXIMALITY_TRIALS):
             acc = ScaledMatrix.identity()
-            for _step in range(depth):
+            for _step in range(PROXIMALITY_DEPTH):
                 i = int(rng.integers(sys.size))
                 acc = acc.times(sys.generators[i])
                 steps += 1
@@ -319,7 +323,7 @@ def check_proximality(sys: System, depth: int = 64, trials: int = 256,
     for word, g in frontier:
         consider(word, g)
     exhaustive_len = 1
-    while len(frontier) * sys.size <= 4096 and exhaustive_len < min(depth, 12):
+    while len(frontier) * sys.size <= 4096 and exhaustive_len < 12:
         nxt = []
         for word, g in frontier:
             for i, gi in enumerate(sys.generators):
@@ -329,8 +333,8 @@ def check_proximality(sys: System, depth: int = 64, trials: int = 256,
                 nxt.append((nw, ng))
         frontier = nxt
         exhaustive_len += 1
-    for _ in range(trials):
-        length = int(rng.integers(2, max(3, depth // 2)))
+    for _ in range(PROXIMALITY_TRIALS):
+        length = int(rng.integers(2, PROXIMALITY_DEPTH // 2))
         word = tuple(draw_letters(rng, sys.probs_array(), length).tolist())
         g = GroupElement.identity()
         for i in word:
@@ -370,13 +374,14 @@ class CircleFamily:
     degenerate: bool = False      # a whole family of forms is fixed
 
 
-def _vec4_to_class(v: np.ndarray, tol: float = 1e-12) -> HermitianClass:
+def _vec4_to_class(v: np.ndarray) -> HermitianClass:
     v = np.asarray(v, dtype=float)
     k = int(np.argmax(np.abs(v)))
     v = v / v[k]                  # largest entry becomes +1
     v = v / np.max(np.abs(v))
     det = v[0] * v[1] - v[2] ** 2 - v[3] ** 2
-    sign = "zero" if abs(det) <= tol else ("negative" if det < 0 else "positive")
+    sign = ("zero" if abs(det) <= TAU_CIRCLE_DET
+            else "negative" if det < 0 else "positive")
     return HermitianClass(float(v[0]), float(v[1]),
                           complex(v[2], v[3]), sign)
 
@@ -405,7 +410,7 @@ def _pullback_matrix(g: GroupElement) -> np.ndarray:
     return np.array(cols, dtype=float).T
 
 
-def find_fixed_circles(sys: System, tol: float = TAU_EIG) -> CircleFamily:
+def find_fixed_circles(sys: System) -> CircleFamily:
     """Hermitian classes fixed (projectively) by every generator's pullback.
 
     Candidates come from the real eigenvectors of a fixed random combination
@@ -415,7 +420,7 @@ def find_fixed_circles(sys: System, tol: float = TAU_EIG) -> CircleFamily:
     """
     mats = [_pullback_matrix(g) for g in sys.generators]
 
-    if all(np.max(np.abs(m - np.eye(4))) <= tol for m in mats):
+    if all(np.max(np.abs(m - np.eye(4))) <= TAU_EIG for m in mats):
         return CircleFamily([], degenerate=True)
 
     rng = np.random.default_rng(1234567)   # fixed: deterministic candidates
@@ -425,7 +430,7 @@ def find_fixed_circles(sys: System, tol: float = TAU_EIG) -> CircleFamily:
         for m in mats:
             w = m @ v
             lam = float(v @ w) / float(v @ v)
-            if np.linalg.norm(w - lam * v) > tol * 100 * np.linalg.norm(m) * np.linalg.norm(v):
+            if np.linalg.norm(w - lam * v) > TAU_EIG * 100 * np.linalg.norm(m) * np.linalg.norm(v):
                 return False
         return True
 
@@ -466,11 +471,11 @@ def _embed8(g: GroupElement) -> Tuple[float, ...]:
             g.c.real, g.c.imag, g.d.real, g.d.imag)
 
 
-def _group_products(items: List[Tuple[GroupElement, float]], exact: bool,
-                    tau_eq: float) -> Tuple[List[Tuple[GroupElement, float]], bool]:
+def _group_products(items: List[Tuple[GroupElement, float]],
+                    exact: bool) -> Tuple[List[Tuple[GroupElement, float]], bool]:
     """Collapse (matrix, weight) pairs with equal matrices. Returns grouped
     representatives and an ambiguity flag (float mode only): some distinct
-    representatives sit within [tau_eq, 10 tau_eq] of each other."""
+    representatives sit within [TAU_EQ, 10 TAU_EQ] of each other."""
     if exact:
         table: Dict[tuple, Tuple[GroupElement, float]] = {}
         for g, w in items:
@@ -482,7 +487,7 @@ def _group_products(items: List[Tuple[GroupElement, float]], exact: bool,
                 table[key] = (g, w)
         return list(table.values()), False
 
-    # grid hash at resolution tau_eq, then merge straddling buckets
+    # grid hash at resolution TAU_EQ, then merge straddling buckets
     from scipy.spatial import cKDTree
 
     reps: List[Tuple[GroupElement, float]] = []
@@ -490,7 +495,7 @@ def _group_products(items: List[Tuple[GroupElement, float]], exact: bool,
     coords: List[Tuple[float, ...]] = []
     for g, w in items:
         e = _embed8(g)
-        key = tuple(int(math.floor(x / tau_eq + 0.5)) for x in e)
+        key = tuple(int(math.floor(x / TAU_EQ + 0.5)) for x in e)
         idx = grid.get(key)
         if idx is None:
             grid[key] = len(reps)
@@ -503,7 +508,7 @@ def _group_products(items: List[Tuple[GroupElement, float]], exact: bool,
     if len(reps) > 1:
         pts = np.array(coords)
         tree = cKDTree(pts)
-        pairs = tree.query_pairs(r=tau_eq, output_type="ndarray")
+        pairs = tree.query_pairs(r=TAU_EQ, output_type="ndarray")
         if len(pairs):
             parent = list(range(len(reps)))
 
@@ -533,13 +538,13 @@ def _group_products(items: List[Tuple[GroupElement, float]], exact: bool,
         if len(reps) > 1:
             d, _ = tree.query(pts, k=2)
             nearest = d[:, 1]
-            ambiguous = bool(np.any((nearest >= tau_eq) & (nearest <= 10 * tau_eq)))
+            ambiguous = bool(np.any((nearest >= TAU_EQ) & (nearest <= 10 * TAU_EQ)))
         return reps, ambiguous
     return reps, False
 
 
-def _grouped_products(sys: System, n_max: int, cap: int,
-                      tau_eq: float) -> Iterator[Tuple[int, list, bool]]:
+def _grouped_products(sys: System, n_max: int,
+                      cap: int) -> Iterator[Tuple[int, list, bool]]:
     """Yield (n, grouped, ambiguous) for n = 1..n_max: the distinct length-n
     products with their summed word weights (see _group_products), each level
     expanded from the distinct representatives of the level before."""
@@ -549,7 +554,7 @@ def _grouped_products(sys: System, n_max: int, cap: int,
     for n in range(1, n_max + 1):
         nxt = [(g @ gi, w * p) for g, w in level
                for gi, p in zip(sys.generators, sys.probs)]
-        level, ambiguous = _group_products(nxt, sys.exact, tau_eq)
+        level, ambiguous = _group_products(nxt, sys.exact)
         yield n, level, ambiguous
 
 
@@ -563,7 +568,7 @@ class DiophantineReport:
     fitted_c: Optional[float]
     collisions_total: int
     branch_pairs_total: int
-    tau_eq: float
+    tau_eq: float = TAU_EQ        # serialised results record it
 
     def min_separation(self) -> Optional[float]:
         vals = [r["min_separation"] for r in self.rows
@@ -571,15 +576,15 @@ class DiophantineReport:
         return min(vals) if vals else None
 
 
-def diophantine_probe(sys: System, n_max: int, cap: int = 2_000_000,
-                      tau_eq: float = 1e-8) -> DiophantineReport:
+def diophantine_probe(sys: System, n_max: int,
+                      cap: int = 2_000_000) -> DiophantineReport:
     """Minimum pairwise distance between distinct length-n products for each
     n <= n_max, with exact collisions counted separately, plus a log-linear
     fit of the separation decay rate."""
     rows: List[dict] = []
     collisions_total = 0
     branch_total = 0
-    for n, grouped, _ in _grouped_products(sys, n_max, cap, tau_eq):
+    for n, grouped, _ in _grouped_products(sys, n_max, cap):
         n_words = sys.size ** n
         n_distinct = len(grouped)
         collisions = n_words - n_distinct
@@ -615,8 +620,7 @@ def diophantine_probe(sys: System, n_max: int, cap: int = 2_000_000,
         slope = np.polyfit(xs, ys, 1)[0]
         fitted_c = math.exp(slope)
 
-    return DiophantineReport(rows, fitted_c, collisions_total, branch_total,
-                             tau_eq)
+    return DiophantineReport(rows, fitted_c, collisions_total, branch_total)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +634,7 @@ class EntropyTable:
     free: bool
     letter_entropy: float                  # H(p)
     ambiguity_warning: bool = False
-    tau_eq: float = 1e-8
+    tau_eq: float = TAU_EQ                 # serialised results record it
 
     def h_at(self, n: int) -> float:
         for r in self.rows:
@@ -639,24 +643,24 @@ class EntropyTable:
         raise KeyError(n)
 
 
-def random_walk_entropy(sys: System, n_max: int, cap: int = 2_000_000,
-                        tau_eq: float = 1e-8) -> EntropyTable:
+def random_walk_entropy(sys: System, n_max: int,
+                        cap: int = 2_000_000) -> EntropyTable:
     """H(X_1 ... X_n) for n <= n_max by exact grouping of equal products
-    (tau_eq clustering in float mode). The estimate is the minimum of H_n/n
+    (TAU_EQ clustering in float mode). The estimate is the minimum of H_n/n
     over computed rows; when all products are distinct at n_max the walk is
     free at this depth and the estimate equals H(p)."""
     hp = shannon_entropy(sys.probs)
     rows: List[Tuple[int, float, float]] = []
     ambiguous = False
     free = True
-    for n, grouped, amb in _grouped_products(sys, n_max, cap, tau_eq):
+    for n, grouped, amb in _grouped_products(sys, n_max, cap):
         ambiguous = ambiguous or amb
         h_n = shannon_entropy([w for _, w in grouped])
         rows.append((n, h_n, h_n / n))
         free = len(grouped) == sys.size ** n
 
     h_est = hp if free else min(r[2] for r in rows)
-    return EntropyTable(rows, h_est, free, hp, ambiguous, tau_eq)
+    return EntropyTable(rows, h_est, free, hp, ambiguous)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +677,18 @@ class AssumptionReport:
     proximal_status: str
     proximality: ProximalityReport
     circles: CircleFamily
-    zariski_dense: bool
+
+    @property
+    def no_fixed_circle(self) -> bool:
+        """No generalized circle is fixed: no degenerate family and no
+        class with negative determinant."""
+        return not (self.circles.degenerate or any(
+            c.det_sign == "negative" for c in self.circles.classes))
+
+    @property
+    def zariski_dense(self) -> bool:
+        return (self.strongly_irreducible and self.proximal_status == "pass"
+                and self.no_fixed_circle)
 
     def to_dict(self) -> dict:
         def pp(p: ProjPoint):
@@ -699,18 +714,11 @@ class AssumptionReport:
         }
 
 
-def certify(sys: System, depth: int = 64, trials: int = 256,
-            rng=None) -> AssumptionReport:
+def certify(sys: System) -> AssumptionReport:
     """Run all assumption checks and combine them into one report."""
     fixed = find_common_fixed_points(sys)
     irr = check_strong_irreducibility(sys)
-    prox = check_proximality(sys, depth=depth, trials=trials, rng=rng)
-    circles = find_fixed_circles(sys)
-
-    has_real_circle = circles.degenerate or any(
-        c.det_sign == "negative" for c in circles.classes)
-    zdense = (irr.passes and prox.status == "pass" and not has_real_circle)
-
+    prox = check_proximality(sys)
     return AssumptionReport(
         reducible=bool(fixed),
         fixed_points=fixed,
@@ -719,6 +727,5 @@ def certify(sys: System, depth: int = 64, trials: int = 256,
         all_elliptic_flag=irr.all_elliptic,
         proximal_status=prox.status,
         proximality=prox,
-        circles=circles,
-        zariski_dense=zdense,
+        circles=find_fixed_circles(sys),
     )

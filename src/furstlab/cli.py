@@ -62,17 +62,15 @@ def _emit(report: ExperimentReport, cfg: RunConfig) -> int:
     return report.exit_code()
 
 
-def _wrap(name: str, cfg: RunConfig, rows, summary,
-          verdict: str = VERDICT_CONSISTENT) -> ExperimentReport:
+def _wrap(name: str, cfg: RunConfig, rows, summary) -> ExperimentReport:
     return ExperimentReport(
         name, f"{cfg.system.name}:{cfg.system.fingerprint()}",
-        dict(cfg.params), cfg.seed, rows, summary, verdict)
+        dict(cfg.params), cfg.seed, rows, summary, VERDICT_CONSISTENT)
 
 
 def cmd_check(cfg: RunConfig) -> int:
     rep = certify(cfg.system)
-    verdict = VERDICT_CONSISTENT
-    return _emit(_wrap("check", cfg, [], rep.to_dict(), verdict), cfg)
+    return _emit(_wrap("check", cfg, [], rep.to_dict()), cfg)
 
 
 def cmd_chi(cfg: RunConfig) -> int:
@@ -114,11 +112,11 @@ def cmd_sample(cfg: RunConfig) -> int:
     bits = cfg.param("bits", 40.0, float)
     transpose = cfg.param("transpose", "false") in ("true", "1", "yes")
     space = cfg.param("space", "c_inf")
+    if not cfg.out_path:
+        raise FurstlabError("sample needs --out for the point-cloud CSV")
     cloud = sample_boundary(cfg.system, bits, count, cfg.seed, cfg.workers,
                             transpose=transpose)
     measure = cloud.measure if space == "cp1" else sphere_to_plane(cloud.measure)
-    if not cfg.out_path:
-        raise FurstlabError("sample needs --out for the point-cloud CSV")
     measure.to_csv(cfg.out_path)
     summary = {"count": count, "space": space,
                "inf_mass": measure.inf_mass() if space == "c_inf" else 0.0,
@@ -202,9 +200,9 @@ def cmd_exp(cfg: RunConfig, name: str) -> int:
                                 delta=cfg.param("delta", 2.0 ** -10, float),
                                 seed=seed)
     elif name == "boundary-convergence":
-        n_values = cfg.param("n_values")
-        lengths = {} if n_values is None else \
-            {"n_values": tuple(int(t) for t in n_values.split(","))}
+        n_values = cfg.param("n_values", None,
+                             lambda v: tuple(int(t) for t in v.split(",")))
+        lengths = {} if n_values is None else {"n_values": n_values}
         rep = EXPERIMENTS[name](cfg.system, **lengths,
                                 eta=cfg.param("eta", 0.2, float),
                                 trials=cfg.param("trials", 1024, int),

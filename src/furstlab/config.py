@@ -40,9 +40,13 @@ class RunConfig:
     out_format: str = "json"
 
     def param(self, key: str, default=None, cast=str):
+        """[params] entry `key` read by `cast` (ConfigError if it fails)."""
         if key not in self.params:
             return default
-        return cast(self.params[key])
+        try:
+            return cast(self.params[key])
+        except ValueError:
+            raise ConfigError(f"bad value {self.params[key]!r} for {key!r}")
 
     def to_text(self) -> str:
         lines = ["[system]"]
@@ -178,7 +182,10 @@ def parse_config(text: str) -> RunConfig:
                     raise ConfigError("seed must fit in 64 unsigned bits",
                                       line_no)
             elif key == "workers":
-                workers = int(val)
+                try:
+                    workers = int(val)
+                except ValueError:
+                    raise ConfigError(f"bad workers {val!r}", line_no)
             else:
                 params[key] = val
         elif section == "output":

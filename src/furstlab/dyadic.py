@@ -541,12 +541,11 @@ def uniform_square(n: int, seed: int, side: float = 1.0,
     return EmpiricalMeasure.on_plane(origin + xy[:, 0] + 1j * xy[:, 1])
 
 
-def uniform_segment(n: int, seed: int, length: float = 1.0,
-                    angle: float = 0.0, origin: complex = 0j) -> EmpiricalMeasure:
+def uniform_segment(n: int, seed: int, angle: float = 0.0) -> EmpiricalMeasure:
     rng = block_rng(seed, TAG_FIXTURE, 1)
-    t = rng.random(n) * length
+    t = rng.random(n)
     d = complex(math.cos(angle), math.sin(angle))
-    return EmpiricalMeasure.on_plane(origin + t * d)
+    return EmpiricalMeasure.on_plane(t * d)
 
 
 def dyadic_grid_square(level: int) -> EmpiricalMeasure:

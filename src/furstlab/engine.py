@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from .errors import StallError, UndersampledError
 from .words import System, draw_letters
 
 DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
+MIN_BIN_COUNT = 20.0             # Delta level undersampled below this median
+LOCAL_DIM_RADII = tuple(2.0 ** -k for k in range(4, 13))   # decreasing
+MIN_BALL_COUNT = 8               # local_dimension drops balls holding fewer
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,8 @@ def lyapunov_estimate(sys: System, n: int = 10_000, trials: int = 1000,
     """Two estimators from the same paths: normalized log operator norm of
     the product (primary), and telescoped vector-norm growth along the orbit
     of e1 (recorded for cross-checking). Jackknife standard errors."""
+    if n < 1:
+        raise UndersampledError(f"lyapunov_estimate needs n >= 1, got {n}")
     probs = sys.probs_array()
 
     def block(start: int, m: int, index: int):
@@ -357,12 +362,12 @@ def _conditional_letter_entropy(labels: np.ndarray, letters: np.ndarray,
             float(np.median(counts[labels])))
 
 
-def delta_ladder(cloud: BoundaryCloud, sys: System, q_max: int,
-                 min_bin_count: float = 20.0) -> DeltaLadder:
+def delta_ladder(cloud: BoundaryCloud, sys: System,
+                 q_max: int) -> DeltaLadder:
     """Ladder of conditional entropies of the first letter given the level-q
     cell of the boundary direction, q = 2..q_max, with standard errors over
     16 chunks of the cloud. Levels whose median bin count falls below
-    min_bin_count are flagged undersampled."""
+    MIN_BIN_COUNT are flagged undersampled."""
     letters = cloud.first_letters
     n = len(letters)
     chunk_ids = np.arange(n) // max(1, n // 16)
@@ -379,36 +384,35 @@ def delta_ladder(cloud: BoundaryCloud, sys: System, q_max: int,
         stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
         rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
                      "median_bin_count": med,
-                     "undersampled": med < min_bin_count})
+                     "undersampled": med < MIN_BIN_COUNT})
     return DeltaLadder(rows, shannon_entropy(sys.probs), n)
 
 
 def delta_estimate(sys: System, q_max: int = 14, count: int = 200_000,
                    seed: int = 0, workers: int = 1,
-                   target_bits: Optional[float] = None,
-                   min_bin_count: float = 20.0) -> DeltaLadder:
+                   target_bits: Optional[float] = None) -> DeltaLadder:
     """Sample a boundary cloud and return its Delta ladder (delta_ladder).
     Decreasing in q; the limit is the conditional entropy of the first
     letter given the full boundary point."""
     if target_bits is None:
         target_bits = max(DEFAULT_TARGET_BITS, float(2 * q_max))
     cloud = sample_boundary(sys, target_bits, count, seed, workers)
-    return delta_ladder(cloud, sys, q_max, min_bin_count)
+    return delta_ladder(cloud, sys, q_max)
 
 
 # ---------------------------------------------------------------------------
 # dimension estimators
 # ---------------------------------------------------------------------------
 
-def entropy_slope_dimension(m: EmpiricalMeasure, window: Tuple[int, int],
-                            guard: bool = True) -> EstimateWithCI:
+def entropy_slope_dimension(m: EmpiricalMeasure,
+                            window: Tuple[int, int]) -> EstimateWithCI:
     """Least-squares slope of H(m, D_n) against n over the window, dropping
     undersampled levels (occupied cells > N/10)."""
     levels = []
     ents = []
     for lev in range(window[0], window[1] + 1):
         rep = m.entropy(lev)
-        if guard and rep.bias_note is not None:
+        if rep.bias_note is not None:
             continue
         levels.append(lev)
         ents.append(rep.entropy)
@@ -429,18 +433,13 @@ def entropy_slope_dimension(m: EmpiricalMeasure, window: Tuple[int, int],
 
 
 def local_dimension(m: EmpiricalMeasure, centers: int = 1000,
-                    radii: Optional[Sequence[float]] = None,
-                    seed: int = 0, min_ball_count: int = 8) -> EstimateWithCI:
+                    seed: int = 0) -> EstimateWithCI:
     """Regression of log2 mass of B(z, r) on log2 r over sampled centers.
 
-    Radii whose balls hold fewer than min_ball_count samples are dropped per
+    Radii whose balls hold fewer than MIN_BALL_COUNT samples are dropped per
     center; ball mass there is dominated by the center atom and would flatten
     the slope."""
     from scipy.spatial import cKDTree
-
-    if radii is None:
-        radii = [2.0 ** (-k) for k in range(4, 13)]
-    radii = sorted(radii, reverse=True)
 
     if m.space == CP1:
         pts = sphere_embedding(m.points)
@@ -455,12 +454,12 @@ def local_dimension(m: EmpiricalMeasure, centers: int = 1000,
     idx = rng.choice(len(pts), size=min(centers, len(pts)), replace=False,
                      p=m.weights / m.weights.sum())
     tree = cKDTree(pts)
-    logr = np.log2(radii)
+    logr = np.log2(LOCAL_DIM_RADII)
     w = m.weights
     uniform = bool(np.ptp(w) <= 1e-15 * w.max())
-    mass_table = np.zeros((len(idx), len(radii)))
-    count_table = np.zeros((len(idx), len(radii)))
-    for j, r in enumerate(radii):
+    mass_table = np.zeros((len(idx), len(LOCAL_DIM_RADII)))
+    count_table = np.zeros((len(idx), len(LOCAL_DIM_RADII)))
+    for j, r in enumerate(LOCAL_DIM_RADII):
         counts = tree.query_ball_point(pts[idx], r, return_length=True)
         count_table[:, j] = counts
         if uniform:
@@ -472,7 +471,7 @@ def local_dimension(m: EmpiricalMeasure, centers: int = 1000,
     slopes = []
     for a in range(len(idx)):
         masses = mass_table[a]
-        keep = (masses > 0) & (count_table[a] >= min_ball_count)
+        keep = (masses > 0) & (count_table[a] >= MIN_BALL_COUNT)
         if keep.sum() < 3:
             continue
         slopes.append(np.polyfit(logr[keep], np.log2(masses[keep]), 1)[0])
@@ -486,7 +485,6 @@ def local_dimension(m: EmpiricalMeasure, centers: int = 1000,
 
 def dim_estimate(m: EmpiricalMeasure, scheme: str = "entropy-slope",
                  window: Tuple[int, int] = (2, 12), centers: int = 1000,
-                 radii: Optional[Sequence[float]] = None,
                  seed: int = 0) -> EstimateWithCI:
     """Dimension of an empirical measure by dyadic entropy slope or by
     local ball-mass regression."""
@@ -495,7 +493,7 @@ def dim_estimate(m: EmpiricalMeasure, scheme: str = "entropy-slope",
             raise UndersampledError("too few samples for the window")
         return entropy_slope_dimension(m, window)
     if scheme == "local-dimension":
-        return local_dimension(m, centers=centers, radii=radii, seed=seed)
+        return local_dimension(m, centers=centers, seed=seed)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

@@ -29,6 +29,12 @@ from .sl2 import (GroupElement, boundary_direction, chart_g, chart_g_inverse,
 from .words import (ScaledMatrix, System, draw_letters, product_of_word,
                     sample_word, scaled_product)
 
+UNIFORM_MIN_FRACTION = 0.8     # uniform-entropy-dim: consistent at or above
+CHAIN_CHECK_STRIDE = 16        # cocycle steps between chain-rule checks
+MIN_THETA_ENTROPY = 0.01       # entropy-increase: theta below is degenerate
+TRANSFER_Z_SAMPLES = 48        # base points of action-entropy-transfer
+LINEARIZATION_EPS_BITS = 0.1   # linearization: consistent below this gap
+
 
 def _sys_tag(sys: System) -> str:
     return f"{sys.name}:{sys.fingerprint()}"
@@ -52,12 +58,9 @@ class ThetaSpec:
 
     @classmethod
     def from_chart(cls, coords: Sequence[Sequence[float]],
-                   weights: Optional[Sequence[float]] = None,
                    label: str = "chart-atoms") -> "ThetaSpec":
         atoms = [chart_g_inverse(c) for c in coords]
-        if weights is None:
-            weights = [1.0 / len(atoms)] * len(atoms)
-        return cls(atoms, list(weights), label)
+        return cls(atoms, [1.0 / len(atoms)] * len(atoms), label)
 
     @classmethod
     def four_ball_atoms(cls, spread: float = 0.08) -> "ThetaSpec":
@@ -100,6 +103,18 @@ def _nu_hat(sys: System, count: int, seed: int, workers: int,
             target_bits: float = 40.0) -> Tuple[BoundaryCloud, EmpiricalMeasure]:
     cloud = sample_boundary(sys, target_bits, count, seed, workers)
     return cloud, sphere_to_plane(cloud.measure)
+
+
+def _plane_cloud(sys_or_measure, count: int, seed: int,
+                 workers: int) -> Tuple[EmpiricalMeasure, int, str]:
+    """(finite plane measure, sample count, tag) of a system or a measure."""
+    if isinstance(sys_or_measure, System):
+        _, nu = _nu_hat(sys_or_measure, count, seed, workers)
+        return nu.drop_infinity(), count, _sys_tag(sys_or_measure)
+    nu = sys_or_measure
+    if nu.space == CP1:
+        nu = sphere_to_plane(nu).drop_infinity()
+    return nu, sys_or_measure.size, "measure"
 
 
 def apply_atoms_to_sphere(measure: EmpiricalMeasure, theta: ThetaSpec,
@@ -149,27 +164,17 @@ def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
                             seed: int = 0, workers: int = 1,
                             comps_per_level: int = 48,
                             min_component_points: int = 2000,
-                            min_fraction: float = 0.8,
                             dim_hint: Optional[float] = None) -> ExperimentReport:
     """Fraction of level components whose normalized m-deeper entropy lies
     within eps of the measure's dimension (mass-weighted, averaged uniformly
-    over levels).
+    over levels); consistent when it reaches UNIFORM_MIN_FRACTION.
 
     Component entropy at m extra levels saturates below ~2^(m dim) points,
     so the level range must keep typical components above
     min_component_points; undersampled components are skipped and tracked.
     Given a measure, its size is reported as `count`.
     """
-    if isinstance(sys_or_measure, System):
-        _, nu = _nu_hat(sys_or_measure, count, seed, workers)
-        nu = nu.drop_infinity()
-        tag = _sys_tag(sys_or_measure)
-    else:
-        nu = sys_or_measure
-        count = nu.size
-        if nu.space == CP1:
-            nu = sphere_to_plane(nu).drop_infinity()
-        tag = "measure"
+    nu, count, tag = _plane_cloud(sys_or_measure, count, seed, workers)
 
     window = (max(2, levels[0]), max(levels[1], levels[0] + 3))
     dim_est = entropy_slope_dimension(nu, window)
@@ -205,11 +210,13 @@ def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
 
     fraction = float(np.mean(fractions))
     undersampled = float(np.mean(unresolved_total)) > 0.5
-    verdict = VERDICT_CONSISTENT if fraction >= min_fraction else VERDICT_INCONSISTENT
+    verdict = (VERDICT_CONSISTENT if fraction >= UNIFORM_MIN_FRACTION
+               else VERDICT_INCONSISTENT)
     return ExperimentReport(
         "uniform-entropy-dimension", tag,
         {"m": m, "levels": list(levels), "count": count, "eps": eps,
-         "comps_per_level": comps_per_level, "min_fraction": min_fraction},
+         "comps_per_level": comps_per_level,
+         "min_fraction": UNIFORM_MIN_FRACTION},
         seed, rows,
         {"fraction": fraction, "dimension": dim_val,
          "dimension_stderr": dim_est.stderr},
@@ -239,25 +246,14 @@ def exp_projection_entropy(sys_or_measure, m: int = 8,
                            directions: int = 180, count: int = 1_000_000,
                            seed: int = 0, workers: int = 1,
                            comps_per_level: int = 24,
-                           min_component_points: int = 64,
-                           dim_hint: Optional[float] = None) -> ExperimentReport:
+                           min_component_points: int = 64) -> ExperimentReport:
     """Distribution over mass-sampled components of the worst-direction
     normalized projection entropy; gamma-hat is its 5th percentile above
     dim - 1. Given a measure, its size is reported as `count`."""
-    if isinstance(sys_or_measure, System):
-        _, nu = _nu_hat(sys_or_measure, count, seed, workers)
-        nu = nu.drop_infinity()
-        tag = _sys_tag(sys_or_measure)
-    else:
-        nu = sys_or_measure
-        count = nu.size
-        if nu.space == CP1:
-            nu = sphere_to_plane(nu).drop_infinity()
-        tag = "measure"
+    nu, count, tag = _plane_cloud(sys_or_measure, count, seed, workers)
 
     window = (2, max(8, levels[0] + 4))
     dim_est = entropy_slope_dimension(nu, window)
-    dim_val = dim_hint if dim_hint is not None else dim_est.value
 
     rng = block_rng(seed, TAG_EXPERIMENT, 3)
     minima = []
@@ -287,8 +283,8 @@ def exp_projection_entropy(sys_or_measure, m: int = 8,
 
     minima_arr = np.array(minima)
     p5 = float(np.percentile(minima_arr, 5))
-    gamma = p5 - (dim_val - 1.0)
-    stronger_gap = p5 - min(1.0, dim_val)
+    gamma = p5 - (dim_est.value - 1.0)
+    stronger_gap = p5 - min(1.0, dim_est.value)
     undersampled = unresolved / max(1, sampled) > 0.5
     verdict = VERDICT_CONSISTENT if gamma > 0 else VERDICT_INCONSISTENT
     return ExperimentReport(
@@ -296,7 +292,7 @@ def exp_projection_entropy(sys_or_measure, m: int = 8,
         {"m": m, "levels": list(levels), "directions": directions,
          "count": count, "comps_per_level": comps_per_level},
         seed, rows,
-        {"gamma_hat": gamma, "p5_min_entropy": p5, "dimension": dim_val,
+        {"gamma_hat": gamma, "p5_min_entropy": p5, "dimension": dim_est.value,
          "dimension_stderr": dim_est.stderr, "resolved": len(minima),
          "stronger_bound_gap": stronger_gap,
          "mean_min_entropy": float(minima_arr.mean())},
@@ -320,8 +316,7 @@ class CocycleTrace:
 
 
 def _build_trace(sys: System, n: int, q_bits: float, rng,
-                 fixed_point: Optional[object] = None,
-                 check_stride: int = 16) -> CocycleTrace:
+                 fixed_point: Optional[object] = None) -> CocycleTrace:
     letters = draw_letters(rng, sys.probs_array(), n).tolist()
     pole_events = 0
 
@@ -361,7 +356,7 @@ def _build_trace(sys: System, n: int, q_bits: float, rng,
             cum += math.pi
         angles[k] = cum
         direct = direct.times(g)
-        if (k + 1) % check_stride == 0:
+        if (k + 1) % CHAIN_CHECK_STRIDE == 0:
             zk = psi(points[k + 1])
             if zk is not INFINITY:
                 dden = direct.g.c * zk + direct.g.d
@@ -387,8 +382,7 @@ def _concentration_score(angles: np.ndarray, delta: float) -> float:
 
 def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
                           delta: float = 0.1, trials: int = 8,
-                          seed: int = 0,
-                          letter_offsets: bool = True) -> ExperimentReport:
+                          seed: int = 0) -> ExperimentReport:
     """Concentration of the derivative-direction cocycle along typical paths:
     score = max ball mass among the trace angles. Non-concentration means
     score < 1 - delta for every ball."""
@@ -416,25 +410,22 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
         scores.append(sc)
         chain_defects.append(trace.max_chain_defect)
         poles += trace.pole_events
-        row = {"trial": t_idx, "score": sc,
-               "chain_defect": trace.max_chain_defect,
-               "pole_events": trace.pole_events}
-        if letter_offsets:
-            rng2 = block_rng(seed, TAG_COCYCLE, 10_000 + t_idx)
-            letters = draw_letters(rng2, sys.probs_array(), n)
-            keyed = np.mod(trace.angles + offsets[letters], math.pi)
-            sck = _concentration_score(keyed, delta)
-            scores_keyed.append(sck)
-            row["score_letter_keyed"] = sck
-        rows.append(row)
+        rng2 = block_rng(seed, TAG_COCYCLE, 10_000 + t_idx)
+        letters = draw_letters(rng2, sys.probs_array(), n)
+        keyed = np.mod(trace.angles + offsets[letters], math.pi)
+        sck = _concentration_score(keyed, delta)
+        scores_keyed.append(sck)
+        rows.append({"trial": t_idx, "score": sc,
+                     "chain_defect": trace.max_chain_defect,
+                     "pole_events": trace.pole_events,
+                     "score_letter_keyed": sck})
 
     score = float(np.mean(scores))
     verdict = VERDICT_CONSISTENT if score < 1.0 - delta else VERDICT_INCONSISTENT
     summary = {"score": score, "score_max": float(np.max(scores)),
                "max_chain_defect": float(np.max(chain_defects)),
-               "pole_events": poles, "threshold": 1.0 - delta}
-    if scores_keyed:
-        summary["score_letter_keyed"] = float(np.mean(scores_keyed))
+               "pole_events": poles, "threshold": 1.0 - delta,
+               "score_letter_keyed": float(np.mean(scores_keyed))}
     return ExperimentReport(
         "direction-cocycle", _sys_tag(sys),
         {"n": n, "q": q, "delta": delta, "trials": trials}, seed,
@@ -447,8 +438,7 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
 
 def exp_entropy_increase(sys: System, theta: ThetaSpec, r: float = 0.25,
                          n: int = 14, count: int = 1_000_000, seed: int = 0,
-                         workers: int = 1,
-                         min_theta_entropy: float = 0.01) -> ExperimentReport:
+                         workers: int = 1) -> ExperimentReport:
     """Gap between the dyadic entropy of the convolved cloud theta.nu and the
     matched-level entropy of nu itself (both at level n, on the sphere)."""
     reach = theta.max_dist_to_identity()
@@ -466,7 +456,7 @@ def exp_entropy_increase(sys: System, theta: ThetaSpec, r: float = 0.25,
 
     theta_entropy = theta.chart_entropy(n) / n
     vacuous = dim_est.value >= 1.95
-    degenerate_theta = theta_entropy * n < min_theta_entropy
+    degenerate_theta = theta_entropy * n < MIN_THETA_ENTROPY
     verdict = VERDICT_CONSISTENT if gap > 0 else VERDICT_INCONSISTENT
     if vacuous or degenerate_theta:
         verdict = VERDICT_INCONCLUSIVE
@@ -490,7 +480,7 @@ def exp_entropy_increase(sys: System, theta: ThetaSpec, r: float = 0.25,
 def exp_action_entropy_transfer(sys: Optional[System], theta: ThetaSpec,
                                 k: int = 8, n: int = 6,
                                 xi: Optional[EmpiricalMeasure] = None,
-                                xi_count: int = 50_000, z_samples: int = 48,
+                                xi_count: int = 50_000,
                                 seed: int = 0, workers: int = 1) -> ExperimentReport:
     """Largest eps0 such that, averaging over scales and xi-sampled base
     points, components of theta give orbit clouds of normalized entropy
@@ -503,8 +493,8 @@ def exp_action_entropy_transfer(sys: Optional[System], theta: ThetaSpec,
     tag = _sys_tag(sys) if sys is not None else "fixture"
 
     rng = block_rng(seed, TAG_EXPERIMENT, 4)
-    zs = rng.choice(xi.points, size=min(z_samples, xi.size), replace=False,
-                    p=xi.weights / xi.weights.sum())
+    zs = rng.choice(xi.points, size=min(TRANSFER_Z_SAMPLES, xi.size),
+                    replace=False, p=xi.weights / xi.weights.sum())
 
     chart = theta.chart_measure()
     # per level: list of (mass, matrix-entry vectors) for each component
@@ -567,25 +557,21 @@ def exp_action_entropy_transfer(sys: Optional[System], theta: ThetaSpec,
 # linearization of the action at small scales
 # ---------------------------------------------------------------------------
 
-def exp_linearization_check(g: Optional[GroupElement] = None,
-                            z_center: complex = 0j, k: int = 8,
-                            delta: float = 2.0 ** -10,
+def exp_linearization_check(k: int = 8, delta: float = 2.0 ** -10,
                             theta_count: int = 512, xi_count: int = 2048,
-                            eps_bits: float = 0.1,
                             seed: int = 0) -> ExperimentReport:
     """Entropy of the action cloud versus its first-order surrogate
     (orbit of the center convolved with the scaled fiber measure), both at
-    the scale where the Taylor remainder should be subdyadic."""
-    if g is None:
-        g = GroupElement.identity()
+    the scale where the Taylor remainder should be subdyadic; centered at
+    the identity of the group and at z = 0."""
+    g = GroupElement.identity()
+    z_center = 0j
     rng = block_rng(seed, TAG_EXPERIMENT, 5)
 
-    # theta: atoms in a chart ball around g of group-distance <= delta
-    base_chart = np.array(chart_g(g))
+    # theta: atoms within group-distance delta of g = identity (chart origin)
     atoms = []
     while len(atoms) < theta_count:
-        off = (rng.random(6) - 0.5) * delta
-        cand = chart_g_inverse(base_chart + off)
+        cand = chart_g_inverse((rng.random(6) - 0.5) * delta)
         if dist_g_proxy(g, cand) <= delta:
             atoms.append(cand)
     # xi: uniform square of side delta centered at z_center
@@ -609,11 +595,12 @@ def exp_linearization_check(g: Optional[GroupElement] = None,
     h_lin = EmpiricalMeasure.on_plane(lin.ravel()).entropy(level).entropy
 
     gap = abs(h_action - h_lin)
-    verdict = VERDICT_CONSISTENT if gap < eps_bits else VERDICT_INCONSISTENT
+    verdict = (VERDICT_CONSISTENT if gap < LINEARIZATION_EPS_BITS
+               else VERDICT_INCONSISTENT)
     return ExperimentReport(
         "linearization", "fixture",
         {"k": k, "delta": delta, "theta_count": theta_count,
-         "xi_count": xi_count, "eps_bits": eps_bits,
+         "xi_count": xi_count, "eps_bits": LINEARIZATION_EPS_BITS,
          "z_center": [z_center.real, z_center.imag]},
         seed,
         [{"level": level, "entropy_action": h_action, "entropy_linear": h_lin,
@@ -627,8 +614,7 @@ def exp_linearization_check(g: Optional[GroupElement] = None,
 
 def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100),
                              eta: float = 0.2, trials: int = 1024,
-                             seed: int = 0, workers: int = 1,
-                             chi_hint: Optional[float] = None) -> ExperimentReport:
+                             seed: int = 0, workers: int = 1) -> ExperimentReport:
     """Fraction of paths with d(L(w), L(g_{w|n})) <= 2^{-n(2 chi - eta)},
     where L(w) is resolved by running the path far beyond length n.
 
@@ -648,21 +634,20 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
     ||g_{w|n}||^-2 <= bound. Since log2 d = -2 log2 ||g_{w|n}|| + log2 r,
     a fraction close to `norm_fraction` puts a shortfall in the norm's
     growth, not in the direction's convergence."""
-    if chi_hint is None:
-        chi_hint = lyapunov_estimate(sys, n=2000, trials=256, seed=seed).value
-    if chi_hint < 0.02:
+    chi = lyapunov_estimate(sys, n=2000, trials=256, seed=seed).value
+    if chi < 0.02:
         return ExperimentReport(
             "boundary-convergence", _sys_tag(sys),
             {"n_values": list(n_values), "eta": eta, "trials": trials},
-            seed, [], {"chi": chi_hint, "note": "vacuous bound at chi ~ 0"},
+            seed, [], {"chi": chi, "note": "vacuous bound at chi ~ 0"},
             VERDICT_INCONCLUSIVE)
 
     probs = sys.probs_array()
     rows = []
     all_pass = True
     for n in n_values:
-        log2_bound = -n * (2.0 * chi_hint - eta)
-        target_chi = 2.0 * n * chi_hint + 80.0
+        log2_bound = -n * (2.0 * chi - eta)
+        target_chi = 2.0 * n * chi + 80.0
 
         def block(start, m, index, n=n, target_chi=target_chi):
             rng = block_rng(seed, TAG_EXPERIMENT, 100_000 + 1000 * n + index)
@@ -707,7 +692,7 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
     return ExperimentReport(
         "boundary-convergence", _sys_tag(sys),
         {"n_values": list(n_values), "eta": eta, "trials": trials},
-        seed, rows, {"chi": chi_hint,
+        seed, rows, {"chi": chi,
                      "min_fraction": min(r["fraction"] for r in rows)},
         verdict)
 
@@ -878,15 +863,16 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
         "local": dim_local.value, "local_stderr": dim_local.stderr,
         "inf_mass": nu_plane.inf_mass()}
 
-    delta_rows = delta_ladder(cloud, sys, budget.delta_qmax).rows
-    for r in delta_rows:
+    ladder = delta_ladder(cloud, sys, budget.delta_qmax)
+    for r in ladder.rows:
         rows.append({"kind": "delta", **r})
-    good = [r for r in delta_rows if not r["undersampled"]]
-    delta_hat = good[-1]["delta"] if good else None
-    if delta_hat is None:
+    try:
+        finest = ladder.finest_well_sampled()
+        delta_hat, delta_q = finest["delta"], finest["q"]
+    except UndersampledError:
+        delta_hat = delta_q = None
         undersampled = True
-    summary["delta"] = {"value": delta_hat,
-                        "q": good[-1]["q"] if good else None}
+    summary["delta"] = {"value": delta_hat, "q": delta_q}
 
     formula = min(2.0, h_hat / (2.0 * chi_hat)) if chi_hat > 0 else 2.0
     summary["formula"] = {"min_2_h_over_2chi": formula}
@@ -902,10 +888,7 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
                 k for k, v in
                 [("strongly_irreducible", report.strongly_irreducible),
                  ("proximal", report.proximal_status == "pass"),
-                 ("no_fixed_circle",
-                  not (report.circles.degenerate or any(
-                      c.det_sign == "negative"
-                      for c in report.circles.classes)))]
+                 ("no_fixed_circle", report.no_fixed_circle)]
                 if not v]
         if delta_hat is not None and report.strongly_irreducible:
             ly_dim = (table.letter_entropy - delta_hat) / (2.0 * chi_hat)

@@ -172,12 +172,16 @@ class GroupElement:
         return GroupElement(self.a.conjugate(), self.c.conjugate(),
                             self.b.conjugate(), self.d.conjugate())
 
-    def op_norm(self) -> float:
-        """Operator norm; sqrt((F^2 + sqrt(F^4 - 4)) / 2) using det = 1."""
+    def _sigma2(self) -> Optional[float]:
+        """||g||_op^2 = (F^2 + sqrt(F^4 - 4)) / 2 (det 1); None at norm 1."""
         f2 = self.frobenius2()
         if f2 - 2.0 < TAU_SVD:
-            return 1.0
-        return math.sqrt(0.5 * (f2 + math.sqrt(f2 * f2 - 4.0)))
+            return None
+        return 0.5 * (f2 + math.sqrt(f2 * f2 - 4.0))
+
+    def op_norm(self) -> float:
+        """Operator norm; 1 when F^2 is within TAU_SVD of 2."""
+        return math.sqrt(self._sigma2() or 1.0)
 
     def entries(self) -> Tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
@@ -392,10 +396,9 @@ def svd2(g: GroupElement) -> SvdDecomposition:
     In the degenerate branch (operator norm 1 within TAU_SVD) returns
     U = g, sigma = 1, V = identity.
     """
-    f2 = g.frobenius2()
-    if f2 - 2.0 < TAU_SVD:
+    sigma2 = g._sigma2()
+    if sigma2 is None:
         return SvdDecomposition(g, 1.0, GroupElement.identity())
-    sigma2 = 0.5 * (f2 + math.sqrt(f2 * f2 - 4.0))
     sigma = math.sqrt(sigma2)
 
     gs = g.adjoint() @ g  # Hermitian, eigenvalues sigma^2 and sigma^-2
@@ -416,10 +419,9 @@ def svd2(g: GroupElement) -> SvdDecomposition:
 
 def boundary_direction(g: GroupElement) -> ProjPoint:
     """Top left-singular direction L(g) = U e1*C; e1*C when ||g||_op = 1."""
-    f2 = g.frobenius2()
-    if f2 - 2.0 < TAU_SVD:
+    sigma2 = g._sigma2()
+    if sigma2 is None:
         return E1
-    sigma2 = 0.5 * (f2 + math.sqrt(f2 * f2 - 4.0))
     h = g @ g.adjoint()  # eigenvector for sigma^2 spans L(g)
     v1, v2 = _top_eigvec_hermitian(h.a.real, h.b, h.d.real, 1.0 / sigma2)
     return ProjPoint.from_vector(v1, v2)

@@ -22,6 +22,7 @@ Word = Tuple[int, ...]
 
 EXACT_BITS_CAP = 1 << 20     # bit-size cap for exact-mode integer entries
 DEFAULT_ENUM_CAP = 10_000_000
+MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
 
 
 @dataclass(frozen=True)
@@ -261,8 +262,7 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
 
 
 def sample_word(sys: System, rng, *, length: Optional[int] = None,
-                first_passage: Optional[Tuple[int, int, int]] = None,
-                max_blocks: int = 100_000) -> Word:
+                first_passage: Optional[Tuple[int, int, int]] = None) -> Word:
     """Random word: i.i.d. letters of a fixed length, or i.i.d. blocks until
     chi exceeds the passage level (the first-passage stopping rule)."""
     if (length is None) == (first_passage is None):
@@ -278,13 +278,13 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
     acc = scaled_product(sys, word)
     if acc.chi() > n:
         return word
-    for _ in range(max_blocks):
+    for _ in range(MAX_PASSAGE_BLOCKS):
         block = tuple(draw_letters(rng, p, l).tolist())
         word = word + block
         acc = scaled_product(sys, block, acc)
         if acc.chi() > n:
             return word
-    raise StallError(f"chi failed to pass {n} within {max_blocks} blocks")
+    raise StallError(f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,34 @@ def test_cli_rejects_bad_env_seed(tmp_path, monkeypatch):
     assert main(["hrw", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("args, config, message", [
+    (["chi", "--param", "n=abc"], None, "'n'"),
+    (["chi"], "[system]\npreset = sanov\n[params]\nworkers = abc\n",
+     "workers"),
+    (["exp", "boundary-convergence", "--param", "n_values=3,x"], None,
+     "'n_values'"),
+    (["chi", "--param", "n=0"], None, "n >= 1"),
+    (["chi", "--param", "n=20", "--param", "trials=0"], None, "got 0"),
+    (["exp", "boundary-convergence", "--param", "trials=0"], None, "got 0"),
+    (["sample", "--param", "count=0", "--out", "@cloud.csv"], None, "got 0"),
+    (["sample", "--param", "count=0"], None, "--out"),
+    (["dim", "--param", "count=0"], None, "got 0"),
+    (["delta", "--param", "count=0"], None, "got 0"),
+], ids=["malformed-int", "malformed-workers", "malformed-list", "chi-n-0",
+        "chi-trials-0", "convergence-trials-0", "sample-count-0",
+        "sample-needs-out", "dim-count-0", "delta-count-0"])
+def test_cli_bad_input_exits_1(tmp_path, capsys, args, config, message):
+    args = [a.replace("@", f"{tmp_path}/") for a in args]
+    if config is None:
+        args += ["--preset", "sanov"]
+    else:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_cli_boundary_convergence_default_lengths(tmp_path):
     # the default lengths start at n = 30; at n = 10 the twist fraction sits
     # on 1 - eta = 0.8 and reads 0.793 at seed 7

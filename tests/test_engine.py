@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import furstlab as fl
+from furstlab._parallel import run_blocks
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
                              sphere_to_plane, total_variation, uniform_square,
                              uniform_segment)
@@ -145,6 +146,20 @@ def test_lyapunov_worker_invariance():
     a = lyapunov_estimate(TWIST, n=500, trials=2048, seed=9, workers=1)
     b = lyapunov_estimate(TWIST, n=500, trials=2048, seed=9, workers=8)
     assert a.op_norm == b.op_norm and a.telescoped == b.telescoped
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_blocks(lambda start, n, index: n, 0),
+    lambda: sample_boundary(SANOV, count=0),
+    lambda: lyapunov_estimate(SANOV, n=0, trials=8),
+    lambda: lyapunov_estimate(SANOV, n=10, trials=0),
+    lambda: delta_estimate(SANOV, q_max=4, count=-1),
+], ids=["run-blocks", "boundary-count", "lyapunov-n", "lyapunov-trials",
+        "delta-count"])
+def test_empty_sizes_raise_undersampled(call):
+    # an empty sample has nothing to merge, and n = 0 steps has no rate
+    with pytest.raises(UndersampledError):
+        call()
 
 
 # -- first-letter conditional entropy ----------------------------------------------

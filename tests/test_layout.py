@@ -3,7 +3,8 @@
 - no module imports another module's private (underscore) names;
 - relative imports sit at module top, not inside functions;
 - letters are drawn by `words.draw_letters`, never by `Generator.choice`
-  over the alphabet `sys.size`.
+  over the alphabet `sys.size`;
+- the number of defaulted parameters stays at or below a pinned count.
 """
 
 import ast
@@ -70,3 +71,39 @@ def test_rules_flag_violations():
     assert _private_imports(tree) == [1]
     assert _local_relative_imports(tree) == [5]
     assert _alphabet_choices(tree) == [6, 6]
+
+
+# defaulted parameters of module-level functions and methods at the last count
+DEFAULTED_PARAMETERS_PIN = 110
+
+
+def _defaulted_parameters(tree) -> int:
+    """Parameters with a default value, over the module-level functions and
+    the methods of module-level classes (nested functions excluded)."""
+    fns = [node for top in tree.body
+           for node in ([top] if not isinstance(top, ast.ClassDef)
+                        else top.body)
+           if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sum(len(f.args.defaults)
+               + sum(d is not None for d in f.args.kw_defaults) for f in fns)
+
+
+def test_defaulted_parameter_count_is_pinned():
+    """Each defaulted parameter is a setting that tests and the benchmark
+    would have to cover; a value no caller changes belongs in a constant.
+    A change that adds a parameter raises DEFAULTED_PARAMETERS_PIN and names,
+    in CHANGES.md, the two callers that need different values. A change that
+    retires parameters lowers the pin to the new count."""
+    count = sum(_defaulted_parameters(ast.parse(p.read_text(), filename=str(p)))
+                for p in MODULES)
+    assert count <= DEFAULTED_PARAMETERS_PIN
+
+
+def test_defaulted_parameter_counter():
+    tree = ast.parse(
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "class K:\n"
+        "    def m(self, x=0):\n"
+        "        def inner(y=1): pass\n"
+        "async def g(*, e=None): pass\n")
+    assert _defaulted_parameters(tree) == 4
