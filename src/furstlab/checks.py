@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .dyadic import shannon_entropy
-from .errors import CapExceededError, LogBranchError
+from .errors import CapExceededError, LogBranchError, UndersampledError
 from .sl2 import (GaussianRational, GroupElement, ProjPoint, E1, E2,
                   dist_cp1, principal_log_norm, proj_act)
 from .words import ScaledMatrix, System, draw_letters
@@ -197,6 +197,7 @@ def find_common_fixed_points(sys: System) -> List[ProjPoint]:
 @dataclass
 class IrreducibilityReport:
     passes: bool
+    fixed_points: List[ProjPoint]    # common fixed directions
     witness: Optional[List[ProjPoint]] = None
     all_elliptic: bool = False
     candidates_checked: int = 0
@@ -215,7 +216,7 @@ def check_strong_irreducibility(sys: System) -> IrreducibilityReport:
 
     fixed = find_common_fixed_points(sys)
     if fixed:
-        return IrreducibilityReport(False, [fixed[0]], all_elliptic, 1)
+        return IrreducibilityReport(False, fixed, [fixed[0]], all_elliptic, 1)
 
     sources: List[GroupElement] = list(sys.generators)
     for i, gi in enumerate(sys.generators):
@@ -241,9 +242,10 @@ def check_strong_irreducibility(sys: System) -> IrreducibilityReport:
                 invariant = False
                 break
         if invariant:
-            return IrreducibilityReport(False, [p, q], all_elliptic, checked)
+            return IrreducibilityReport(False, fixed, [p, q], all_elliptic,
+                                        checked)
 
-    return IrreducibilityReport(True, None, all_elliptic, checked)
+    return IrreducibilityReport(True, fixed, None, all_elliptic, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +267,20 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
     search for a product with |trace| > 2 (a strictly contracting witness)."""
     if rng is None:
         rng = np.random.default_rng(0)
+    # float copies: only float entries are read, so exact entries would be
+    # multiplied for nothing
+    gens = [GroupElement(*g.entries()) for g in sys.generators]
 
     # (a) unboundedness by greedy composition (squaring included)
-    best = max(sys.generators, key=lambda g: g.frobenius2())
+    best = max(gens, key=lambda g: g.frobenius2())
     best_log2 = math.log2(best.op_norm()) if best.op_norm() > 1 else 0.0
     steps = 0
     cur = best
     cur_log2 = best_log2
     while steps < PROXIMALITY_DEPTH and cur_log2 <= NORM_THRESHOLD_BITS:
         steps += 1
-        cands = [cur @ cur] + [cur @ g for g in sys.generators] \
-            + [g @ cur for g in sys.generators]
+        cands = [cur @ cur] + [cur @ g for g in gens] \
+            + [g @ cur for g in gens]
         nxt = max(cands, key=lambda g: g.frobenius2())
         nxt_log2 = math.log2(nxt.op_norm())
         if nxt_log2 <= cur_log2 + 1e-12:
@@ -291,7 +296,7 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
             acc = ScaledMatrix.identity()
             for _step in range(PROXIMALITY_DEPTH):
                 i = int(rng.integers(sys.size))
-                acc = acc.times(sys.generators[i])
+                acc = acc.times(gens[i])
                 steps += 1
                 if acc.log2_op_norm() > cur_log2:
                     cur_log2 = acc.log2_op_norm()
@@ -319,14 +324,14 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
             strict, witness, wtrace = True, word, t
 
     frontier: List[Tuple[Tuple[int, ...], GroupElement]] = \
-        [((i,), g) for i, g in enumerate(sys.generators)]
+        [((i,), g) for i, g in enumerate(gens)]
     for word, g in frontier:
         consider(word, g)
     exhaustive_len = 1
     while len(frontier) * sys.size <= 4096 and exhaustive_len < 12:
         nxt = []
         for word, g in frontier:
-            for i, gi in enumerate(sys.generators):
+            for i, gi in enumerate(gens):
                 ng = g @ gi
                 nw = word + (i,)
                 consider(nw, ng)
@@ -338,7 +343,7 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
         word = tuple(draw_letters(rng, sys.probs_array(), length).tolist())
         g = GroupElement.identity()
         for i in word:
-            g = g @ sys.generators[i]
+            g = g @ gens[i]
             if g.frobenius2() > 1e100:
                 break
         consider(word, g)
@@ -548,6 +553,8 @@ def _grouped_products(sys: System, n_max: int,
     """Yield (n, grouped, ambiguous) for n = 1..n_max: the distinct length-n
     products with their summed word weights (see _group_products), each level
     expanded from the distinct representatives of the level before."""
+    if n_max < 1:
+        raise UndersampledError(f"word products need n_max >= 1, got {n_max}")
     if sys.size ** n_max > cap:
         raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
     level = [(GroupElement.identity(exact=sys.exact), 1.0)]
@@ -716,12 +723,11 @@ class AssumptionReport:
 
 def certify(sys: System) -> AssumptionReport:
     """Run all assumption checks and combine them into one report."""
-    fixed = find_common_fixed_points(sys)
     irr = check_strong_irreducibility(sys)
     prox = check_proximality(sys)
     return AssumptionReport(
-        reducible=bool(fixed),
-        fixed_points=fixed,
+        reducible=bool(irr.fixed_points),
+        fixed_points=irr.fixed_points,
         strongly_irreducible=irr.passes,
         irreducibility_witness=irr.witness,
         all_elliptic_flag=irr.all_elliptic,

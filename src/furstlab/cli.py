@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
-from typing import Optional
 
 from .checks import certify, diophantine_probe, random_walk_entropy
 from .config import RunConfig, load_config
@@ -64,8 +63,8 @@ def _emit(report: ExperimentReport, cfg: RunConfig) -> int:
 
 def _wrap(name: str, cfg: RunConfig, rows, summary) -> ExperimentReport:
     return ExperimentReport(
-        name, f"{cfg.system.name}:{cfg.system.fingerprint()}",
-        dict(cfg.params), cfg.seed, rows, summary, VERDICT_CONSISTENT)
+        name, cfg.system.tag(), dict(cfg.params), cfg.seed, rows, summary,
+        VERDICT_CONSISTENT)
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -167,50 +166,48 @@ def _theta_from_params(cfg: RunConfig) -> ThetaSpec:
 
 
 def cmd_exp(cfg: RunConfig, name: str) -> int:
+    if not name:
+        raise FurstlabError("exp needs an experiment name")
     if name not in EXPERIMENTS:
         raise FurstlabError(
             f"unknown experiment {name!r}; known: {sorted(EXPERIMENTS)}")
+    if name == "main-theorem":
+        return cmd_report(cfg)
     count = cfg.param("count", 200_000, int)
-    seed, workers = cfg.seed, cfg.workers
-    if name == "uniform-entropy-dim":
-        rep = EXPERIMENTS[name](cfg.system, m=cfg.param("m", 8, int),
-                                count=count, eps=cfg.param("eps", 0.25, float),
-                                seed=seed, workers=workers)
-    elif name == "projection-entropy":
-        rep = EXPERIMENTS[name](cfg.system, m=cfg.param("m", 8, int),
-                                directions=cfg.param("directions", 180, int),
-                                count=count, seed=seed, workers=workers)
-    elif name == "direction-cocycle":
-        rep = EXPERIMENTS[name](cfg.system, n=cfg.param("n", 10_000, int),
-                                q=cfg.param("q", 30, int),
-                                delta=cfg.param("delta", 0.1, float),
-                                trials=cfg.param("trials", 8, int), seed=seed)
-    elif name == "entropy-increase":
-        rep = EXPERIMENTS[name](cfg.system, _theta_from_params(cfg),
-                                r=cfg.param("r", 0.25, float),
-                                n=cfg.param("n", 14, int), count=count,
-                                seed=seed, workers=workers)
-    elif name == "action-entropy-transfer":
-        rep = EXPERIMENTS[name](cfg.system, _theta_from_params(cfg),
-                                k=cfg.param("k", 8, int),
-                                n=cfg.param("n", 6, int),
-                                xi_count=count, seed=seed, workers=workers)
-    elif name == "linearization":
-        rep = EXPERIMENTS[name](k=cfg.param("k", 8, int),
-                                delta=cfg.param("delta", 2.0 ** -10, float),
-                                seed=seed)
-    elif name == "boundary-convergence":
+    exp, seed, workers = EXPERIMENTS[name], cfg.seed, cfg.workers
+    if name == "direction-cocycle":
+        return _emit(exp(cfg.system, n=cfg.param("n", 10_000, int),
+                         q=cfg.param("q", 30, int),
+                         delta=cfg.param("delta", 0.1, float),
+                         trials=cfg.param("trials", 8, int), seed=seed), cfg)
+    if name == "linearization":
+        return _emit(exp(k=cfg.param("k", 8, int),
+                         delta=cfg.param("delta", 2.0 ** -10, float),
+                         seed=seed), cfg)
+    if name == "boundary-convergence":
         n_values = cfg.param("n_values", None,
                              lambda v: tuple(int(t) for t in v.split(",")))
         lengths = {} if n_values is None else {"n_values": n_values}
-        rep = EXPERIMENTS[name](cfg.system, **lengths,
-                                eta=cfg.param("eta", 0.2, float),
-                                trials=cfg.param("trials", 1024, int),
-                                seed=seed, workers=workers)
+        return _emit(exp(cfg.system, **lengths,
+                         eta=cfg.param("eta", 0.2, float),
+                         trials=cfg.param("trials", 1024, int),
+                         seed=seed, workers=workers), cfg)
+    # the other four measure one boundary cloud, sampled once their
+    # parameters have been read
+    if name == "uniform-entropy-dim":
+        kw = {"m": cfg.param("m", 8, int),
+              "eps": cfg.param("eps", 0.25, float)}
+    elif name == "projection-entropy":
+        kw = {"m": cfg.param("m", 8, int),
+              "directions": cfg.param("directions", 180, int)}
+    elif name == "entropy-increase":
+        kw = {"theta": _theta_from_params(cfg),
+              "r": cfg.param("r", 0.25, float), "n": cfg.param("n", 14, int)}
     else:
-        rep = exp_main_theorem(cfg.system, _budget_from_params(cfg),
-                               seed=seed, workers=workers)
-    return _emit(rep, cfg)
+        kw = {"theta": _theta_from_params(cfg), "k": cfg.param("k", 8, int),
+              "n": cfg.param("n", 6, int)}
+    cloud = sample_boundary(cfg.system, 40.0, count, seed, workers)
+    return _emit(exp(cloud, **kw, seed=seed), cfg)
 
 
 def _budget_from_params(cfg: RunConfig) -> PipelineBudget:
@@ -230,7 +227,7 @@ def cmd_report(cfg: RunConfig) -> int:
     return _emit(rep, cfg)
 
 
-def cmd_presets(cfg: Optional[RunConfig]) -> int:
+def cmd_presets() -> int:
     rows = [{"name": name, "generators": k, "exact": ex, "description": desc}
             for name, k, ex, desc in list_presets()]
     for r in rows:
@@ -240,13 +237,20 @@ def cmd_presets(cfg: Optional[RunConfig]) -> int:
     return 0
 
 
+# subcommand -> handler of the run config; `exp` also takes the experiment
+# name, and `presets` reads no config
+COMMANDS = {
+    "check": cmd_check, "chi": cmd_chi, "hrw": cmd_hrw, "dio": cmd_dio,
+    "sample": cmd_sample, "dim": cmd_dim, "delta": cmd_delta,
+    "exp": cmd_exp, "report": cmd_report, "presets": cmd_presets,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="furstlab",
         description="Furstenberg-measure simulator and verification lab")
-    ap.add_argument("command",
-                    choices=["check", "chi", "hrw", "dio", "sample", "dim",
-                             "delta", "exp", "report", "presets"])
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("name", nargs="?", default=None,
                     help="experiment name for `exp`")
     ap.add_argument("--config", default=None)
@@ -268,40 +272,22 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         if args.command == "presets":
-            return cmd_presets(None)
+            return cmd_presets()
         cfg = _effective_config(args)
         for kv in args.param:
             if "=" not in kv:
                 raise FurstlabError(f"--param needs KEY=VALUE, got {kv!r}")
             k, v = kv.split("=", 1)
             cfg.params[k.strip()] = v.strip()
-        if args.command == "check":
-            return cmd_check(cfg)
-        if args.command == "chi":
-            return cmd_chi(cfg)
-        if args.command == "hrw":
-            return cmd_hrw(cfg)
-        if args.command == "dio":
-            return cmd_dio(cfg)
-        if args.command == "sample":
-            return cmd_sample(cfg)
-        if args.command == "dim":
-            return cmd_dim(cfg)
-        if args.command == "delta":
-            return cmd_delta(cfg)
-        if args.command == "report":
-            return cmd_report(cfg)
         if args.command == "exp":
-            if not args.name:
-                raise FurstlabError("exp needs an experiment name")
             return cmd_exp(cfg, args.name)
+        return COMMANDS[args.command](cfg)
     except FurstlabError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 1
 
 
 if __name__ == "__main__":

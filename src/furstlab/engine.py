@@ -92,12 +92,10 @@ class Walk:
         self.log2s = np.zeros(len(self.a)) if log2s is None else log2s
 
     @classmethod
-    def identity(cls, sys: System, n: int, transpose: bool = False) -> "Walk":
-        """n rows of the identity, over sys's generators (or their
-        transposes)."""
-        gens = [g.transpose() if transpose else g for g in sys.generators]
+    def identity(cls, sys: System, n: int) -> "Walk":
+        """n rows of the identity, over sys's generators."""
         ents = tuple(np.array(e, dtype=complex)
-                     for e in zip(*(g.entries() for g in gens)))
+                     for e in zip(*(g.entries() for g in sys.generators)))
         one = np.ones(n, dtype=complex)
         zero = np.zeros(n, dtype=complex)
         return cls(ents, (one, zero, zero.copy(), one.copy()))
@@ -186,6 +184,7 @@ class Walk:
 
 @dataclass
 class BoundaryCloud:
+    system: System                     # the system that was sampled
     measure: EmpiricalMeasure          # cp1
     first_letters: np.ndarray          # (N,) int
     stop_chi: np.ndarray               # (N,) chi at the stopping time
@@ -201,13 +200,17 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
 
     The truncation error is exponentially small in target_bits; raises
     StallError when the norm cocycle fails to grow (non-proximal input).
+    With `transpose` the walk runs over `sys.transposed()`, and the cloud
+    records that system.
     """
+    if transpose:
+        sys = sys.transposed()
     probs = sys.probs_array()
     chi_goal = 2.0 * target_bits
 
     def block(start: int, n: int, index: int):
         rng = block_rng(seed, TAG_BOUNDARY, index)
-        walk = Walk.identity(sys, n, transpose)
+        walk = Walk.identity(sys, n)
         live = np.arange(n)                # original row of each walk row
         out = np.empty((4, n), dtype=complex)
         first = np.full(n, -1, dtype=np.int64)
@@ -255,7 +258,7 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
     chi_stop = np.concatenate([p[2] for p in parts])
     steps = np.concatenate([p[3] for p in parts])
     measure = EmpiricalMeasure(CP1, rows, np.full(count, 1.0 / count))
-    return BoundaryCloud(measure, first, chi_stop, steps)
+    return BoundaryCloud(sys, measure, first, chi_stop, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +365,12 @@ def _conditional_letter_entropy(labels: np.ndarray, letters: np.ndarray,
             float(np.median(counts[labels])))
 
 
-def delta_ladder(cloud: BoundaryCloud, sys: System,
-                 q_max: int) -> DeltaLadder:
+def delta_ladder(cloud: BoundaryCloud, q_max: int) -> DeltaLadder:
     """Ladder of conditional entropies of the first letter given the level-q
     cell of the boundary direction, q = 2..q_max, with standard errors over
     16 chunks of the cloud. Levels whose median bin count falls below
     MIN_BIN_COUNT are flagged undersampled."""
+    sys = cloud.system
     letters = cloud.first_letters
     n = len(letters)
     chunk_ids = np.arange(n) // max(1, n // 16)
@@ -397,7 +400,7 @@ def delta_estimate(sys: System, q_max: int = 14, count: int = 200_000,
     if target_bits is None:
         target_bits = max(DEFAULT_TARGET_BITS, float(2 * q_max))
     cloud = sample_boundary(sys, target_bits, count, seed, workers)
-    return delta_ladder(cloud, sys, q_max)
+    return delta_ladder(cloud, q_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Each major statement of the theory as a runnable, seeded experiment that
 produces a verdict and a data table.
 
-Every experiment is a pure function of (system, parameters, seed); rerunning
+Every experiment is a pure function of its input (a system, or a boundary
+cloud from `sample_boundary`, or a measure), parameters and seed; rerunning
 with the same inputs yields byte-identical reports for any worker count.
 """
 
@@ -34,10 +35,6 @@ CHAIN_CHECK_STRIDE = 16        # cocycle steps between chain-rule checks
 MIN_THETA_ENTROPY = 0.01       # entropy-increase: theta below is degenerate
 TRANSFER_Z_SAMPLES = 48        # base points of action-entropy-transfer
 LINEARIZATION_EPS_BITS = 0.1   # linearization: consistent below this gap
-
-
-def _sys_tag(sys: System) -> str:
-    return f"{sys.name}:{sys.fingerprint()}"
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +96,17 @@ class ThetaSpec:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _nu_hat(sys: System, count: int, seed: int, workers: int,
-            target_bits: float = 40.0) -> Tuple[BoundaryCloud, EmpiricalMeasure]:
-    cloud = sample_boundary(sys, target_bits, count, seed, workers)
-    return cloud, sphere_to_plane(cloud.measure)
-
-
-def _plane_cloud(sys_or_measure, count: int, seed: int,
-                 workers: int) -> Tuple[EmpiricalMeasure, int, str]:
-    """(finite plane measure, sample count, tag) of a system or a measure."""
-    if isinstance(sys_or_measure, System):
-        _, nu = _nu_hat(sys_or_measure, count, seed, workers)
-        return nu.drop_infinity(), count, _sys_tag(sys_or_measure)
-    nu = sys_or_measure
+def _plane_cloud(cloud) -> Tuple[EmpiricalMeasure, int, str]:
+    """(finite plane measure, sample count, tag) of a boundary cloud or a
+    measure."""
+    if isinstance(cloud, BoundaryCloud):
+        nu, tag = cloud.measure, cloud.system.tag()
+    else:
+        nu, tag = cloud, "measure"
+    count = nu.size
     if nu.space == CP1:
         nu = sphere_to_plane(nu).drop_infinity()
-    return nu, sys_or_measure.size, "measure"
+    return nu, count, tag
 
 
 def apply_atoms_to_sphere(measure: EmpiricalMeasure, theta: ThetaSpec,
@@ -158,10 +150,9 @@ def small_ball_max_mass(measure: EmpiricalMeasure, eta: float,
 # uniform entropy dimension
 # ---------------------------------------------------------------------------
 
-def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
+def exp_uniform_entropy_dim(cloud, m: int = 8,
                             levels: Tuple[int, int] = (2, 5),
-                            count: int = 1_000_000, eps: float = 0.25,
-                            seed: int = 0, workers: int = 1,
+                            eps: float = 0.25, seed: int = 0,
                             comps_per_level: int = 48,
                             min_component_points: int = 2000,
                             dim_hint: Optional[float] = None) -> ExperimentReport:
@@ -172,9 +163,9 @@ def exp_uniform_entropy_dim(sys_or_measure, m: int = 8,
     Component entropy at m extra levels saturates below ~2^(m dim) points,
     so the level range must keep typical components above
     min_component_points; undersampled components are skipped and tracked.
-    Given a measure, its size is reported as `count`.
+    `cloud` is a BoundaryCloud or a measure; its size is reported as `count`.
     """
-    nu, count, tag = _plane_cloud(sys_or_measure, count, seed, workers)
+    nu, count, tag = _plane_cloud(cloud)
 
     window = (max(2, levels[0]), max(levels[1], levels[0] + 3))
     dim_est = entropy_slope_dimension(nu, window)
@@ -241,16 +232,16 @@ def _projected_entropy_min(comp: EmpiricalMeasure, level: int, m: int,
     return best, best_angle
 
 
-def exp_projection_entropy(sys_or_measure, m: int = 8,
+def exp_projection_entropy(cloud, m: int = 8,
                            levels: Tuple[int, int] = (4, 10),
-                           directions: int = 180, count: int = 1_000_000,
-                           seed: int = 0, workers: int = 1,
+                           directions: int = 180, seed: int = 0,
                            comps_per_level: int = 24,
                            min_component_points: int = 64) -> ExperimentReport:
     """Distribution over mass-sampled components of the worst-direction
     normalized projection entropy; gamma-hat is its 5th percentile above
-    dim - 1. Given a measure, its size is reported as `count`."""
-    nu, count, tag = _plane_cloud(sys_or_measure, count, seed, workers)
+    dim - 1. `cloud` is a BoundaryCloud or a measure; its size is reported
+    as `count`."""
+    nu, count, tag = _plane_cloud(cloud)
 
     window = (2, max(8, levels[0] + 4))
     dim_est = entropy_slope_dimension(nu, window)
@@ -386,6 +377,9 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
     """Concentration of the derivative-direction cocycle along typical paths:
     score = max ball mass among the trace angles. Non-concentration means
     score < 1 - delta for every ball."""
+    if n < 1 or trials < 1:
+        raise UndersampledError("direction-cocycle needs n >= 1 and "
+                                f"trials >= 1, got n={n}, trials={trials}")
     fixed_point = None
     if sys.size == 1:
         g = sys.generators[0]
@@ -427,7 +421,7 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
                "pole_events": poles, "threshold": 1.0 - delta,
                "score_letter_keyed": float(np.mean(scores_keyed))}
     return ExperimentReport(
-        "direction-cocycle", _sys_tag(sys),
+        "direction-cocycle", sys.tag(),
         {"n": n, "q": q, "delta": delta, "trials": trials}, seed,
         rows, summary, verdict)
 
@@ -436,17 +430,16 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
 # entropy increase under convolution
 # ---------------------------------------------------------------------------
 
-def exp_entropy_increase(sys: System, theta: ThetaSpec, r: float = 0.25,
-                         n: int = 14, count: int = 1_000_000, seed: int = 0,
-                         workers: int = 1) -> ExperimentReport:
+def exp_entropy_increase(cloud: BoundaryCloud, theta: ThetaSpec,
+                         r: float = 0.25, n: int = 14,
+                         seed: int = 0) -> ExperimentReport:
     """Gap between the dyadic entropy of the convolved cloud theta.nu and the
     matched-level entropy of nu itself (both at level n, on the sphere)."""
     reach = theta.max_dist_to_identity()
     if reach > r + 1e-9:
         raise ValueError(f"theta atoms reach {reach:.4f} > r = {r}")
 
-    cloud, nu_plane = _nu_hat(sys, count, seed, workers)
-    nu_plane = nu_plane.drop_infinity()
+    nu_plane = sphere_to_plane(cloud.measure).drop_infinity()
     dim_est = entropy_slope_dimension(nu_plane, (2, max(10, n - 2)))
 
     base = cloud.measure.entropy(n).entropy / n
@@ -464,8 +457,8 @@ def exp_entropy_increase(sys: System, theta: ThetaSpec, r: float = 0.25,
     rows = [{"level": n, "entropy_nu": base, "entropy_conv": conv,
              "gap": gap}]
     return ExperimentReport(
-        "entropy-increase", _sys_tag(sys),
-        {"theta": theta.label, "r": r, "n": n, "count": count},
+        "entropy-increase", cloud.system.tag(),
+        {"theta": theta.label, "r": r, "n": n, "count": cloud.measure.size},
         seed, rows,
         {"gap": gap, "dimension": dim_est.value,
          "theta_reach": reach, "theta_chart_entropy": theta_entropy * n,
@@ -477,20 +470,17 @@ def exp_entropy_increase(sys: System, theta: ThetaSpec, r: float = 0.25,
 # group entropy transfers to orbit entropy
 # ---------------------------------------------------------------------------
 
-def exp_action_entropy_transfer(sys: Optional[System], theta: ThetaSpec,
-                                k: int = 8, n: int = 6,
-                                xi: Optional[EmpiricalMeasure] = None,
-                                xi_count: int = 50_000,
-                                seed: int = 0, workers: int = 1) -> ExperimentReport:
+def exp_action_entropy_transfer(xi, theta: ThetaSpec, k: int = 8, n: int = 6,
+                                seed: int = 0) -> ExperimentReport:
     """Largest eps0 such that, averaging over scales and xi-sampled base
     points, components of theta give orbit clouds of normalized entropy
-    above eps0 with probability above eps0."""
-    if xi is None:
-        if sys is None:
-            raise ValueError("need a system or an explicit xi")
-        _, xi = _nu_hat(sys, xi_count, seed, workers)
-        xi = xi.drop_infinity()
-    tag = _sys_tag(sys) if sys is not None else "fixture"
+    above eps0 with probability above eps0. `xi` is a BoundaryCloud, whose
+    finite plane part is used, or a plane measure."""
+    if isinstance(xi, BoundaryCloud):
+        tag = xi.system.tag()
+        xi = sphere_to_plane(xi.measure).drop_infinity()
+    else:
+        tag = "fixture"
 
     rng = block_rng(seed, TAG_EXPERIMENT, 4)
     zs = rng.choice(xi.points, size=min(TRANSFER_Z_SAMPLES, xi.size),
@@ -637,7 +627,7 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
     chi = lyapunov_estimate(sys, n=2000, trials=256, seed=seed).value
     if chi < 0.02:
         return ExperimentReport(
-            "boundary-convergence", _sys_tag(sys),
+            "boundary-convergence", sys.tag(),
             {"n_values": list(n_values), "eta": eta, "trials": trials},
             seed, [], {"chi": chi, "note": "vacuous bound at chi ~ 0"},
             VERDICT_INCONCLUSIVE)
@@ -690,7 +680,7 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
 
     verdict = VERDICT_CONSISTENT if all_pass else VERDICT_INCONSISTENT
     return ExperimentReport(
-        "boundary-convergence", _sys_tag(sys),
+        "boundary-convergence", sys.tag(),
         {"n_values": list(n_values), "eta": eta, "trials": trials},
         seed, rows, {"chi": chi,
                      "min_fraction": min(r["fraction"] for r in rows)},
@@ -778,10 +768,11 @@ def _matched_norm_pair_check(sys: System, budget: PipelineBudget,
             "passes": bool(np.max(dists) <= budget.pair_diameter_budget)}
 
 
-def _entropy_scaling_check(sys: System, cloud: BoundaryCloud, chi_hat: float,
+def _entropy_scaling_check(cloud: BoundaryCloud, chi_hat: float,
                            budget: PipelineBudget, seed: int) -> dict:
     """Entropy of the cloud pushed by a typical large element, read 2*chi*n
     levels deeper, versus the entropy of the cloud itself."""
+    sys = cloud.system
     rng = block_rng(seed, TAG_EXPERIMENT, 7)
     n_w = 12
     g = None
@@ -828,7 +819,7 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
 
     if not sampleable:
         summary["note"] = "norm growth check failed; sampling skipped"
-        return ExperimentReport("main-theorem", _sys_tag(sys),
+        return ExperimentReport("main-theorem", sys.tag(),
                                 {"budget": budget.__dict__}, seed, rows,
                                 summary, VERDICT_INCONCLUSIVE)
 
@@ -848,8 +839,8 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
     for n_, h_, hn_ in table.rows:
         rows.append({"kind": "hrw", "n": n_, "H_n": h_, "H_n_over_n": hn_})
 
-    cloud, nu_plane = _nu_hat(sys, budget.boundary_samples, seed, workers,
-                              budget.target_bits)
+    cloud = sample_boundary(sys, budget.target_bits, budget.boundary_samples,
+                            seed, workers)
     try:
         dim_slope = entropy_slope_dimension(cloud.measure, budget.dim_window)
     except UndersampledError:
@@ -861,9 +852,9 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
         "slope": None if dim_slope is None else dim_slope.value,
         "slope_stderr": None if dim_slope is None else dim_slope.stderr,
         "local": dim_local.value, "local_stderr": dim_local.stderr,
-        "inf_mass": nu_plane.inf_mass()}
+        "inf_mass": sphere_to_plane(cloud.measure).inf_mass()}
 
-    ladder = delta_ladder(cloud, sys, budget.delta_qmax)
+    ladder = delta_ladder(cloud, budget.delta_qmax)
     for r in ladder.rows:
         rows.append({"kind": "delta", **r})
     try:
@@ -898,7 +889,7 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
 
     summary["pair_diameter_check"] = _matched_norm_pair_check(sys, budget, seed)
     summary["entropy_scaling_check"] = _entropy_scaling_check(
-        sys, cloud, chi_hat, budget, seed)
+        cloud, chi_hat, budget, seed)
     summary["verdicts"] = verdicts
 
     if undersampled or not verdicts:
@@ -908,7 +899,7 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
     else:
         verdict = VERDICT_INCONSISTENT
     return ExperimentReport(
-        "main-theorem", _sys_tag(sys), {"budget": budget.__dict__}, seed,
+        "main-theorem", sys.tag(), {"budget": budget.__dict__}, seed,
         rows, summary, verdict, undersampled=undersampled)
 
 

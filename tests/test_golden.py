@@ -88,15 +88,18 @@ def _direction_cocycle():
                                  seed=4).to_json()
 
 
-def _proximality():
-    out = []
-    for name in ("twist", "su2-control"):
-        r = check_proximality(get_preset(name), rng=np.random.default_rng(11))
-        trace = None if r.strict_trace is None else [r.strict_trace.real,
-                                                     r.strict_trace.imag]
-        out.append([r.status, r.max_log2_norm, r.steps, r.strict,
-                    r.strict_witness, trace])
-    return _plain(out)
+def _proximality(*names):
+    def run():
+        out = []
+        for name in names:
+            r = check_proximality(get_preset(name),
+                                  rng=np.random.default_rng(11))
+            trace = None if r.strict_trace is None else [r.strict_trace.real,
+                                                         r.strict_trace.imag]
+            out.append([r.status, r.max_log2_norm, r.steps, r.strict,
+                        r.strict_witness, trace])
+        return _plain(out)
+    return run
 
 
 def _first_passage_words():
@@ -120,7 +123,8 @@ CASES = {
     "delta-ladder": _delta_ladder,
     "direction-cocycle": _direction_cocycle,
     "first-passage-words": _first_passage_words,
-    "proximality": _proximality,
+    "proximality": _proximality("twist", "su2-control"),
+    "proximality-exact": _proximality("sanov", "discrete-gaussian"),
     "hrw-sanov": _hrw("sanov", 8),
     "hrw-twist": _hrw("twist", 6),
     "dio-sanov": _dio("sanov", 6),
@@ -146,6 +150,7 @@ DIGESTS = {
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
     "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
     "proximality": "0b2644e5616229eeabdf50df6210837e8eb4da07afae85e355934d3d92949504",
+    "proximality-exact": "f9577404db6df1da5aebf19d62f0b8619b36182c0c4721665b845460f453ab60",
     "uniform-entropy-dim": "2bb47b24ad39d7366ee84515617465315fb3876368d21cb35473c72885146b9d",
 }
 

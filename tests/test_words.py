@@ -107,22 +107,19 @@ def test_first_passage_cap_error():
         enumerate_first_passage(SANOV, 0, 1, 40, cap=50)
 
 
-# Child process: cap its own address space at 512 MiB above what it has
-# mapped after the imports, then enumerate twist's first-passage family at
-# (j, l, n) = (0, 1, 1) with the default cap. The rotation generator has
-# norm one, so the powers of it never pass the level and the family is
-# infinite; the enumeration must stop with CapExceededError, not run out of
-# memory.
-_TWIST_CAP_CHILD = """
+# Child process: cap its own address space at `headroom` MiB above what it
+# has mapped after the imports, then run one enumeration at its default cap.
+# It must stop with CapExceededError, not run out of memory.
+_CAPPED_CHILD = """
 import resource
 import furstlab as fl
 from furstlab.errors import CapExceededError
 with open("/proc/self/status") as fh:
     vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
-limit = vm * 1024 + (512 << 20)
+limit = vm * 1024 + ({headroom} << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 try:
-    fl.enumerate_first_passage(fl.get_preset("twist"), 0, 1, 1)
+    {call}
 except CapExceededError:
     print("cap")
 except MemoryError:
@@ -130,14 +127,32 @@ except MemoryError:
 """
 
 
+def _run_capped(call: str, headroom: int) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    child = _CAPPED_CHILD.format(call=call, headroom=headroom)
+    proc = subprocess.run([sys.executable, "-c", child], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stdout.strip() == "cap", proc.stderr
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="reads VmSize from /proc")
 def test_first_passage_cap_bounds_memory_on_norm_one_generator():
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    proc = subprocess.run([sys.executable, "-c", _TWIST_CAP_CHILD], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.stdout.strip() == "cap", proc.stderr
+    # twist's rotation generator has norm one, so its powers never pass the
+    # level and the family at (j, l, n) = (0, 1, 1) is infinite
+    _run_capped('fl.enumerate_first_passage(fl.get_preset("twist"), 0, 1, 1)',
+                512)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmSize from /proc")
+def test_doubling_cap_bounds_memory():
+    # the frontier keeps every block word, about 3^k words of k letters at
+    # depth k on twist; counting examined words would let it reach about
+    # 7.6 GB before the default cap
+    _run_capped('fl.doubling_word_sets(fl.get_preset("twist"), 0, 1, 40)',
+                768)
 
 
 def test_sample_word_degenerate():
