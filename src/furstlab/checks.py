@@ -15,8 +15,9 @@ import numpy as np
 
 from .dyadic import shannon_entropy
 from .errors import CapExceededError, LogBranchError, UndersampledError
-from .sl2 import (GaussianRational, GroupElement, ProjPoint, E1, E2,
-                  dist_cp1, principal_log_norm, proj_act)
+from .sl2 import (EXACT_IDENTITY, ExactEntries, GaussianRational,
+                  GroupElement, ProjPoint, E1, E2, dist_cp1, exact_mul,
+                  principal_log_norm, proj_act)
 from .words import ScaledMatrix, System, draw_letters
 
 TAU_EIG = 1e-9
@@ -113,8 +114,7 @@ def _ext_addsub(u: _Ext, v: _Ext, sign: int) -> _Ext:
 def _exact_invariant_direction(sys: System, which_root: int) -> Optional[bool]:
     """Exact check that an eigendirection of generator 0 is fixed by every
     generator. Returns True/False, or None when generator 0 is scalar."""
-    g0 = sys.generators[0].exact_key()
-    a, b, c, d = g0
+    a, b, c, d = sys.exact[0]
     if b.is_zero() and c.is_zero() and a == d:
         return None
     two = GaussianRational.of(2)
@@ -134,8 +134,7 @@ def _exact_invariant_direction(sys: System, which_root: int) -> Optional[bool]:
         else:  # diagonal: eigendirections are the coordinate axes
             v1, v2 = (GaussianRational.of(1), zero) if which_root == 0 \
                 else (zero, GaussianRational.of(1))
-        for g in sys.generators:
-            xa, xb, xc, xd = g.exact_key()
+        for xa, xb, xc, xd in sys.exact:
             w1 = xa * v1 + xb * v2
             w2 = xc * v1 + xd * v2
             if not (w1 * v2 - w2 * v1).is_zero():
@@ -153,8 +152,7 @@ def _exact_invariant_direction(sys: System, which_root: int) -> Optional[bool]:
     else:
         v1 = (b, zero)
         v2 = _ext_addsub(lam, (a, zero), -1)
-    for g in sys.generators:
-        xa, xb, xc, xd = g.exact_key()
+    for xa, xb, xc, xd in sys.exact:
         w1 = _ext_addsub(_ext_mul((xa, zero), v1, dd), _ext_mul((xb, zero), v2, dd), 1)
         w2 = _ext_addsub(_ext_mul((xc, zero), v1, dd), _ext_mul((xd, zero), v2, dd), 1)
         cross = _ext_addsub(_ext_mul(w1, v2, dd), _ext_mul(w2, v1, dd), -1)
@@ -267,9 +265,7 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
     search for a product with |trace| > 2 (a strictly contracting witness)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    # float copies: only float entries are read, so exact entries would be
-    # multiplied for nothing
-    gens = [GroupElement(*g.entries()) for g in sys.generators]
+    gens = sys.generators
 
     # (a) unboundedness by greedy composition (squaring included)
     best = max(gens, key=lambda g: g.frobenius2())
@@ -476,42 +472,40 @@ def _embed8(g: GroupElement) -> Tuple[float, ...]:
             g.c.real, g.c.imag, g.d.real, g.d.imag)
 
 
-def _group_products(items: List[Tuple[GroupElement, float]],
-                    exact: bool) -> Tuple[List[Tuple[GroupElement, float]], bool]:
-    """Collapse (matrix, weight) pairs with equal matrices. Returns grouped
-    representatives and an ambiguity flag (float mode only): some distinct
-    representatives sit within [TAU_EQ, 10 TAU_EQ] of each other."""
+# a length-n product: float matrix, exact entries (None in float mode), weight
+_Product = Tuple[GroupElement, Optional[ExactEntries], float]
+
+
+def _add_weight(table: dict, key, item: _Product) -> None:
+    """Store item under key, or add its weight to the representative there."""
+    old = table.get(key)
+    table[key] = item if old is None else (old[0], old[1], old[2] + item[2])
+
+
+def _group_products(items: List[_Product],
+                    exact: bool) -> Tuple[List[_Product], bool]:
+    """Collapse products with equal matrices, summing their weights: equal
+    exact entries in exact mode, float entries within TAU_EQ otherwise.
+    Returns grouped representatives and an ambiguity flag (float mode only):
+    some distinct representatives sit within [TAU_EQ, 10 TAU_EQ] of each
+    other."""
     if exact:
-        table: Dict[tuple, Tuple[GroupElement, float]] = {}
-        for g, w in items:
-            key = g.exact_key()
-            if key in table:
-                old_g, old_w = table[key]
-                table[key] = (old_g, old_w + w)
-            else:
-                table[key] = (g, w)
+        table: Dict[ExactEntries, _Product] = {}
+        for item in items:
+            _add_weight(table, item[1], item)
         return list(table.values()), False
 
     # grid hash at resolution TAU_EQ, then merge straddling buckets
     from scipy.spatial import cKDTree
 
-    reps: List[Tuple[GroupElement, float]] = []
-    grid: Dict[tuple, int] = {}
-    coords: List[Tuple[float, ...]] = []
-    for g, w in items:
-        e = _embed8(g)
-        key = tuple(int(math.floor(x / TAU_EQ + 0.5)) for x in e)
-        idx = grid.get(key)
-        if idx is None:
-            grid[key] = len(reps)
-            reps.append((g, w))
-            coords.append(e)
-        else:
-            rg, rw = reps[idx]
-            reps[idx] = (rg, rw + w)
+    grid: Dict[tuple, _Product] = {}
+    for item in items:
+        key = tuple(int(math.floor(x / TAU_EQ + 0.5)) for x in _embed8(item[0]))
+        _add_weight(grid, key, item)
+    reps = list(grid.values())
 
     if len(reps) > 1:
-        pts = np.array(coords)
+        pts = np.array([_embed8(g) for g, _, _ in reps])
         tree = cKDTree(pts)
         pairs = tree.query_pairs(r=TAU_EQ, output_type="ndarray")
         if len(pairs):
@@ -527,16 +521,11 @@ def _group_products(items: List[Tuple[GroupElement, float]],
                 ri, rj = root(int(i)), root(int(j))
                 if ri != rj:
                     parent[rj] = ri
-            merged: Dict[int, Tuple[GroupElement, float]] = {}
-            for k, (g, w) in enumerate(reps):
-                r = root(k)
-                if r in merged:
-                    mg, mw = merged[r]
-                    merged[r] = (mg, mw + w)
-                else:
-                    merged[r] = (g, w)
+            merged: Dict[int, _Product] = {}
+            for k, item in enumerate(reps):
+                _add_weight(merged, root(k), item)
             reps = list(merged.values())
-            pts = np.array([_embed8(g) for g, _ in reps])
+            pts = np.array([_embed8(g) for g, _, _ in reps])
             tree = cKDTree(pts)
 
         ambiguous = False
@@ -549,19 +538,24 @@ def _group_products(items: List[Tuple[GroupElement, float]],
 
 
 def _grouped_products(sys: System, n_max: int,
-                      cap: int) -> Iterator[Tuple[int, list, bool]]:
+                      cap: int) -> Iterator[Tuple[int, List[_Product], bool]]:
     """Yield (n, grouped, ambiguous) for n = 1..n_max: the distinct length-n
     products with their summed word weights (see _group_products), each level
-    expanded from the distinct representatives of the level before."""
+    expanded from the distinct representatives of the level before. Exact
+    entries are multiplied only in exact mode, where they decide equality."""
     if n_max < 1:
         raise UndersampledError(f"word products need n_max >= 1, got {n_max}")
     if sys.size ** n_max > cap:
         raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
-    level = [(GroupElement.identity(exact=sys.exact), 1.0)]
+    exact = sys.exact is not None
+    letters = list(zip(sys.generators, sys.exact or (None,) * sys.size,
+                       sys.probs))
+    level: List[_Product] = [(GroupElement.identity(),
+                              EXACT_IDENTITY if exact else None, 1.0)]
     for n in range(1, n_max + 1):
-        nxt = [(g @ gi, w * p) for g, w in level
-               for gi, p in zip(sys.generators, sys.probs)]
-        level, ambiguous = _group_products(nxt, sys.exact)
+        nxt = [(g @ gi, exact_mul(x, xi) if exact else None, w * p)
+               for g, x, w in level for gi, xi, p in letters]
+        level, ambiguous = _group_products(nxt, exact)
         yield n, level, ambiguous
 
 
@@ -662,7 +656,7 @@ def random_walk_entropy(sys: System, n_max: int,
     free = True
     for n, grouped, amb in _grouped_products(sys, n_max, cap):
         ambiguous = ambiguous or amb
-        h_n = shannon_entropy([w for _, w in grouped])
+        h_n = shannon_entropy([w for _, _, w in grouped])
         rows.append((n, h_n, h_n / n))
         free = len(grouped) == sys.size ** n
 

@@ -13,7 +13,7 @@ import os
 import sys as _sys
 
 from .checks import certify, diophantine_probe, random_walk_entropy
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, parse_flag
 from .engine import (delta_estimate, dim_estimate, lyapunov_estimate,
                      sample_boundary)
 from .dyadic import sphere_to_plane
@@ -109,12 +109,12 @@ def cmd_dio(cfg: RunConfig) -> int:
 def cmd_sample(cfg: RunConfig) -> int:
     count = cfg.param("count", 100_000, int)
     bits = cfg.param("bits", 40.0, float)
-    transpose = cfg.param("transpose", "false") in ("true", "1", "yes")
+    transpose = parse_flag("transpose", cfg.param("transpose", "false"), None)
     space = cfg.param("space", "c_inf")
     if not cfg.out_path:
         raise FurstlabError("sample needs --out for the point-cloud CSV")
-    cloud = sample_boundary(cfg.system, bits, count, cfg.seed, cfg.workers,
-                            transpose=transpose)
+    system = cfg.system.transposed() if transpose else cfg.system
+    cloud = sample_boundary(system, bits, count, cfg.seed, cfg.workers)
     measure = cloud.measure if space == "cp1" else sphere_to_plane(cloud.measure)
     measure.to_csv(cfg.out_path)
     summary = {"count": count, "space": space,

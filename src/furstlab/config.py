@@ -4,7 +4,8 @@ Three sections: [system], [params], [output]. The system is either a preset
 reference or inline matrices, one `g = ...` line per generator with eight
 comma-separated entries (re,im pairs row-major); entries may be decimal or
 exact rational literals `p/q`. A probability line `p = ...` and an optional
-`exact = true/false` complete the system.
+`exact = true/false` complete the system. Flags read true/false, 1/0 or
+yes/no in any case; anything else is an error.
 
 Entries and determinants must be finite. Float-mode inline matrices are
 accepted when |det - 1| <= 1e-8 and then rescaled by the principal square
@@ -19,14 +20,26 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .presets import get_preset
-from .sl2 import GaussianRational, GroupElement
+from .sl2 import ExactEntries, GaussianRational, GroupElement
 from .words import System
 
 DET_TOL = 1e-8
+FLAGS = {"true": True, "1": True, "yes": True,
+         "false": False, "0": False, "no": False}
+
+
+def parse_flag(key: str, value: str, line: Optional[int]) -> bool:
+    """A boolean setting: true/false, 1/0 or yes/no in any case; ConfigError
+    naming the key (and the line, when there is one) for anything else."""
+    try:
+        return FLAGS[value.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"bad value {value!r} for {key!r}: expected "
+                          "true/false, 1/0 or yes/no", line)
 
 
 @dataclass
@@ -53,16 +66,14 @@ class RunConfig:
         if self.preset is not None:
             lines.append(f"preset = {self.preset}")
         else:
-            for g in self.system.generators:
-                if self.system.exact:
-                    parts = []
-                    for x in g.exact_key():
-                        parts.extend([_frac_str(x.re), _frac_str(x.im)])
-                else:
-                    parts = []
-                    for z in g.entries():
-                        parts.extend([f"{z.real:.17g}", f"{z.imag:.17g}"])
-                lines.append("g = " + ",".join(parts))
+            if self.system.exact:
+                rows = [[_frac_str(f) for x in xs for f in (x.re, x.im)]
+                        for xs in self.system.exact]
+            else:
+                rows = [[f"{t:.17g}" for z in g.entries()
+                         for t in (z.real, z.imag)]
+                        for g in self.system.generators]
+            lines.extend("g = " + ",".join(r) for r in rows)
             lines.append("p = " + ",".join(f"{p:.17g}" for p in self.system.probs))
             lines.append(f"exact = {'true' if self.system.exact else 'false'}")
         lines.append("")
@@ -99,7 +110,10 @@ def _parse_scalar(tok: str, line_no: int) -> Tuple[float, Optional[Fraction]]:
         raise ConfigError(f"bad numeric literal {tok!r}: {exc}", line_no)
 
 
-def _build_matrix(tokens: List[str], line_no: int, want_exact: bool) -> GroupElement:
+def _build_matrix(tokens: List[str], line_no: int,
+                  want_exact: bool) -> Union[ExactEntries, GroupElement]:
+    """The exact entries of a `g = ...` line in exact mode, else its float
+    matrix."""
     if len(tokens) != 8:
         raise ConfigError(f"matrix line needs 8 entries, got {len(tokens)}",
                           line_no)
@@ -121,7 +135,7 @@ def _build_matrix(tokens: List[str], line_no: int, want_exact: bool) -> GroupEle
         if not (det.re == 1 and det.im == 0):
             raise ConfigError(
                 f"exact determinant is {det.re}+{det.im}i, not 1", line_no)
-        return GroupElement.from_exact(*gr)
+        return tuple(gr)
     if abs(det - 1.0) > DET_TOL:
         raise ConfigError(
             f"determinant {det:.12g} violates |det-1| <= {DET_TOL:g}; "
@@ -168,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
             elif key == "p":
                 p_line = (line_no, val.split(","))
             elif key == "exact":
-                exact = val.lower() in ("true", "1", "yes")
+                exact = parse_flag(key, val, line_no)
                 exact_set_at = line_no
             else:
                 raise ConfigError(f"unknown system key {key!r}", line_no)
@@ -213,14 +227,14 @@ def parse_config(text: str) -> RunConfig:
 
     if not g_lines:
         raise ConfigError("no system given: need `preset = ...` or g lines", 1)
-    gens = tuple(_build_matrix(toks, ln, exact) for ln, toks in g_lines)
+    mats = tuple(_build_matrix(toks, ln, exact) for ln, toks in g_lines)
     if p_line is None:
-        probs = tuple(1.0 / len(gens) for _ in gens)
+        probs = tuple(1.0 / len(mats) for _ in mats)
     else:
         ln, toks = p_line
-        if len(toks) != len(gens):
+        if len(toks) != len(mats):
             raise ConfigError(
-                f"{len(toks)} probabilities for {len(gens)} matrices", ln)
+                f"{len(toks)} probabilities for {len(mats)} matrices", ln)
         probs = tuple(_parse_scalar(t, ln)[0] for t in toks)
         if not all(0 < p < math.inf for p in probs):
             raise ConfigError("probabilities must be positive and finite", ln)
@@ -228,7 +242,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"probabilities sum to {math.fsum(probs)!r}, not 1", ln)
     try:
-        system = System(gens, probs, exact=exact, name="inline")
+        system = (System.from_exact(mats, probs, "inline") if exact
+                  else System(mats, probs, name="inline"))
     except ValueError as exc:
         raise ConfigError(str(exc), exact_set_at or g_lines[0][0])
     return RunConfig(system, None, seed, workers, params, out_path, out_format)

@@ -193,18 +193,13 @@ class BoundaryCloud:
 
 def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
                     count: int = 100_000, seed: int = 0, workers: int = 1,
-                    transpose: bool = False,
                     max_len: int = 4096) -> BoundaryCloud:
     """Draw `count` boundary directions L(g_{w|T}) where T is the first time
     chi exceeds 2*target_bits (adaptive stopping keyed to the norm cocycle).
 
     The truncation error is exponentially small in target_bits; raises
     StallError when the norm cocycle fails to grow (non-proximal input).
-    With `transpose` the walk runs over `sys.transposed()`, and the cloud
-    records that system.
     """
-    if transpose:
-        sys = sys.transposed()
     probs = sys.probs_array()
     chi_goal = 2.0 * target_bits
 

@@ -129,8 +129,7 @@ def push_stationary(measure: EmpiricalMeasure, sys: System,
                     seed: int) -> EmpiricalMeasure:
     """One extra random generator applied to every sample: an exact sample of
     the generator-weighted average of the input cloud."""
-    theta = ThetaSpec([GroupElement(*g.entries()) for g in sys.generators],
-                      list(sys.probs), "one-step")
+    theta = ThetaSpec(list(sys.generators), list(sys.probs), "one-step")
     return apply_atoms_to_sphere(measure, theta, seed)
 
 

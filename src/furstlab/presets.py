@@ -5,23 +5,20 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 
-from .sl2 import GaussianRational, GroupElement, su2_from_pair
+from .sl2 import ExactEntries, GaussianRational, GroupElement, su2_from_pair
 from .words import System
 
 
-def _gr(re, im=0) -> GaussianRational:
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-def _exact_mat(entries) -> GroupElement:
-    return GroupElement.from_exact(*[_gr(re, im) for re, im in entries])
+def _exact_mat(entries) -> ExactEntries:
+    return tuple(GaussianRational(Fraction(re), Fraction(im))
+                 for re, im in entries)
 
 
 def sanov() -> System:
     """Integer parabolic pair; free semigroup, fixes the real line."""
     g0 = _exact_mat([(1, 0), (2, 0), (0, 0), (1, 0)])
     g1 = _exact_mat([(1, 0), (0, 0), (2, 0), (1, 0)])
-    return System((g0, g1), (0.5, 0.5), exact=True, name="sanov")
+    return System.from_exact((g0, g1), (0.5, 0.5), "sanov")
 
 
 def twist() -> System:
@@ -29,9 +26,8 @@ def twist() -> System:
     s = sanov()
     w = cmath.exp(1j * cmath.pi / 7)
     rot = GroupElement(w, 0j, 0j, 1.0 / w)
-    gens = tuple(GroupElement(*g.entries()) for g in s.generators) + (rot,)
     third = 1.0 / 3.0
-    return System(gens, (third, third, 1.0 - 2.0 * third), exact=False,
+    return System(s.generators + (rot,), (third, third, 1.0 - 2.0 * third),
                   name="twist")
 
 
@@ -39,14 +35,14 @@ def discrete_gaussian() -> System:
     """Parabolic pair over the Gaussian integers."""
     g0 = _exact_mat([(1, 0), (1, 1), (0, 0), (1, 0)])
     g1 = _exact_mat([(1, 0), (0, 0), (1, -1), (1, 0)])
-    return System((g0, g1), (0.5, 0.5), exact=True, name="discrete-gaussian")
+    return System.from_exact((g0, g1), (0.5, 0.5), "discrete-gaussian")
 
 
 def inverse_pair() -> System:
     """Diagonal matrix and its inverse; collision control, zero drift."""
     g0 = _exact_mat([(2, 0), (0, 0), (0, 0), (Fraction(1, 2), 0)])
     g1 = _exact_mat([(Fraction(1, 2), 0), (0, 0), (0, 0), (2, 0)])
-    return System((g0, g1), (0.5, 0.5), exact=True, name="inverse-pair")
+    return System.from_exact((g0, g1), (0.5, 0.5), "inverse-pair")
 
 
 def su2_control() -> System:
@@ -55,7 +51,7 @@ def su2_control() -> System:
                        cmath.exp(1.1j) * 0.64421768723769102)
     u1 = su2_from_pair(cmath.exp(2.2j) * 0.45359612142557731,
                        cmath.exp(0.7j) * 0.89120736006143531)
-    return System((u0, u1), (0.5, 0.5), exact=False, name="su2-control")
+    return System((u0, u1), (0.5, 0.5), name="su2-control")
 
 
 PRESETS = {
@@ -81,5 +77,5 @@ def list_presets():
     rows = []
     for name, (factory, desc) in sorted(PRESETS.items()):
         sys_ = factory()
-        rows.append((name, sys_.size, sys_.exact, desc))
+        rows.append((name, sys_.size, sys_.exact is not None, desc))
     return rows

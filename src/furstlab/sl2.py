@@ -1,6 +1,7 @@
-"""Exact and floating arithmetic for SL(2,C), Moebius actions on the Riemann
-sphere, closed-form 2x2 singular value decomposition, the top-singular-direction
-map, and the metrics and charts used by the rest of the package.
+"""Floating arithmetic for SL(2,C), exact Gaussian-rational matrix entries,
+Moebius actions on the Riemann sphere, closed-form 2x2 singular value
+decomposition, the top-singular-direction map, and the metrics and charts
+used by the rest of the package.
 
 Conventions:
 
@@ -37,8 +38,8 @@ _NEG_AXIS_TOL = 1e-14    # relative tolerance for "eigenvalue on (-inf, 0]"
 class GaussianRational:
     """Exact complex scalar with rational real and imaginary parts.
 
-    Closed under +, -, * and division by nonzero elements, so exact-mode
-    matrix products and inverses stay exact.
+    Closed under +, -, * and division by nonzero elements, so products of
+    exact matrices (`exact_mul`) stay exact.
     """
 
     re: Fraction
@@ -72,9 +73,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -88,11 +86,19 @@ class GaussianRational:
         return complex(float(self.re), float(self.im))
 
 
-GR_ZERO = GaussianRational.of(0)
-GR_ONE = GaussianRational.of(1)
-
 ExactEntries = Tuple[GaussianRational, GaussianRational,
                      GaussianRational, GaussianRational]
+
+EXACT_IDENTITY: ExactEntries = (GaussianRational.of(1), GaussianRational.of(0),
+                                GaussianRational.of(0), GaussianRational.of(1))
+
+
+def exact_mul(x: ExactEntries, y: ExactEntries) -> ExactEntries:
+    """Row-major product of two exact 2x2 matrices."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (xa * ya + xb * yc, xa * yb + xb * yd,
+            xc * ya + xd * yc, xc * yb + xd * yd)
 
 
 # ---------------------------------------------------------------------------
@@ -101,27 +107,16 @@ ExactEntries = Tuple[GaussianRational, GaussianRational,
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A 2x2 complex matrix of determinant one, row-major entries a, b, c, d.
-
-    Float entries are always present; `exact` optionally carries the same
-    matrix with Gaussian-rational entries (exact mode).
-    """
+    """A 2x2 complex matrix of determinant one, row-major entries a, b, c, d."""
 
     a: complex
     b: complex
     c: complex
     d: complex
-    exact: Optional[ExactEntries] = None
 
     @classmethod
-    def identity(cls, exact: bool = False) -> "GroupElement":
-        ex = (GR_ONE, GR_ZERO, GR_ZERO, GR_ONE) if exact else None
-        return cls(1.0 + 0j, 0j, 0j, 1.0 + 0j, ex)
-
-    @classmethod
-    def from_exact(cls, a: GaussianRational, b: GaussianRational,
-                   c: GaussianRational, d: GaussianRational) -> "GroupElement":
-        return cls(complex(a), complex(b), complex(c), complex(d), (a, b, c, d))
+    def identity(cls) -> "GroupElement":
+        return cls(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
     @classmethod
     def from_rows(cls, row1, row2) -> "GroupElement":
@@ -139,34 +134,19 @@ class GroupElement:
                 + abs(self.c) ** 2 + abs(self.d) ** 2)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        ex = None
-        if self.exact is not None and other.exact is not None:
-            xa, xb, xc, xd = self.exact
-            ya, yb, yc, yd = other.exact
-            ex = (xa * ya + xb * yc, xa * yb + xb * yd,
-                  xc * ya + xd * yc, xc * yb + xd * yd)
         return GroupElement(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            ex,
         )
 
     def inverse(self) -> "GroupElement":
         # adjugate; exact for det = 1
-        ex = None
-        if self.exact is not None:
-            xa, xb, xc, xd = self.exact
-            ex = (xd, -xb, -xc, xa)
-        return GroupElement(self.d, -self.b, -self.c, self.a, ex)
+        return GroupElement(self.d, -self.b, -self.c, self.a)
 
     def transpose(self) -> "GroupElement":
-        ex = None
-        if self.exact is not None:
-            xa, xb, xc, xd = self.exact
-            ex = (xa, xc, xb, xd)
-        return GroupElement(self.a, self.c, self.b, self.d, ex)
+        return GroupElement(self.a, self.c, self.b, self.d)
 
     def adjoint(self) -> "GroupElement":
         return GroupElement(self.a.conjugate(), self.c.conjugate(),
@@ -185,16 +165,6 @@ class GroupElement:
 
     def entries(self) -> Tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
-
-    def exact_key(self) -> ExactEntries:
-        if self.exact is None:
-            raise ValueError("matrix has no exact entries")
-        return self.exact
-
-    def max_exact_bits(self) -> int:
-        if self.exact is None:
-            return 0
-        return max(x.bit_size() for x in self.exact)
 
     def det_defect(self) -> float:
         return abs(self.det() - 1.0)

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceededError, ExactOverflowError, StallError
-from .sl2 import GroupElement
+from .sl2 import EXACT_IDENTITY, ExactEntries, GroupElement, exact_mul
 
 Word = Tuple[int, ...]
 
@@ -25,13 +25,20 @@ DEFAULT_ENUM_CAP = 10_000_000
 MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
 
 
+def _rounded(x: ExactEntries) -> GroupElement:
+    xa, xb, xc, xd = x
+    return GroupElement(complex(xa), complex(xb), complex(xc), complex(xd))
+
+
 @dataclass(frozen=True)
 class System:
-    """Generating data: matrices g_i, probability vector p, exactness flag."""
+    """Generating data: matrices g_i and probability vector p. In exact mode
+    `exact` holds the Gaussian-rational entries of each g_i, and the float
+    generators are those entries rounded; in float mode it is None."""
 
     generators: Tuple[GroupElement, ...]
     probs: Tuple[float, ...]
-    exact: bool = False
+    exact: Optional[Tuple[ExactEntries, ...]] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -39,20 +46,30 @@ class System:
             raise ValueError("generator and probability counts differ")
         if not self.generators:
             raise ValueError("empty system")
-        if any(p <= 0 for p in self.probs):
-            raise ValueError("probabilities must be positive")
+        if not all(0 < p < math.inf for p in self.probs):
+            raise ValueError("probabilities must be positive and finite")
         if abs(math.fsum(self.probs) - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1")
-        for i, g in enumerate(self.generators):
-            if self.exact:
-                if g.exact is None:
-                    raise ValueError(f"generator {i} lacks exact entries")
-                xa, xb, xc, xd = g.exact
-                det = xa * xd - xb * xc
-                if not (det.re == 1 and det.im == 0):
-                    raise ValueError(f"generator {i}: exact determinant is not 1")
-            elif g.det_defect() > 1e-10:
-                raise ValueError(f"generator {i}: |det - 1| = {g.det_defect():.3e}")
+        if self.exact is None:
+            for i, g in enumerate(self.generators):
+                if not g.det_defect() <= 1e-10:     # NaN fails as well
+                    raise ValueError(
+                        f"generator {i}: |det - 1| = {g.det_defect():.3e}")
+            return
+        for i, (xa, xb, xc, xd) in enumerate(self.exact):
+            det = xa * xd - xb * xc
+            if not (det.re == 1 and det.im == 0):
+                raise ValueError(f"generator {i}: exact determinant is not 1")
+        if self.generators != tuple(map(_rounded, self.exact)):
+            raise ValueError("float generators are not the rounded exact ones")
+
+    @classmethod
+    def from_exact(cls, exact: Sequence[ExactEntries], probs: Sequence[float],
+                   name: str) -> "System":
+        """Exact-mode system; the float generators are the exact entries
+        rounded by complex()."""
+        exact = tuple(tuple(x) for x in exact)
+        return cls(tuple(map(_rounded, exact)), tuple(probs), exact, name)
 
     @property
     def size(self) -> int:
@@ -62,8 +79,10 @@ class System:
         return np.asarray(self.probs, dtype=float)
 
     def transposed(self) -> "System":
+        exact = None if self.exact is None else tuple(
+            (xa, xc, xb, xd) for xa, xb, xc, xd in self.exact)
         return System(tuple(g.transpose() for g in self.generators),
-                      self.probs, self.exact, self.name + "-transpose")
+                      self.probs, exact, self.name + "-transpose")
 
     def fingerprint(self) -> str:
         import hashlib
@@ -71,7 +90,7 @@ class System:
         for g in self.generators:
             parts.extend(f"{z.real:.17g},{z.imag:.17g}" for z in g.entries())
         parts.extend(f"{p:.17g}" for p in self.probs)
-        parts.append(str(self.exact))
+        parts.append(str(self.exact is not None))
         return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
     def tag(self) -> str:
@@ -141,14 +160,25 @@ class ScaledMatrix:
         return 2.0 * self.log2_op_norm()
 
 
-def product_of_word(sys: System, u: Sequence[int],
-                    bits_cap: int = EXACT_BITS_CAP) -> GroupElement:
-    """Left-to-right product g_{u_0} ... g_{u_{n-1}}; empty word gives the
-    identity. Exact in exact mode, with a bit-size overflow cap."""
-    acc = GroupElement.identity(exact=sys.exact)
+def product_of_word(sys: System, u: Sequence[int]) -> GroupElement:
+    """Left-to-right float product g_{u_0} ... g_{u_{n-1}}; empty word gives
+    the identity."""
+    acc = GroupElement.identity()
     for i in u:
         acc = acc @ sys.generators[i]
-        if sys.exact and acc.max_exact_bits() > bits_cap:
+    return acc
+
+
+def exact_product(sys: System, u: Sequence[int],
+                  bits_cap: int = EXACT_BITS_CAP) -> ExactEntries:
+    """Exact left-to-right product of the word u over `sys.exact`; raises
+    ExactOverflowError when an entry passes `bits_cap` bits."""
+    if sys.exact is None:
+        raise ValueError(f"system {sys.name!r} has no exact entries")
+    acc = EXACT_IDENTITY
+    for i in u:
+        acc = exact_mul(acc, sys.exact[i])
+        if max(x.bit_size() for x in acc) > bits_cap:
             raise ExactOverflowError(
                 f"exact entries exceeded {bits_cap} bits at length {len(u)}")
     return acc
@@ -182,10 +212,8 @@ def _exact_chi_tie(sys: System, u: Sequence[int], n: int) -> bool:
     if not sys.exact or n < 0:
         return False
     from fractions import Fraction
-    g = product_of_word(sys, u)
-    xa, xb, xc, xd = g.exact_key()
     f2 = Fraction(0)
-    for x in (xa, xb, xc, xd):
+    for x in exact_product(sys, u):
         f2 += x.re * x.re + x.im * x.im
     return f2 == Fraction(2) ** n + Fraction(1, 2 ** n)
 
@@ -232,13 +260,12 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
             out_words.append(tuple(u0))
             out_weights.append(w)
         else:
-            if sys.exact and _exact_chi_tie(sys, u0, n):
+            if _exact_chi_tie(sys, u0, n):
                 ties += 1
             frontier.append((tuple(u0), acc, w))
 
     blocks = _blocks(sys, l)
-    # float-only block products: ScaledMatrix arithmetic never needs exactness
-    block_mats = [GroupElement(*product_of_word(sys, b).entries()) for b in blocks]
+    block_mats = [product_of_word(sys, b) for b in blocks]
     block_ws = [word_weight(sys, b) for b in blocks]
 
     while frontier:
@@ -255,7 +282,7 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
                     out_words.append(nw)
                     out_weights.append(w * bw)
                 else:
-                    if sys.exact and _exact_chi_tie(sys, nw, n):
+                    if _exact_chi_tie(sys, nw, n):
                         ties += 1
                     new_frontier.append((nw, nxt, w * bw))
         frontier = new_frontier

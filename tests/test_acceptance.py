@@ -110,11 +110,10 @@ def test_criterion_02_exact_entropy():
 
     from fractions import Fraction
     from furstlab.sl2 import GaussianRational
-    g = GroupElement.from_exact(
-        GaussianRational(Fraction(2), Fraction(0)), GaussianRational.of(0),
-        GaussianRational.of(0), GaussianRational(Fraction(1, 2), Fraction(0)))
-    rep = fl.random_walk_entropy(System((g, g), (0.5, 0.5), exact=True,
-                                        name="rep"), 8)
+    g = (GaussianRational(Fraction(2), Fraction(0)), GaussianRational.of(0),
+         GaussianRational.of(0), GaussianRational(Fraction(1, 2), Fraction(0)))
+    rep = fl.random_walk_entropy(System.from_exact((g, g), (0.5, 0.5), "rep"),
+                                 8)
     rep_ok = all(h == 0.0 for _, h, _ in rep.rows)
 
     ok = sanov_ok and binom_ok and rep_ok

@@ -25,14 +25,13 @@ def _gr(x):
     return GaussianRational(Fraction(x), Fraction(0))
 
 
-UPPER_PAIR = System(
-    (GroupElement.from_exact(_gr(2), _gr(1), _gr(0), _gr("1/2")),
-     GroupElement.from_exact(_gr(3), _gr(1), _gr(0), _gr("1/3"))),
-    (0.5, 0.5), exact=True, name="upper-pair")
+UPPER_PAIR = System.from_exact(
+    ((_gr(2), _gr(1), _gr(0), _gr("1/2")),
+     (_gr(3), _gr(1), _gr(0), _gr("1/3"))),
+    (0.5, 0.5), "upper-pair")
 
-SINGLE_DIAG = System(
-    (GroupElement.from_exact(_gr(2), _gr(0), _gr(0), _gr("1/2")),),
-    (1.0,), exact=True, name="single-diag")
+SINGLE_DIAG = System.from_exact(
+    ((_gr(2), _gr(0), _gr(0), _gr("1/2")),), (1.0,), "single-diag")
 
 DIAG_AND_SWAP = System(
     (GroupElement(2 + 0j, 0j, 0j, 0.5 + 0j),
@@ -188,8 +187,8 @@ def test_hrw_sanov_free():
 
 
 def test_hrw_repeated_matrix_zero():
-    g = GroupElement.from_exact(_gr(2), _gr(0), _gr(0), _gr("1/2"))
-    sys_ = System((g, g), (0.5, 0.5), exact=True, name="rep")
+    g = (_gr(2), _gr(0), _gr(0), _gr("1/2"))
+    sys_ = System.from_exact((g, g), (0.5, 0.5), "rep")
     t = random_walk_entropy(sys_, 8)
     assert all(h == 0.0 for _, h, _ in t.rows)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import furstlab as fl
 from furstlab._parallel import run_blocks
+from furstlab.cli import main
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
                              sphere_to_plane, total_variation, uniform_square,
                              uniform_segment)
@@ -253,9 +254,18 @@ def test_small_ball_mass_twist():
     assert found is not None
 
 
-def test_boundary_transpose_flag():
-    # the transpose flag samples the transpose system's stationary cloud
-    a = sample_boundary(SANOV, 20, 2000, seed=8, transpose=True)
-    b = sample_boundary(SANOV.transposed(), 20, 2000, seed=8)
-    assert a.measure.points.tobytes() == b.measure.points.tobytes()
-    assert a.system == b.system
+def test_boundary_transpose_flag(tmp_path):
+    # `sample --param transpose=...` samples the transpose system's cloud
+    t = SANOV.transposed()
+    a = sample_boundary(t, 20, 2000, seed=8)
+    assert a.system == t and t.name == "sanov-transpose"
+    assert t.exact == tuple((xa, xc, xb, xd) for xa, xb, xc, xd in SANOV.exact)
+    b = sample_boundary(SANOV, 20, 2000, seed=8)
+    assert a.measure.points.tobytes() != b.measure.points.tobytes()
+    sphere_to_plane(a.measure).to_csv(str(tmp_path / "direct.csv"))
+    assert main(["sample", "--preset", "sanov", "--seed", "8",
+                 "--param", "bits=20", "--param", "count=2000",
+                 "--param", "transpose=True",
+                 "--out", str(tmp_path / "cli.csv")]) == 0
+    assert ((tmp_path / "cli.csv").read_bytes()
+            == (tmp_path / "direct.csv").read_bytes())

@@ -11,27 +11,42 @@ Python's shortest round-trip float repr, which is exact to the bit.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from furstlab import (PipelineBudget, check_proximality, delta_estimate,
-                      diophantine_probe, doubling_word_sets,
+from furstlab import (PipelineBudget, System, certify, check_proximality,
+                      delta_estimate, diophantine_probe, doubling_word_sets,
                       enumerate_first_passage, exp_direction_cocycle,
                       exp_linearization_check, exp_main_theorem,
                       exp_projection_entropy, exp_uniform_entropy_dim,
                       get_preset, random_walk_entropy, sample_boundary,
                       sample_word)
 from furstlab.dyadic import uniform_square
+from furstlab.sl2 import GaussianRational
 
 
 def _plain(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
-def _main_theorem():
-    return exp_main_theorem(get_preset("twist"),
-                            PipelineBudget().small(8192), seed=7).to_json()
+def _main_theorem(name):
+    def run():
+        return exp_main_theorem(get_preset(name),
+                                PipelineBudget().small(8192), seed=7).to_json()
+    return run
+
+
+def _certify_exact():
+    gr = [GaussianRational(Fraction(x), Fraction(0))
+          for x in (0, 1, 2, 3, "1/2", "1/3")]
+    upper_pair = System.from_exact(((gr[2], gr[1], gr[0], gr[4]),
+                                    (gr[3], gr[1], gr[0], gr[5])),
+                                   (0.5, 0.5), "upper-pair")
+    systems = [get_preset(name) for name in
+               ("sanov", "discrete-gaussian", "inverse-pair")] + [upper_pair]
+    return _plain([certify(s).to_dict() for s in systems])
 
 
 def _delta_ladder():
@@ -41,8 +56,9 @@ def _delta_ladder():
 
 def _boundary_cloud(name, transpose=False):
     def run():
-        cloud = sample_boundary(get_preset(name), count=8192, seed=3,
-                                transpose=transpose)
+        sys_ = get_preset(name)
+        cloud = sample_boundary(sys_.transposed() if transpose else sys_,
+                                count=8192, seed=3)
         rows = cloud.measure.points
         return _plain([rows.real.tolist(), rows.imag.tolist(),
                        cloud.first_letters.tolist(), cloud.stop_chi.tolist(),
@@ -115,7 +131,9 @@ def _first_passage_words():
 
 
 CASES = {
-    "main-theorem": _main_theorem,
+    "main-theorem": _main_theorem("twist"),
+    "main-theorem-sanov": _main_theorem("sanov"),
+    "certify-exact": _certify_exact,
     "boundary-cloud-twist": _boundary_cloud("twist"),
     "boundary-cloud-twist-transpose": _boundary_cloud("twist", transpose=True),
     "boundary-cloud-sanov": _boundary_cloud("sanov"),
@@ -129,6 +147,7 @@ CASES = {
     "hrw-twist": _hrw("twist", 6),
     "dio-sanov": _dio("sanov", 6),
     "dio-twist": _dio("twist", 4),
+    "dio-discrete-gaussian": _dio("discrete-gaussian", 5),
     "uniform-entropy-dim": _uniform_entropy_dim,
     "projection-entropy": _projection_entropy,
     "linearization": _linearization,
@@ -139,15 +158,18 @@ DIGESTS = {
     "boundary-cloud-sanov": "a63af36e3ada0b754876ce89f5fff4016997b60f536adabf442cdb0d964d3694",
     "boundary-cloud-twist": "23d4abeeaceb94103c3f3662c85fba82d4e31eea11627eb95122bb90cdda362e",
     "boundary-cloud-twist-transpose": "c59893e561a4ce9453de82ae6ef9faad8deab8993e419e31e1bd422febbd1f98",
+    "certify-exact": "868cfd099444f4f7c496e28cb5cdfcc5dcafc3597daba35e3cc7dc91591a86ac",
     "delta-ladder": "615004025ed190c86f48e7ac806587791eec49d080c0388667ff05b87ceb4a83",
     "direction-cocycle": "16a4c08344bdc3a18fac2a6ccb0a70be32ad0fa883b625ccaa3000d280dd632e",
     "dio-sanov": "ebdc5343ebe09f7af5824e7e817b4bfbb4eb8b445afcff46b860814a5a83666d",
+    "dio-discrete-gaussian": "f95ad50731dc5d2532fe913a322bd1d5fd5c108fb631ba84b125824c467318f7",
     "dio-twist": "75bc2e94f2251df13a128ff6c67e116ab37e5ca07c53b7dd002bc59b792d6490",
     "first-passage-words": "2193289d4ea1d9064a79aa1263d88bb8b80cfc063e2250f1ff1fbfeee1fee1c0",
     "hrw-sanov": "cd788fa4102562fe176a4dc12cdf8ec05d7a7dc176d0d3f6b9ba3bed58fc1db5",
     "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
     "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
+    "main-theorem-sanov": "284741258cd8ff5b8660efe53332967d64df1320a74130c9b832e827828c4be1",
     "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
     "proximality": "0b2644e5616229eeabdf50df6210837e8eb4da07afae85e355934d3d92949504",
     "proximality-exact": "f9577404db6df1da5aebf19d62f0b8619b36182c0c4721665b845460f453ab60",

@@ -74,7 +74,7 @@ def test_rules_flag_violations():
 
 
 # defaulted parameters of module-level functions and methods at the last count
-DEFAULTED_PARAMETERS_PIN = 99
+DEFAULTED_PARAMETERS_PIN = 96
 
 
 def _defaulted_parameters(tree) -> int:

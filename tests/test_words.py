@@ -12,34 +12,36 @@ import pytest
 
 import furstlab as fl
 from furstlab.errors import CapExceededError, ExactOverflowError
-from furstlab.sl2 import GaussianRational, GroupElement, dist_cp1
+from furstlab.sl2 import (EXACT_IDENTITY, GaussianRational, GroupElement,
+                          dist_cp1, exact_mul)
 from furstlab.words import (ScaledMatrix, System, chi_word,
                             doubling_word_sets, enumerate_first_passage,
-                            is_doubling_word, product_of_word, sample_word)
+                            exact_product, is_doubling_word, product_of_word,
+                            sample_word)
 
 
-def _exact_diag(top) -> GroupElement:
+def _exact_diag(top):
     t = Fraction(top)
-    return GroupElement.from_exact(
-        GaussianRational(t, Fraction(0)), GaussianRational.of(0),
-        GaussianRational.of(0), GaussianRational(1 / t, Fraction(0)))
+    return (GaussianRational(t, Fraction(0)), GaussianRational.of(0),
+            GaussianRational.of(0), GaussianRational(1 / t, Fraction(0)))
 
 
-SINGLE = System((_exact_diag(2),), (1.0,), exact=True, name="single")
+SINGLE = System.from_exact((_exact_diag(2),), (1.0,), "single")
 SANOV = fl.get_preset("sanov")
 INV = fl.get_preset("inverse-pair")
+TWIST = fl.get_preset("twist")
 
 
 def test_product_empty_word():
     g = product_of_word(SANOV, ())
     assert g.entries() == (1, 0, 0, 1)
-    assert g.exact is not None
+    assert exact_product(SANOV, ()) == EXACT_IDENTITY
 
 
 def test_product_sanov_hand():
     g = product_of_word(SANOV, (0, 1))
     assert g.entries() == (5, 2, 2, 1)
-    xa, xb, xc, xd = g.exact_key()
+    xa, xb, xc, xd = exact_product(SANOV, (0, 1))
     assert (xa.re, xb.re, xc.re, xd.re) == (5, 2, 2, 1)
 
 
@@ -48,9 +50,20 @@ def test_product_associativity_sampled():
     for _ in range(50):
         u = tuple(rng.integers(0, 2, size=rng.integers(0, 6)))
         v = tuple(rng.integers(0, 2, size=rng.integers(1, 6)))
-        lhs = product_of_word(SANOV, u + v)
-        rhs = product_of_word(SANOV, u) @ product_of_word(SANOV, v)
-        assert lhs.exact_key() == rhs.exact_key()
+        lhs = exact_product(SANOV, u + v)
+        rhs = exact_mul(exact_product(SANOV, u), exact_product(SANOV, v))
+        assert lhs == rhs
+
+
+@pytest.mark.parametrize("gens, probs", [
+    (TWIST.generators, (float("nan"), 0.5, 0.5)),
+    (TWIST.generators, (float("inf"), 0.5, 0.5)),
+    ((GroupElement(float("nan"), 0j, 0j, 1 + 0j),), (1.0,)),
+    ((GroupElement(1 + 0j, complex(float("nan")), 0j, 1 + 0j),), (1.0,)),
+], ids=["nan-probability", "inf-probability", "nan-entry", "nan-det"])
+def test_system_rejects_nan(gens, probs):
+    with pytest.raises(ValueError):
+        System(gens, probs)
 
 
 def test_chi_word_values():
@@ -69,7 +82,7 @@ def test_chi_word_long_no_overflow():
 
 def test_exact_overflow_cap():
     with pytest.raises(ExactOverflowError):
-        product_of_word(SANOV, tuple([0, 1] * 200), bits_cap=64)
+        exact_product(SANOV, tuple([0, 1] * 200), bits_cap=64)
 
 
 def test_first_passage_single_matrix():
