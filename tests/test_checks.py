@@ -7,7 +7,7 @@ from math import comb, log2
 import numpy as np
 
 import furstlab as fl
-from furstlab.checks import (certify, check_proximality,
+from furstlab.checks import (_group_products, certify, check_proximality,
                              check_strong_irreducibility, diophantine_probe,
                              find_common_fixed_points, find_fixed_circles,
                              random_walk_entropy)
@@ -175,6 +175,53 @@ def test_dio_exact_table_rational_preset():
     rep = diophantine_probe(fl.get_preset("discrete-gaussian"), 6)
     assert all(r["min_separation"] is None or r["min_separation"] > 0
                for r in rep.rows)
+
+
+# -- grouping of equal float products --------------------------------------------
+
+def _group(rows, weights):
+    """(representative rows, group weights, ambiguity flag) of hand-built
+    float items with rows (Re a, Im a, Re b, Im b) and c = 0, d = 1."""
+    items = [(GroupElement(complex(r[0], r[1]), complex(r[2], r[3]), 0j,
+                           1 + 0j), None, w) for r, w in zip(rows, weights)]
+    reps, ambiguous = _group_products(items, False)
+    return ([[g.a.real, g.a.imag, g.b.real, g.b.imag] for g, _, _ in reps],
+            [w for _, _, w in reps], ambiguous)
+
+
+# items in order; the grid cell of Re a is floor(Re a / TAU_EQ + 0.5)
+GROUP_ROWS = [
+    [0.5e-8 - 1e-12, 0.25, 0.0, 0.0],   # cell 0
+    [1.0, 0.25, 0.0, 0.0],              # far from the rest
+    [0.5e-8 + 1e-12, 0.25, 0.0, 0.0],   # cell 1, 2e-12 from item 0
+    [2.0, 0.25, 0.0, 0.0],              # chain start
+    [0.5e-8 - 1e-12, 0.25, 0.0, 0.0],   # cell 0 again
+    [2.0 + 1.6e-8, 0.25, 0.0, 0.0],     # chain end, 1.6e-8 from its start
+    [2.0 + 0.8e-8, 0.25, 0.0, 0.0],     # chain middle, joins both ends
+    [1.0, 0.25, 4.5e-8, 0.0],           # 4.5e-8 from item 1
+]
+GROUP_WEIGHTS = [0.1, 0.2, 0.4, 0.7, 0.2, 0.11, 0.13, 0.17]
+
+
+def test_group_products_grid_then_tree_merge():
+    # items 0 and 4 share a grid cell; item 2 straddles into the next cell
+    # and joins them through the kd-tree, so its weight is added last:
+    # (0.1 + 0.2) + 0.4, not (0.1 + 0.4) + 0.2. The chain merges by
+    # transitivity though its ends are 1.6e-8 apart.
+    reps, weights, ambiguous = _group(GROUP_ROWS[:7], GROUP_WEIGHTS[:7])
+    assert reps == [GROUP_ROWS[0], GROUP_ROWS[1], GROUP_ROWS[3]]
+    assert weights == [0.7000000000000001, 0.2, 0.94]
+    assert not ambiguous
+
+
+def test_group_products_ambiguity_flag():
+    # a pair at distance 4.5e-8, within [TAU_EQ, 10 TAU_EQ], stays apart
+    # and sets the flag
+    reps, weights, ambiguous = _group(GROUP_ROWS, GROUP_WEIGHTS)
+    assert reps == [GROUP_ROWS[0], GROUP_ROWS[1], GROUP_ROWS[3],
+                    GROUP_ROWS[7]]
+    assert weights == [0.7000000000000001, 0.2, 0.94, 0.17]
+    assert ambiguous
 
 
 # -- random walk entropy -----------------------------------------------------------

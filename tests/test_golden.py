@@ -145,9 +145,12 @@ CASES = {
     "proximality-exact": _proximality("sanov", "discrete-gaussian"),
     "hrw-sanov": _hrw("sanov", 8),
     "hrw-twist": _hrw("twist", 6),
+    "hrw-twist-8": _hrw("twist", 8),
+    "hrw-inverse-pair-9": _hrw("inverse-pair", 9),
     "dio-sanov": _dio("sanov", 6),
     "dio-twist": _dio("twist", 4),
     "dio-discrete-gaussian": _dio("discrete-gaussian", 5),
+    "dio-inverse-pair-6": _dio("inverse-pair", 6),
     "uniform-entropy-dim": _uniform_entropy_dim,
     "projection-entropy": _projection_entropy,
     "linearization": _linearization,
@@ -163,10 +166,13 @@ DIGESTS = {
     "direction-cocycle": "16a4c08344bdc3a18fac2a6ccb0a70be32ad0fa883b625ccaa3000d280dd632e",
     "dio-sanov": "ebdc5343ebe09f7af5824e7e817b4bfbb4eb8b445afcff46b860814a5a83666d",
     "dio-discrete-gaussian": "f95ad50731dc5d2532fe913a322bd1d5fd5c108fb631ba84b125824c467318f7",
+    "dio-inverse-pair-6": "7bec8cbbd236779ced50b825ba2ed44b91a40d9e11d0058f3fb65b4e383f5ede",
     "dio-twist": "75bc2e94f2251df13a128ff6c67e116ab37e5ca07c53b7dd002bc59b792d6490",
     "first-passage-words": "2193289d4ea1d9064a79aa1263d88bb8b80cfc063e2250f1ff1fbfeee1fee1c0",
     "hrw-sanov": "cd788fa4102562fe176a4dc12cdf8ec05d7a7dc176d0d3f6b9ba3bed58fc1db5",
     "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
+    "hrw-inverse-pair-9": "9b819f0ef9c62ffd3daaec2129d3bad1f247801820de9593a386e76a2a2b5693",
+    "hrw-twist-8": "52c1895f565301e611a9d5773f7e659e412c788ad4a35842b4b27c8413b03697",
     "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
     "main-theorem-sanov": "284741258cd8ff5b8660efe53332967d64df1320a74130c9b832e827828c4be1",
