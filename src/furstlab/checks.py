@@ -14,10 +14,11 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .dyadic import shannon_entropy
-from .errors import CapExceededError, LogBranchError, UndersampledError
-from .sl2 import (EXACT_IDENTITY, ExactEntries, GaussianRational,
-                  GroupElement, ProjPoint, E1, E2, dist_cp1, exact_mul,
-                  principal_log_norm, proj_act)
+from .errors import (CapExceededError, FloatOverflowError, LogBranchError,
+                     UndersampledError)
+from .sl2 import (EXACT_IDENTITY, ExactMatrix, GaussianRational,
+                  GroupElement, ProjPoint, E1, E2, dist_cp1, exact_matrix,
+                  exact_mul, principal_log_norm, proj_act)
 from .words import ScaledMatrix, System, draw_letters
 
 TAU_EIG = 1e-9
@@ -268,11 +269,9 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
     gens = sys.generators
 
     # (a) unboundedness by greedy composition (squaring included)
-    best = max(gens, key=lambda g: g.frobenius2())
-    best_log2 = math.log2(best.op_norm()) if best.op_norm() > 1 else 0.0
+    cur = max(gens, key=lambda g: g.frobenius2())
+    cur_log2 = math.log2(cur.op_norm()) if cur.op_norm() > 1 else 0.0
     steps = 0
-    cur = best
-    cur_log2 = best_log2
     while steps < PROXIMALITY_DEPTH and cur_log2 <= NORM_THRESHOLD_BITS:
         steps += 1
         cands = [cur @ cur] + [cur @ g for g in gens] \
@@ -281,10 +280,7 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
         nxt_log2 = math.log2(nxt.op_norm())
         if nxt_log2 <= cur_log2 + 1e-12:
             break
-        # renormalize magnitude drift away (entries stay well inside float range)
         cur, cur_log2 = nxt, nxt_log2
-        if cur_log2 > NORM_THRESHOLD_BITS:
-            break
 
     if cur_log2 <= NORM_THRESHOLD_BITS:
         # greedy stalled; try random words with renormalized products
@@ -294,8 +290,7 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
                 i = int(rng.integers(sys.size))
                 acc = acc.times(gens[i])
                 steps += 1
-                if acc.log2_op_norm() > cur_log2:
-                    cur_log2 = acc.log2_op_norm()
+                cur_log2 = max(cur_log2, acc.log2_op_norm())
                 if cur_log2 > NORM_THRESHOLD_BITS:
                     break
             if cur_log2 > NORM_THRESHOLD_BITS:
@@ -313,27 +308,22 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
     witness: Optional[Tuple[int, ...]] = None
     wtrace: Optional[complex] = None
 
-    def consider(word: Tuple[int, ...], g: GroupElement):
+    def consider(word: Tuple[int, ...], t: complex):
         nonlocal strict, witness, wtrace
-        t = g.trace()
         if abs(t) > 2.0 + TRACE_SLACK and (wtrace is None or abs(t) > abs(wtrace)):
             strict, witness, wtrace = True, word, t
 
-    frontier: List[Tuple[Tuple[int, ...], GroupElement]] = \
-        [((i,), g) for i, g in enumerate(gens)]
-    for word, g in frontier:
-        consider(word, g)
-    exhaustive_len = 1
-    while len(frontier) * sys.size <= 4096 and exhaustive_len < 12:
-        nxt = []
-        for word, g in frontier:
-            for i, gi in enumerate(gens):
-                ng = g @ gi
-                nw = word + (i,)
-                consider(nw, ng)
-                nxt.append((nw, ng))
-        frontier = nxt
-        exhaustive_len += 1
+    # every word up to length 12 while a level stays within 4096 products
+    g_rows = rows = np.array([g.entries() for g in gens], complex).view(float)
+    words: List[Tuple[int, ...]] = [(i,) for i in range(sys.size)]
+    while True:
+        z = rows.view(complex)
+        for word, t in zip(words, (z[:, 0] + z[:, 3]).tolist()):
+            consider(word, t)
+        if len(words) * sys.size > 4096 or len(words[0]) >= 12:
+            break
+        rows = _level_product(rows, g_rows)
+        words = [u + (i,) for u in words for i in range(sys.size)]
     for _ in range(PROXIMALITY_TRIALS):
         length = int(rng.integers(2, PROXIMALITY_DEPTH // 2))
         word = tuple(draw_letters(rng, sys.probs_array(), length).tolist())
@@ -342,7 +332,7 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
             g = g @ gens[i]
             if g.frobenius2() > 1e100:
                 break
-        consider(word, g)
+        consider(word, g.trace())
 
     return ProximalityReport(status, cur_log2, steps, strict, witness, wtrace)
 
@@ -467,96 +457,93 @@ def find_fixed_circles(sys: System) -> CircleFamily:
 # product grouping (exact keys / tolerance clustering)
 # ---------------------------------------------------------------------------
 
-def _embed8(g: GroupElement) -> Tuple[float, ...]:
-    return (g.a.real, g.a.imag, g.b.real, g.b.imag,
-            g.c.real, g.c.imag, g.d.real, g.d.imag)
+def _level_product(m: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows m[i] @ g[j], i major, of matrices stored as float rows (Re a,
+    Im a, Re b, ..., Im d). One ufunc per step of CPython's complex product
+    keeps the bits of `GroupElement.__matmul__`; numpy's complex multiply
+    rounds differently."""
+    x = m.reshape(-1, 1, 2, 2, 1, 2)     # [i, -, row, k, -, re/im]
+    y = g.reshape(1, -1, 1, 2, 2, 2)     # [-, j, -, k, col, re/im]
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = x[..., 0] * y[..., 0] - x[..., 1] * y[..., 1]
+        im = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]
+        out = np.stack((re[:, :, :, 0] + re[:, :, :, 1],
+                        im[:, :, :, 0] + im[:, :, :, 1]), axis=-1)
+    return out.reshape(-1, 8)
 
 
-# a length-n product: float matrix, exact entries (None in float mode), weight
-_Product = Tuple[GroupElement, Optional[ExactEntries], float]
+def _first_seen(keys) -> Tuple[np.ndarray, np.ndarray]:
+    """Each group's first index and each key's group, equal keys grouped
+    and groups numbered by first appearance."""
+    index: Dict[object, int] = {}
+    labels = np.array([index.setdefault(k, len(index)) for k in keys],
+                      dtype=np.intp)
+    return np.unique(labels, return_index=True)[1], labels
 
 
-def _add_weight(table: dict, key, item: _Product) -> None:
-    """Store item under key, or add its weight to the representative there."""
-    old = table.get(key)
-    table[key] = item if old is None else (old[0], old[1], old[2] + item[2])
-
-
-def _group_products(items: List[_Product],
-                    exact: bool) -> Tuple[List[_Product], bool]:
-    """Collapse products with equal matrices, summing their weights: equal
-    exact entries in exact mode, float entries within TAU_EQ otherwise.
-    Returns grouped representatives and an ambiguity flag (float mode only):
-    some distinct representatives sit within [TAU_EQ, 10 TAU_EQ] of each
-    other."""
-    if exact:
-        table: Dict[ExactEntries, _Product] = {}
-        for item in items:
-            _add_weight(table, item[1], item)
-        return list(table.values()), False
+def _group_products(mats: np.ndarray, weights: np.ndarray,
+                    exact: Optional[List[ExactMatrix]]
+                    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Group products with equal matrices: equal exact matrices when `exact`
+    is given, float rows within TAU_EQ otherwise. Returns each group's first
+    index (groups by first appearance), the group weights summed in product
+    order, and an ambiguity flag (float mode only): some distinct
+    representatives sit within [TAU_EQ, 10 TAU_EQ] of each other."""
+    if exact is not None:
+        first, labels = _first_seen(exact)
+        return first, np.bincount(labels, weights), False
 
     # grid hash at resolution TAU_EQ, then merge straddling buckets
     from scipy.spatial import cKDTree
 
-    grid: Dict[tuple, _Product] = {}
-    for item in items:
-        key = tuple(int(math.floor(x / TAU_EQ + 0.5)) for x in _embed8(item[0]))
-        _add_weight(grid, key, item)
-    reps = list(grid.values())
-
-    if len(reps) > 1:
-        pts = np.array([_embed8(g) for g, _, _ in reps])
-        tree = cKDTree(pts)
-        pairs = tree.query_pairs(r=TAU_EQ, output_type="ndarray")
-        if len(pairs):
-            parent = list(range(len(reps)))
-
-            def root(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for i, j in pairs:
-                ri, rj = root(int(i)), root(int(j))
-                if ri != rj:
-                    parent[rj] = ri
-            merged: Dict[int, _Product] = {}
-            for k, item in enumerate(reps):
-                _add_weight(merged, root(k), item)
-            reps = list(merged.values())
-            pts = np.array([_embed8(g) for g, _, _ in reps])
-            tree = cKDTree(pts)
-
-        ambiguous = False
-        if len(reps) > 1:
-            d, _ = tree.query(pts, k=2)
-            nearest = d[:, 1]
-            ambiguous = bool(np.any((nearest >= TAU_EQ) & (nearest <= 10 * TAU_EQ)))
-        return reps, ambiguous
-    return reps, False
+    first, labels = _first_seen(
+        map(tuple, np.floor(mats / TAU_EQ + 0.5).tolist()))
+    weights = np.bincount(labels, weights)
+    while True:
+        # nearest other representative, inf past 20 TAU_EQ; the bound only
+        # prunes the search, so distances within it are an unbounded query's
+        tree = cKDTree(mats[first])
+        nearest = tree.query(tree.data, k=2,
+                             distance_upper_bound=20 * TAU_EQ)[0][:, 1]
+        pairs = (tree.query_pairs(r=TAU_EQ, output_type="ndarray").tolist()
+                 if np.any(nearest <= 2 * TAU_EQ) else [])
+        if not pairs:
+            break
+        # one merge suffices: representatives of distinct classes of the
+        # pairs' transitive closure lie more than TAU_EQ apart
+        labels = np.arange(len(first))
+        for i, j in pairs:
+            labels[labels == labels[j]] = labels[i]
+        merged, labels = _first_seen(labels.tolist())
+        first, weights = first[merged], np.bincount(labels, weights)
+    ambiguous = bool(np.any((nearest >= TAU_EQ) & (nearest <= 10 * TAU_EQ)))
+    return first, weights, ambiguous
 
 
-def _grouped_products(sys: System, n_max: int,
-                      cap: int) -> Iterator[Tuple[int, List[_Product], bool]]:
-    """Yield (n, grouped, ambiguous) for n = 1..n_max: the distinct length-n
-    products with their summed word weights (see _group_products), each level
-    expanded from the distinct representatives of the level before. Exact
-    entries are multiplied only in exact mode, where they decide equality."""
+def _grouped_products(sys: System, n_max: int, cap: int
+                      ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, bool]]:
+    """Yield (n, rows, weights, ambiguous) for n = 1..n_max: the distinct
+    length-n products as float rows with their summed word weights (see
+    _group_products), each level expanded from the representatives of the
+    last. Exact products are formed only in exact mode."""
     if n_max < 1:
         raise UndersampledError(f"word products need n_max >= 1, got {n_max}")
     if sys.size ** n_max > cap:
         raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
-    exact = sys.exact is not None
-    letters = list(zip(sys.generators, sys.exact or (None,) * sys.size,
-                       sys.probs))
-    level: List[_Product] = [(GroupElement.identity(),
-                              EXACT_IDENTITY if exact else None, 1.0)]
+    gens = np.array([g.entries() for g in sys.generators], complex).view(float)
+    probs = sys.probs_array()
+    letters = None if sys.exact is None else list(map(exact_matrix, sys.exact))
+    rows, weights = np.array([[1.0, 0, 0, 0, 0, 0, 1, 0]]), np.ones(1)
+    exact = [EXACT_IDENTITY] if letters else None
     for n in range(1, n_max + 1):
-        nxt = [(g @ gi, exact_mul(x, xi) if exact else None, w * p)
-               for g, x, w in level for gi, xi, p in letters]
-        level, ambiguous = _group_products(nxt, exact)
-        yield n, level, ambiguous
+        rows = _level_product(rows, gens)
+        if not np.isfinite(rows).all():
+            raise FloatOverflowError(f"float products overflow at length {n}")
+        weights = (weights[:, None] * probs[None, :]).ravel()
+        exact = exact and [exact_mul(x, y) for x in exact for y in letters]
+        first, weights, ambiguous = _group_products(rows, weights, exact)
+        rows, exact = rows[first], exact and [exact[k] for k in first]
+        yield n, rows, weights, ambiguous
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +572,9 @@ def diophantine_probe(sys: System, n_max: int,
     rows: List[dict] = []
     collisions_total = 0
     branch_total = 0
-    for n, grouped, _ in _grouped_products(sys, n_max, cap):
+    for n, reps, _, _ in _grouped_products(sys, n_max, cap):
         n_words = sys.size ** n
+        grouped = [GroupElement(*z) for z in reps.view(complex).tolist()]
         n_distinct = len(grouped)
         collisions = n_words - n_distinct
         collisions_total += collisions
@@ -595,12 +583,11 @@ def diophantine_probe(sys: System, n_max: int,
         branch_pairs = 0
         pair_count = 0
         for i in range(n_distinct):
-            gi = grouped[i][0]
-            gi_inv = gi.inverse()
+            gi_inv = grouped[i].inverse()
             for j in range(i + 1, n_distinct):
                 pair_count += 1
                 try:
-                    sep = principal_log_norm(gi_inv @ grouped[j][0])
+                    sep = principal_log_norm(gi_inv @ grouped[j])
                 except LogBranchError:
                     # ratio on the log branch cut: such pairs are order-one
                     # separated (the cut sits at distance >= pi*sqrt(2) from
@@ -616,10 +603,7 @@ def diophantine_probe(sys: System, n_max: int,
 
     xs = [r["n"] for r in rows if r["min_separation"]]
     ys = [math.log(r["min_separation"]) for r in rows if r["min_separation"]]
-    fitted_c = None
-    if len(xs) >= 2:
-        slope = np.polyfit(xs, ys, 1)[0]
-        fitted_c = math.exp(slope)
+    fitted_c = math.exp(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
 
     return DiophantineReport(rows, fitted_c, collisions_total, branch_total)
 
@@ -654,11 +638,11 @@ def random_walk_entropy(sys: System, n_max: int,
     rows: List[Tuple[int, float, float]] = []
     ambiguous = False
     free = True
-    for n, grouped, amb in _grouped_products(sys, n_max, cap):
+    for n, _, weights, amb in _grouped_products(sys, n_max, cap):
         ambiguous = ambiguous or amb
-        h_n = shannon_entropy([w for _, _, w in grouped])
+        h_n = shannon_entropy(weights)
         rows.append((n, h_n, h_n / n))
-        free = len(grouped) == sys.size ** n
+        free = len(weights) == sys.size ** n
 
     h_est = hp if free else min(r[2] for r in rows)
     return EntropyTable(rows, h_est, free, hp, ambiguous)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
+from dataclasses import replace
 
 from .checks import certify, diophantine_probe, random_walk_entropy
 from .config import RunConfig, load_config, parse_flag
@@ -121,7 +122,7 @@ def cmd_sample(cfg: RunConfig) -> int:
                "inf_mass": measure.inf_mass() if space == "c_inf" else 0.0,
                "mean_stop_length": float(cloud.steps.mean()),
                "path": cfg.out_path}
-    rep = _wrap("sample", cfg, [], summary)
+    rep = _wrap("sample", replace(cfg, system=system), [], summary)
     _sys.stdout.write(rep.to_json())
     return 0
 

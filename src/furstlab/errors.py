@@ -25,6 +25,10 @@ class ExactOverflowError(FurstlabError, OverflowError):
     """Exact-mode integers exceeded the configured bit-size cap."""
 
 
+class FloatOverflowError(FurstlabError, OverflowError):
+    """Float matrix products left the range of finite floats."""
+
+
 class StallError(FurstlabError, RuntimeError):
     """A norm-growth stopping rule failed to trigger within the step budget."""
 

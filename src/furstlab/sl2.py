@@ -36,11 +36,9 @@ _NEG_AXIS_TOL = 1e-14    # relative tolerance for "eigenvalue on (-inf, 0]"
 
 @dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts.
-
-    Closed under +, -, * and division by nonzero elements, so products of
-    exact matrices (`exact_mul`) stay exact.
-    """
+    """Exact complex scalar with rational parts, closed under +, -, * and
+    nonzero division: the parsed entries of exact generators. Products of
+    words use the integer form of `exact_matrix` instead."""
 
     re: Fraction
     im: Fraction
@@ -76,12 +74,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def bit_size(self) -> int:
-        return max(
-            self.re.numerator.bit_length(), self.re.denominator.bit_length(),
-            self.im.numerator.bit_length(), self.im.denominator.bit_length(),
-        )
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -89,16 +81,36 @@ class GaussianRational:
 ExactEntries = Tuple[GaussianRational, GaussianRational,
                      GaussianRational, GaussianRational]
 
-EXACT_IDENTITY: ExactEntries = (GaussianRational.of(1), GaussianRational.of(0),
-                                GaussianRational.of(0), GaussianRational.of(1))
+# (D, Re a, Im a, ..., Im d) in ints: [[a, b], [c, d]] / D with D > 0 and
+# gcd 1 over all nine, a unique form, so equal tuples are equal matrices
+ExactMatrix = Tuple[int, int, int, int, int, int, int, int, int]
+
+EXACT_IDENTITY: ExactMatrix = (1, 1, 0, 0, 0, 0, 0, 1, 0)
 
 
-def exact_mul(x: ExactEntries, y: ExactEntries) -> ExactEntries:
-    """Row-major product of two exact 2x2 matrices."""
-    xa, xb, xc, xd = x
-    ya, yb, yc, yd = y
-    return (xa * ya + xb * yc, xa * yb + xb * yd,
-            xc * ya + xd * yc, xc * yb + xd * yd)
+def exact_matrix(x: ExactEntries) -> ExactMatrix:
+    """Canonical integer form of Gaussian-rational entries a, b, c, d."""
+    parts = [f for z in x for f in (z.re, z.im)]
+    den = math.lcm(*(f.denominator for f in parts))
+    return (den, *(f.numerator * (den // f.denominator) for f in parts))
+
+
+def exact_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
+    """Row-major product of two exact matrices in canonical form."""
+    dx, ar, ai, br, bi, cr, ci, dr, di = x
+    dy, er, ei, fr, fi, gr, gi, hr, hi = y
+    # [[a, b], [c, d]] [[e, f], [g, h]]
+    out = (dx * dy,
+           ar * er - ai * ei + br * gr - bi * gi,
+           ar * ei + ai * er + br * gi + bi * gr,
+           ar * fr - ai * fi + br * hr - bi * hi,
+           ar * fi + ai * fr + br * hi + bi * hr,
+           cr * er - ci * ei + dr * gr - di * gi,
+           cr * ei + ci * er + dr * gi + di * gr,
+           cr * fr - ci * fi + dr * hr - di * hi,
+           cr * fi + ci * fr + dr * hi + di * hr)
+    g = math.gcd(*out)
+    return out if g == 1 else tuple(v // g for v in out)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceededError, ExactOverflowError, StallError
-from .sl2 import EXACT_IDENTITY, ExactEntries, GroupElement, exact_mul
+from .sl2 import (EXACT_IDENTITY, ExactEntries, ExactMatrix, GroupElement,
+                  exact_matrix, exact_mul)
 
 Word = Tuple[int, ...]
 
@@ -170,15 +171,15 @@ def product_of_word(sys: System, u: Sequence[int]) -> GroupElement:
 
 
 def exact_product(sys: System, u: Sequence[int],
-                  bits_cap: int = EXACT_BITS_CAP) -> ExactEntries:
-    """Exact left-to-right product of the word u over `sys.exact`; raises
-    ExactOverflowError when an entry passes `bits_cap` bits."""
+                  bits_cap: int = EXACT_BITS_CAP) -> ExactMatrix:
+    """Exact left-to-right product of u over `sys.exact` (see exact_mul);
+    raises ExactOverflowError when one of its ints passes `bits_cap` bits."""
     if sys.exact is None:
         raise ValueError(f"system {sys.name!r} has no exact entries")
-    acc = EXACT_IDENTITY
+    acc, letters = EXACT_IDENTITY, [exact_matrix(x) for x in sys.exact]
     for i in u:
-        acc = exact_mul(acc, sys.exact[i])
-        if max(x.bit_size() for x in acc) > bits_cap:
+        acc = exact_mul(acc, letters[i])
+        if max(x.bit_length() for x in acc) > bits_cap:
             raise ExactOverflowError(
                 f"exact entries exceeded {bits_cap} bits at length {len(u)}")
     return acc
@@ -208,14 +209,12 @@ def word_weight(sys: System, u: Sequence[int]) -> float:
 
 
 def _exact_chi_tie(sys: System, u: Sequence[int], n: int) -> bool:
-    """Exact check for chi_u == n: frobenius^2 == 2^n + 2^-n (exact mode)."""
+    """Exact check for chi_u == n: frobenius^2 == 2^n + 2^-n (exact mode),
+    that is sum(x^2) 2^n == (4^n + 1) D^2 over the integers of g_u = x / D."""
     if not sys.exact or n < 0:
         return False
-    from fractions import Fraction
-    f2 = Fraction(0)
-    for x in exact_product(sys, u):
-        f2 += x.re * x.re + x.im * x.im
-    return f2 == Fraction(2) ** n + Fraction(1, 2 ** n)
+    den, *parts = exact_product(sys, u)
+    return sum(x * x for x in parts) << n == ((1 << 2 * n) + 1) * den * den
 
 
 # ---------------------------------------------------------------------------

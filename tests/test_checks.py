@@ -5,15 +5,17 @@ from fractions import Fraction
 from math import comb, log2
 
 import numpy as np
+import pytest
 
 import furstlab as fl
-from furstlab.checks import (_group_products, certify, check_proximality,
-                             check_strong_irreducibility, diophantine_probe,
-                             find_common_fixed_points, find_fixed_circles,
-                             random_walk_entropy)
+from furstlab.checks import (_group_products, _level_product, certify,
+                             check_proximality, check_strong_irreducibility,
+                             diophantine_probe, find_common_fixed_points,
+                             find_fixed_circles, random_walk_entropy)
+from furstlab.errors import FloatOverflowError
 from furstlab.sl2 import (E1, E2, GaussianRational, GroupElement, dist_cp1,
                           random_element)
-from furstlab.words import System
+from furstlab.words import System, product_of_word
 
 SANOV = fl.get_preset("sanov")
 TWIST = fl.get_preset("twist")
@@ -182,11 +184,9 @@ def test_dio_exact_table_rational_preset():
 def _group(rows, weights):
     """(representative rows, group weights, ambiguity flag) of hand-built
     float items with rows (Re a, Im a, Re b, Im b) and c = 0, d = 1."""
-    items = [(GroupElement(complex(r[0], r[1]), complex(r[2], r[3]), 0j,
-                           1 + 0j), None, w) for r, w in zip(rows, weights)]
-    reps, ambiguous = _group_products(items, False)
-    return ([[g.a.real, g.a.imag, g.b.real, g.b.imag] for g, _, _ in reps],
-            [w for _, _, w in reps], ambiguous)
+    mats = np.array([r + [0.0, 0.0, 1.0, 0.0] for r in rows])
+    first, sums, ambiguous = _group_products(mats, np.array(weights), None)
+    return mats[first, :4].tolist(), sums.tolist(), ambiguous
 
 
 # items in order; the grid cell of Re a is floor(Re a / TAU_EQ + 0.5)
@@ -201,6 +201,32 @@ GROUP_ROWS = [
     [1.0, 0.25, 4.5e-8, 0.0],           # 4.5e-8 from item 1
 ]
 GROUP_WEIGHTS = [0.1, 0.2, 0.4, 0.7, 0.2, 0.11, 0.13, 0.17]
+
+
+def _rows(mats):
+    return np.array([[v for z in g.entries() for v in (z.real, z.imag)]
+                     for g in mats])
+
+
+def test_level_product_matches_matmul_bits():
+    # byte equality, so signed zeros count too
+    rng = np.random.default_rng(17)
+    words = [tuple(rng.integers(0, TWIST.size, size=rng.integers(0, 12)))
+             for _ in range(40)]
+    lefts = [random_element(rng, 8.0) for _ in range(40)] \
+        + [product_of_word(TWIST, u) for u in words]
+    for rights in ([random_element(rng, 8.0) for _ in range(5)],
+                   list(TWIST.generators), list(SANOV.generators)):
+        got = _level_product(_rows(lefts), _rows(rights))
+        want = _rows([x @ y for x in lefts for y in rights])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_float_overflow_names_the_length():
+    huge = System((GroupElement(1e200 + 0j, 0j, 0j, 1e-200 + 0j),), (1.0,),
+                  name="huge")
+    with pytest.raises(FloatOverflowError, match="length 2"):
+        random_walk_entropy(huge, 3)
 
 
 def test_group_products_grid_then_tree_merge():

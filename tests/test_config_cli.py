@@ -330,6 +330,26 @@ def test_cli_sample_csv(tmp_path):
     assert len(lines) == 501
 
 
+def test_cli_sample_transpose_tags_sampled_system(tmp_path, capsys):
+    code = main(["sample", "--preset", "twist", "--seed", "1",
+                 "--out", str(tmp_path / "cloud.csv"), "--param", "count=64",
+                 "--param", "transpose=true"])
+    assert code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["system"] == get_preset("twist").transposed().tag()
+    assert rep["system"].startswith("twist-transpose:")
+
+
+@pytest.mark.parametrize("command", ["hrw", "dio"])
+def test_cli_float_overflow_exits_1(tmp_path, capsys, command):
+    # diag(1e200, 1e-200) squared leaves the float range
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("[system]\ng = 1e200,0,0,0,0,0,1e-200,0\np = 1\n")
+    assert main([command, "--config", str(cfg), "--param", "nmax=3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "length 2" in err
+
+
 def test_cli_csv_format_for_rows(tmp_path):
     cfg = tmp_path / "sanov.cfg"
     cfg.write_text(MINIMAL)

@@ -2,6 +2,7 @@
 numeric oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from furstlab.errors import ChartError, LogBranchError, PoleError
-from furstlab.sl2 import (E1, E2, INFINITY, GroupElement, ProjPoint, RPoint,
-                          boundary_direction, chart_g, chart_g_inverse,
-                          dist_cp1, dist_g_proxy, dist_rp1, mobius_apply,
+from furstlab.sl2 import (E1, E2, INFINITY, GaussianRational, GroupElement,
+                          ProjPoint, RPoint, boundary_direction, chart_g,
+                          chart_g_inverse, dist_cp1, dist_g_proxy, dist_rp1,
+                          exact_matrix, exact_mul, mobius_apply,
                           mobius_derivative, proj_act, proj_line, psi,
                           psi_inv, random_element, random_su2, svd2)
 
@@ -339,3 +341,46 @@ def test_equivariance_bulk():
             if img is INFINITY or via is INFINITY or abs(via) > 1e8:
                 continue
             assert abs(img - via) <= 1e-9 * max(1.0, abs(via))
+
+
+# -- exact products ------------------------------------------------------------
+
+def _random_gaussian_matrix(rng):
+    def frac():
+        return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+    return tuple(GaussianRational(frac(), frac()) for _ in range(4))
+
+
+def _gaussian_product(x, y):
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (xa * ya + xb * yc, xa * yb + xb * yd,
+            xc * ya + xd * yc, xc * yb + xd * yd)
+
+
+def _canonical(m):
+    return m[0] > 0 and math.gcd(*m) == 1
+
+
+def test_exact_mul_matches_gaussian_rationals():
+    # random Gaussian-rational matrices with denominators, not of det 1
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        x, y, z = (_random_gaussian_matrix(rng) for _ in range(3))
+        mx, my, mz = map(exact_matrix, (x, y, z))
+        assert _canonical(mx) and _canonical(my)
+        xy = exact_mul(mx, my)
+        assert xy == exact_matrix(_gaussian_product(x, y))
+        assert _canonical(xy)
+        assert exact_mul(xy, mz) == exact_mul(mx, exact_mul(my, mz))
+
+
+def test_exact_matrix_is_unique():
+    # the same matrix reached through different denominators gives one tuple
+    half = GaussianRational.of(Fraction(1, 2))
+    two = GaussianRational.of(2)
+    zero = GaussianRational.of(0)
+    diag = exact_matrix((half, zero, zero, two))
+    assert diag == (2, 1, 0, 0, 0, 0, 0, 4, 0)
+    assert exact_mul(diag, exact_matrix((two, zero, zero, half))) \
+        == (1, 1, 0, 0, 0, 0, 0, 1, 0)

@@ -14,7 +14,7 @@ import furstlab as fl
 from furstlab.errors import CapExceededError, ExactOverflowError
 from furstlab.sl2 import (EXACT_IDENTITY, GaussianRational, GroupElement,
                           dist_cp1, exact_mul)
-from furstlab.words import (ScaledMatrix, System, chi_word,
+from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
                             doubling_word_sets, enumerate_first_passage,
                             exact_product, is_doubling_word, product_of_word,
                             sample_word)
@@ -41,8 +41,7 @@ def test_product_empty_word():
 def test_product_sanov_hand():
     g = product_of_word(SANOV, (0, 1))
     assert g.entries() == (5, 2, 2, 1)
-    xa, xb, xc, xd = exact_product(SANOV, (0, 1))
-    assert (xa.re, xb.re, xc.re, xd.re) == (5, 2, 2, 1)
+    assert exact_product(SANOV, (0, 1)) == (1, 5, 0, 2, 0, 2, 0, 1, 0)
 
 
 def test_product_associativity_sampled():
@@ -83,6 +82,32 @@ def test_chi_word_long_no_overflow():
 def test_exact_overflow_cap():
     with pytest.raises(ExactOverflowError):
         exact_product(SANOV, tuple([0, 1] * 200), bits_cap=64)
+
+
+def test_exact_chi_tie_matches_fractions():
+    # reference: frobenius^2 == 2^n + 2^-n on a Gaussian-rational product
+    def tie(sys_, u, n):
+        one, zero = GaussianRational.of(1), GaussianRational.of(0)
+        acc = (one, zero, zero, one)
+        for i in u:
+            xa, xb, xc, xd = acc
+            ya, yb, yc, yd = sys_.exact[i]
+            acc = (xa * ya + xb * yc, xa * yb + xb * yd,
+                   xc * ya + xd * yc, xc * yb + xd * yd)
+        f2 = sum(x.re * x.re + x.im * x.im for x in acc)
+        return f2 == Fraction(2) ** n + Fraction(1, 2 ** n)
+
+    rng = np.random.default_rng(5)
+    hits = 0
+    for sys_ in (SINGLE, SANOV, INV):
+        for _ in range(60):
+            u = tuple(rng.integers(0, sys_.size, size=rng.integers(0, 7)))
+            for n in range(0, 13):
+                hits += _exact_chi_tie(sys_, u, n)
+                assert _exact_chi_tie(sys_, u, n) == tie(sys_, u, n)
+    assert hits > 0
+    assert _exact_chi_tie(SINGLE, (0, 0, 0), 6)
+    assert not _exact_chi_tie(SINGLE, (0, 0, 0), 5)
 
 
 def test_first_passage_single_matrix():
