@@ -523,9 +523,9 @@ def _group_products(mats: np.ndarray, weights: np.ndarray,
 def _grouped_products(sys: System, n_max: int, cap: int
                       ) -> Iterator[Tuple[int, np.ndarray, np.ndarray, bool]]:
     """Yield (n, rows, weights, ambiguous) for n = 1..n_max: the distinct
-    length-n products as float rows with their summed word weights (see
-    _group_products), each level expanded from the representatives of the
-    last. Exact products are formed only in exact mode."""
+    length-n float rows and summed weights of _group_products, each level
+    expanded from the last one's representatives. Exact products are formed
+    only in exact mode; a float-mode level past the float range raises."""
     if n_max < 1:
         raise UndersampledError(f"word products need n_max >= 1, got {n_max}")
     if sys.size ** n_max > cap:
@@ -537,7 +537,7 @@ def _grouped_products(sys: System, n_max: int, cap: int
     exact = [EXACT_IDENTITY] if letters else None
     for n in range(1, n_max + 1):
         rows = _level_product(rows, gens)
-        if not np.isfinite(rows).all():
+        if letters is None and not np.isfinite(rows).all():
             raise FloatOverflowError(f"float products overflow at length {n}")
         weights = (weights[:, None] * probs[None, :]).ravel()
         exact = exact and [exact_mul(x, y) for x in exact for y in letters]

@@ -222,11 +222,21 @@ def test_level_product_matches_matmul_bits():
         assert got.tobytes() == want.tobytes()
 
 
-def test_float_overflow_names_the_length():
+def test_float_overflow_raises_only_past_the_float_range():
     huge = System((GroupElement(1e200 + 0j, 0j, 0j, 1e-200 + 0j),), (1.0,),
                   name="huge")
     with pytest.raises(FloatOverflowError, match="length 2"):
         random_walk_entropy(huge, 3)
+    # finite entries whose squares overflow still group (the kd-tree query
+    # stops at its distance bound)
+    wide = System((GroupElement(1e160 + 0j, 0j, 0j, 1e-160 + 0j),
+                   PARABOLIC.generators[0]), (0.5, 0.5), name="wide")
+    assert random_walk_entropy(wide, 1).rows == [(1, 1.0, 1.0)]
+    # exact mode groups by integers, so overflowing floats do not stop it
+    big = Fraction(2 ** 600)
+    exact = System.from_exact(((_gr(big), _gr(0), _gr(0), _gr(1 / big)),),
+                              (1.0,), "huge-exact")
+    assert [h for _, h, _ in random_walk_entropy(exact, 3).rows] == [0.0] * 3
 
 
 def test_group_products_grid_then_tree_merge():
