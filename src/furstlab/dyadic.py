@@ -153,7 +153,8 @@ class EmpiricalMeasure:
     def cell_labels(self, level: int) -> np.ndarray:
         """Per-point integer cell labels at the given level, numbered
         0, 1, ... in cell order."""
-        return np.unique(self.cell_keys(level), return_inverse=True)[1]
+        labels, counts = _cells(self.cell_keys(level), None)
+        return (np.cumsum(counts > 0) - 1)[labels]
 
     def cell_indices(self, level: int) -> np.ndarray:
         """(N, axes) per-axis integer cell indices of every point, as
@@ -171,7 +172,7 @@ class EmpiricalMeasure:
     # -- entropy -------------------------------------------------------------
 
     def _cell_entropy(self, level: int) -> Tuple[float, int]:
-        masses = np.bincount(self.cell_labels(level), weights=self.weights)
+        masses = _cells(self.cell_keys(level), self.weights)[1]
         return shannon_entropy(masses), int(np.count_nonzero(masses > 0))
 
     def entropy(self, level: int,
@@ -303,12 +304,20 @@ def _slice_sums(w: np.ndarray, starts: np.ndarray,
 _KEY_SPAN = 1 << 62          # finite keys lie in [0, 2^62)
 _ATOM_KEY = _KEY_SPAN        # the c_inf infinity atom, above every finite key
 _EXACT_AXIS = 1 << 61        # axes inside (-2^61, 2^61) pack without ranking
-_PROJECTION_BLOCK_KEYS = 1 << 20   # keys projection_entropies sorts at once
 
 
 def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
     uniq, inverse = np.unique(a, return_inverse=True)
     return inverse, len(uniq)
+
+
+def _cells(keys: np.ndarray, weights) -> Tuple[np.ndarray, np.ndarray]:
+    """Labels in key order (key - min when max - min < max(4N, 2^16), with
+    gaps, else ranks from one sort) and bincount(labels, weights)."""
+    lo = int(keys.min())
+    dense = int(keys.max()) - lo < max(4 * len(keys), 1 << 16)
+    labels = keys - lo if dense else _ranks(keys)[0]
+    return labels, np.bincount(labels, weights=weights)
 
 
 def _pack(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -474,29 +483,18 @@ def project_component(m: EmpiricalMeasure, angle: float) -> EmpiricalMeasure:
 
 def projection_entropies(m: EmpiricalMeasure, level: int,
                          angles: Sequence[float]) -> List[float]:
-    """H(project_component(m, a), D_level) in bits for each angle a, with
-    the same bits, without building the projected measures: the directions
-    of a block of at most _PROJECTION_BLOCK_KEYS keys are keyed with the
-    direction as the major axis, sorted once, and counted with bincount."""
+    """H(project_component(m, a), D_level) in bits for each angle a, with the
+    same bits: the projected cells lie on a monotone lattice path (Bresenham
+    1965), keyed densely by sign(cos a) ix + sign(sin a) iy of their indices."""
     _projection_check(m)
-    n = m.size
-    per_block = max(1, _PROJECTION_BLOCK_KEYS // n)
+    # floor indices below 2^51 keep the float key exact
+    exact = float(np.abs(m.points).max()) * 2.0 ** level < 2.0 ** 51
     out: List[float] = []
-    for b in range(0, len(angles), per_block):
-        block = angles[b:b + per_block]
-        xs = np.empty((len(block), n))
-        ys = np.empty((len(block), n))
-        for j, angle in enumerate(block):
-            xs[j], ys[j] = _plane_axes(_project(m.points, angle), level)
-        dirs = np.repeat(np.arange(len(block)), n)
-        labels = np.unique(_pack([dirs, xs.ravel(), ys.ravel()]),
-                           return_inverse=True)[1]
-        masses = np.bincount(labels, weights=np.tile(m.weights, len(block)))
-        # the direction is the major axis: its cells are one run of labels
-        first = np.append(labels.reshape(len(block), n).min(axis=1),
-                          len(masses))
-        out.extend(shannon_entropy(masses[first[j]:first[j + 1]])
-                   for j in range(len(block)))
+    for angle in angles:
+        x, y = _plane_axes(_project(m.points, angle), level)
+        sx, sy = np.sign([math.cos(angle), math.sin(angle)])
+        keys = (sx * x + sy * y).astype(np.int64) if exact else _pack([x, y])
+        out.append(shannon_entropy(_cells(keys, m.weights)[1]))
     return out
 
 
@@ -527,10 +525,11 @@ def total_variation(a: EmpiricalMeasure, b: EmpiricalMeasure,
         raise ValueError("space mismatch")
     # one call keys both measures, so their keys share one offset
     keys = _cell_keys(a.space, np.concatenate([a.points, b.points]), level)
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    wa = np.bincount(inverse[:a.size], weights=a.weights, minlength=len(uniq))
-    wb = np.bincount(inverse[a.size:], weights=b.weights, minlength=len(uniq))
-    return 0.5 * float(np.abs(wa - wb).sum())
+    labels, counts = _cells(keys, None)
+    wa = np.bincount(labels[:a.size], weights=a.weights, minlength=len(counts))
+    wb = np.bincount(labels[a.size:], weights=b.weights, minlength=len(counts))
+    # over occupied cells only: pairwise rounding depends on the term count
+    return 0.5 * float(np.abs(wa - wb)[counts > 0].sum())
 
 
 def uniform_square(n: int, seed: int, side: float = 1.0,

@@ -368,17 +368,14 @@ def delta_ladder(cloud: BoundaryCloud, q_max: int) -> DeltaLadder:
     sys = cloud.system
     letters = cloud.first_letters
     n = len(letters)
-    chunk_ids = np.arange(n) // max(1, n // 16)
+    step = max(1, n // 16)
     rows = []
     for q in range(2, q_max + 1):
         labels = cloud.measure.cell_labels(q)
         val, bins, med = _conditional_letter_entropy(labels, letters, sys.size)
-        sub = []
-        for c in range(int(chunk_ids.max()) + 1):
-            m = chunk_ids == c
-            v, _, _ = _conditional_letter_entropy(labels[m], letters[m],
-                                                  sys.size)
-            sub.append(v)
+        sub = [_conditional_letter_entropy(labels[a:a + step],
+                                           letters[a:a + step], sys.size)[0]
+               for a in range(0, n, step)]
         stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
         rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
                      "median_bin_count": med,

@@ -178,11 +178,15 @@ def exact_product(sys: System, u: Sequence[int],
         raise ValueError(f"system {sys.name!r} has no exact entries")
     acc, letters = EXACT_IDENTITY, [exact_matrix(x) for x in sys.exact]
     for i in u:
-        acc = exact_mul(acc, letters[i])
-        if max(x.bit_length() for x in acc) > bits_cap:
-            raise ExactOverflowError(
-                f"exact entries exceeded {bits_cap} bits at length {len(u)}")
+        acc = _capped(exact_mul(acc, letters[i]), bits_cap, len(u))
     return acc
+
+
+def _capped(x: ExactMatrix, bits_cap: int, length: int) -> ExactMatrix:
+    if max(v.bit_length() for v in x) > bits_cap:
+        raise ExactOverflowError(
+            f"exact entries exceeded {bits_cap} bits at length {length}")
+    return x
 
 
 def scaled_product(sys: System, u: Sequence[int],
@@ -208,12 +212,12 @@ def word_weight(sys: System, u: Sequence[int]) -> float:
     return w
 
 
-def _exact_chi_tie(sys: System, u: Sequence[int], n: int) -> bool:
-    """Exact check for chi_u == n: frobenius^2 == 2^n + 2^-n (exact mode),
-    that is sum(x^2) 2^n == (4^n + 1) D^2 over the integers of g_u = x / D."""
-    if not sys.exact or n < 0:
+def _exact_chi_tie(g: ExactMatrix, n: int) -> bool:
+    """Exact check for chi_g == n: frobenius^2 == 2^n + 2^-n, that is
+    sum(x^2) 2^n == (4^n + 1) D^2 over the integers of g = x / D."""
+    if n < 0:
         return False
-    den, *parts = exact_product(sys, u)
+    den, *parts = g
     return sum(x * x for x in parts) << n == ((1 << 2 * n) + 1) * den * den
 
 
@@ -234,6 +238,10 @@ def block_norm_constant(sys: System, l: int) -> float:
     return best
 
 
+# (word, scaled product, weight, exact product or None) of open words
+_Frontier = List[Tuple[Word, ScaledMatrix, float, Optional[ExactMatrix]]]
+
+
 def enumerate_first_passage(sys: System, j: int, l: int, n: int,
                             cap: int = DEFAULT_ENUM_CAP) -> WordSet:
     """All words u_0...u_s with u_0 of length j, blocks of length l, whose
@@ -249,7 +257,9 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
     out_weights: List[float] = []
     ties = 0
 
-    frontier: List[Tuple[Word, ScaledMatrix, float]] = []
+    # frontier words carry their exact products, which decide chi ties
+    exact = sys.exact is not None
+    frontier: _Frontier = []
     letters = 0
     for u0 in itertools.product(range(sys.size), repeat=j):
         acc = scaled_product(sys, u0)
@@ -259,18 +269,19 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
             out_words.append(tuple(u0))
             out_weights.append(w)
         else:
-            if _exact_chi_tie(sys, u0, n):
-                ties += 1
-            frontier.append((tuple(u0), acc, w))
+            ex = exact_product(sys, u0) if exact else None
+            ties += exact and _exact_chi_tie(ex, n)
+            frontier.append((tuple(u0), acc, w, ex))
 
     blocks = _blocks(sys, l)
     block_mats = [product_of_word(sys, b) for b in blocks]
     block_ws = [word_weight(sys, b) for b in blocks]
+    block_ex = [exact_product(sys, b) if exact else None for b in blocks]
 
     while frontier:
-        new_frontier: List[Tuple[Word, ScaledMatrix, float]] = []
-        for word, acc, w in frontier:
-            for b, bm, bw in zip(blocks, block_mats, block_ws):
+        new_frontier: _Frontier = []
+        for word, acc, w, ex in frontier:
+            for b, bm, bw, bx in zip(blocks, block_mats, block_ws, block_ex):
                 letters += len(word) + l
                 if letters > cap:
                     raise CapExceededError(
@@ -281,9 +292,10 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
                     out_words.append(nw)
                     out_weights.append(w * bw)
                 else:
-                    if _exact_chi_tie(sys, nw, n):
-                        ties += 1
-                    new_frontier.append((nw, nxt, w * bw))
+                    nx = _capped(exact_mul(ex, bx), EXACT_BITS_CAP,
+                                 len(nw)) if exact else None
+                    ties += exact and _exact_chi_tie(nx, n)
+                    new_frontier.append((nw, nxt, w * bw, nx))
         frontier = new_frontier
 
     const = block_norm_constant(sys, l)

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from furstlab.cli import main
 from furstlab.config import parse_config
-from furstlab.errors import ConfigError
+from furstlab.engine import entropy_slope_dimension, sample_boundary
+from furstlab.errors import (CapExceededError, ConfigError, ExactOverflowError,
+                             StallError, UndersampledError)
 from furstlab.presets import PRESETS, get_preset
+from furstlab.words import enumerate_first_passage, exact_product
 
 MINIMAL = """
 [system]
@@ -43,6 +46,9 @@ BAD_DET = """
 [system]
 g = 2,0,0,0,0,0,1,0
 """
+
+NAN_ENTRY = "[system]\ng = nan,0,0,0,0,0,1,0\n"
+INF_ENTRY = "[system]\ng = 1,0,inf,0,0,0,1,0\n"
 
 
 def test_parse_preset_reference():
@@ -439,3 +445,66 @@ def test_cli_boundary_convergence_default_lengths(tmp_path):
     assert code == 0
     rows = json.loads(out.read_text())["rows"]
     assert [r["n"] for r in rows] == [30, 60, 100]
+
+
+# -- bad input, one row per class: the API raises the typed error, the CLI
+# exits 1 ---------------------------------------------------------------------
+
+NORM_ONE = "[system]\ng = 1,0,0,0,0,0,1,0\np = 1\n"
+HUGE_EXACT = (f"[system]\ng = {10 ** 400},0,0,0,0,0,1/{10 ** 400},0\n"
+              "exact = true\n")
+
+
+BAD_INPUTS = {
+    "non-proximal": (
+        lambda: sample_boundary(get_preset("su2-control"), 40.0, 512, 0),
+        StallError, ["dim", "--preset", "su2-control", "--param", "count=512"],
+        None),
+    "det-not-one": (
+        lambda: parse_config(BAD_DET), ConfigError, ["check"], BAD_DET),
+    "nan-entry": (
+        lambda: parse_config(NAN_ENTRY), ConfigError, ["check"], NAN_ENTRY),
+    "inf-entry": (
+        lambda: parse_config(INF_ENTRY), ConfigError, ["check"], INF_ENTRY),
+    # the CLI reads exact entries from a config, where an entry past the
+    # float range is refused as it is parsed
+    "exact-overflow": (
+        lambda: exact_product(get_preset("sanov"), (0, 1) * 200, bits_cap=64),
+        ExactOverflowError, ["check"], HUGE_EXACT),
+    # 300 samples occupy more than 30 cells at levels 4 and 5
+    "empty-entropy-window": (
+        lambda: entropy_slope_dimension(
+            sample_boundary(get_preset("twist"), 40.0, 300, 7).measure, (4, 5)),
+        UndersampledError,
+        ["dim", "--param", "count=300", "--param", "window_lo=4",
+         "--param", "window_hi=5", "--preset", "twist"], None),
+    # the CLI meets a norm-one family in the stopping-rule sampler
+    "norm-one-first-passage": (
+        lambda: enumerate_first_passage(parse_config(NORM_ONE).system,
+                                        0, 1, 4, cap=10_000),
+        CapExceededError, ["sample", "--out", "@cloud.csv",
+                           "--param", "count=64"], NORM_ONE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_api_raises_typed_error(case):
+    call, error, _, _ = BAD_INPUTS[case]
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_cli_exits_1(tmp_path, capsys, case):
+    _, _, args, config = BAD_INPUTS[case]
+    args = [a.replace("@", f"{tmp_path}/") for a in args]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_report_su2_control_is_inconclusive(capsys):
+    # the report skips sampling when norm growth fails: exit 3, not an error
+    assert main(["report", "--preset", "su2-control"]) == 3

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from furstlab.dyadic import (C_INF, CP1, G_CHART, RP1, DyadicCellId,
@@ -273,17 +273,116 @@ def test_projection_entropies_match_projected_measures():
     w = m.weights.copy()
     w[::9] = 0.0
     m = EmpiricalMeasure.on_plane(m.points, w)
-    angles = [k * math.pi / 180 for k in range(180)]   # four key blocks
+    angles = [k * math.pi / 180 for k in range(180)]   # cos < 0 past 90
     for level in (3, 9):
         got = projection_entropies(m, level, angles)
         want = [project_component(m, a).entropy(level).entropy for a in angles]
         assert got == want
 
 
+def _spread_measure(space, n, seed, log2_scale):
+    """Finite cloud with repeated points, spread over about 2^log2_scale."""
+    rng = np.random.default_rng(seed)
+    w = rng.random(n) + 0.01
+    scale = 2.0 ** log2_scale
+    if space == C_INF:
+        zs = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+        zs[::5] = zs[0]
+        return EmpiricalMeasure.on_plane(zs, w)
+    if space == G_CHART:
+        coords = rng.standard_normal((n, 6)) * scale
+        coords[::5] = coords[0]
+        return EmpiricalMeasure.on_group_chart(coords, w)
+    return _random_measure(space, n, seed)
+
+
+def _ref_entropy(m, level):
+    labels = _ref_unique(_ref_keys(m.space, m.points, level))[1]
+    return shannon_entropy(np.bincount(labels, weights=m.weights))
+
+
+def _dense(m, level):
+    keys = m.cell_keys(level)
+    return keys.max() - keys.min() < max(4 * m.size, 1 << 16)
+
+
+# (log2 scale, levels) per space: keys that span few values are counted by
+# bincount, keys spread over 2^40 or deep levels fall back to one sort
+COUNTING_CASES = {
+    (C_INF, True): (0, (0, 3)), (C_INF, False): (40, (0, 10)),
+    (CP1, True): (0, (0, 6)), (CP1, False): (0, (20, 40)),
+    (RP1, True): (0, (0, 14)), (RP1, False): (0, (20, 50)),
+    (G_CHART, True): (-3, (0, 2)), (G_CHART, False): (40, (0, 10)),
+}
+
+
+@pytest.mark.parametrize("space, dense", sorted(COUNTING_CASES),
+                         ids=lambda v: v if isinstance(v, str)
+                         else ("dense" if v else "fallback"))
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.data())
+def test_counting_matches_sort_reference(space, dense, n, seed, data):
+    log2_scale, (lo, hi) = COUNTING_CASES[space, dense]
+    level = data.draw(st.integers(lo, hi))
+    a = _spread_measure(space, n, seed, log2_scale)
+    b = _spread_measure(space, n // 2 + 1, seed + 1, log2_scale)
+    assume(_dense(a, level) == dense)
+    _, ref = _ref_unique(_ref_keys(space, a.points, level))
+    assert np.array_equal(a.cell_labels(level), ref)
+    rep = a.entropy(level)
+    assert rep.entropy == _ref_entropy(a, level)
+    assert rep.occupied == ref.max() + 1
+    assert total_variation(a, b, level) == _ref_total_variation(a, b, level)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
+def test_counting_with_points_at_infinity(n, level, seed):
+    # finite keys span few values; the atom key 2^62 forces the sort
+    rng = np.random.default_rng(seed)
+    zs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    zs[rng.random(n) < 0.2] = np.inf + 0j
+    w = rng.random(n) + 0.01
+    w[::4] = 0.0
+    w[0] = 1.0
+    a = EmpiricalMeasure.on_plane(zs, w)
+    b = _spread_measure(C_INF, n, seed + 1, 0)
+    _, ref = _ref_unique(_ref_keys(C_INF, a.points, level))
+    assert np.array_equal(a.cell_labels(level), ref)
+    assert a.entropy(level).entropy == _ref_entropy(a, level)
+    assert total_variation(a, b, level) == _ref_total_variation(a, b, level)
+    assert total_variation(b, a, level) == _ref_total_variation(b, a, level)
+
+
+@pytest.mark.parametrize("log2_scale, level", [(-2, 9), (12, 9), (45, 9)],
+                         ids=["dense", "sparse-span", "huge-indices"])
+def test_projection_entropies_paths(log2_scale, level):
+    # sparse-span: S spans about 2^22 values for 400 points, so the labels
+    # come from one sort; huge-indices: floor indices past 2^51 are packed
+    rng = np.random.default_rng(log2_scale + 100)
+    zs = (rng.random(400) + 1j * rng.random(400)) * 2.0 ** log2_scale
+    zs[::6] = zs[1]
+    w = rng.random(400)
+    w[::5] = 0.0                              # zero-weight points
+    m = EmpiricalMeasure.on_plane(zs, w)
+    angles = [0.0, math.pi / 2, 0.3, 2.0, 2.9, math.pi - 1e-9, 4.0, 5.5]
+    want = [project_component(m, a).entropy(level).entropy for a in angles]
+    assert projection_entropies(m, level, angles) == want
+
+
+def test_projection_entropies_zero_weight_infinity():
+    zs = np.array([0.1 + 0.2j, 0.3 + 0.1j, np.inf + 0j, 0.7 + 0.9j])
+    m = EmpiricalMeasure.on_plane(zs, [0.5, 0.25, 0.0, 0.25])
+    angles = [0.0, 1.0, 2.5]
+    with np.errstate(invalid="ignore"):       # inf * 0 in the projection
+        want = [project_component(m, a).entropy(6).entropy for a in angles]
+        assert projection_entropies(m, 6, angles) == want
+
+
 def _ref_total_variation(a, b, level):
     ka = _ref_keys(a.space, a.points, level)
     kb = _ref_keys(b.space, b.points, level)
-    uniq, inverse = np.unique(np.concatenate([ka, kb]), return_inverse=True)
+    uniq, inverse = _ref_unique(np.concatenate([ka, kb]))
     wa = np.bincount(inverse[:len(ka)], weights=a.weights, minlength=len(uniq))
     wb = np.bincount(inverse[len(ka):], weights=b.weights, minlength=len(uniq))
     return 0.5 * float(np.abs(wa - wb).sum())

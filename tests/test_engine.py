@@ -12,7 +12,8 @@ from furstlab.cli import main
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
                              sphere_to_plane, total_variation, uniform_square,
                              uniform_segment)
-from furstlab.engine import (Walk, boundary_mass_probe, delta_estimate,
+from furstlab.engine import (MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
+                             boundary_mass_probe, delta_estimate, delta_ladder,
                              dim_estimate, lyapunov_estimate, sample_boundary)
 from furstlab.errors import StallError, UndersampledError
 from furstlab.experiments import push_stationary, small_ball_max_mass
@@ -189,6 +190,26 @@ def test_delta_sanov_schottky_decay():
     vals = [r["delta"] for r in ladder.rows]
     assert vals[-1] <= 0.05
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+def test_delta_ladder_matches_masked_chunks():
+    # reference: sorted labels and one boolean mask per chunk; 4100 samples
+    # leave a short 17th chunk
+    cloud = sample_boundary(TWIST, 30, 4100, seed=9)
+    letters, k = cloud.first_letters, TWIST.size
+    chunk_ids = np.arange(len(letters)) // (len(letters) // 16)
+    rows = []
+    for q in range(2, 11):
+        labels = np.unique(cloud.measure.cell_keys(q), return_inverse=True)[1]
+        val, bins, med = _conditional_letter_entropy(labels, letters, k)
+        sub = [_conditional_letter_entropy(labels[chunk_ids == c],
+                                           letters[chunk_ids == c], k)[0]
+               for c in range(chunk_ids.max() + 1)]
+        rows.append({"q": q, "delta": val,
+                     "stderr": float(np.std(sub, ddof=1) / np.sqrt(len(sub))),
+                     "bins": bins, "median_bin_count": med,
+                     "undersampled": med < MIN_BIN_COUNT})
+    assert delta_ladder(cloud, 10).rows == rows
 
 
 # -- dimension estimators -----------------------------------------------------------

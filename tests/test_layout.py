@@ -4,6 +4,8 @@
 - relative imports sit at module top, not inside functions;
 - letters are drawn by `words.draw_letters`, never by `Generator.choice`
   over the alphabet `sys.size`;
+- `np.unique(..., return_inverse=True)` appears only in `dyadic._ranks`, the
+  one sort-based labelling of cell keys;
 - the number of defaulted parameters stays at or below a pinned count.
 """
 
@@ -46,9 +48,24 @@ def _alphabet_choices(tree):
     return out
 
 
+def _inverse_uniques(tree):
+    """Lines of `unique(..., return_inverse=True)` calls outside `_ranks`."""
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_ranks"
+              for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in exempt
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and any(k.arg == "return_inverse"
+                    and not (isinstance(k.value, ast.Constant)
+                             and not k.value.value) for k in node.keywords)]
+
+
 RULES = {"private-import": _private_imports,
          "local-relative-import": _local_relative_imports,
-         "choice-over-alphabet": _alphabet_choices}
+         "choice-over-alphabet": _alphabet_choices,
+         "sort-labelling-outside-ranks": _inverse_uniques}
 
 VIOLATIONS = """\
 from .sl2 import _hidden
@@ -57,6 +74,15 @@ from .sl2 import _hidden
 def f(sys, rng):
     from .words import System
     return rng.choice(sys.size, size=3), rng.choice(a=sys.size)
+
+
+def _ranks(a):
+    return np.unique(a, return_inverse=True)
+
+
+def labels(keys):
+    first = np.unique(keys, return_inverse=False)
+    return first, np.unique(keys, return_inverse=True)[1]
 """
 
 
@@ -71,6 +97,7 @@ def test_rules_flag_violations():
     assert _private_imports(tree) == [1]
     assert _local_relative_imports(tree) == [5]
     assert _alphabet_choices(tree) == [6, 6]
+    assert _inverse_uniques(tree) == [15]
 
 
 # defaulted parameters of module-level functions and methods at the last count

@@ -1,6 +1,7 @@
 """Word products, the norm cocycle, first-passage families, samplers, and
 norm-doubling words."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -102,12 +103,13 @@ def test_exact_chi_tie_matches_fractions():
     for sys_ in (SINGLE, SANOV, INV):
         for _ in range(60):
             u = tuple(rng.integers(0, sys_.size, size=rng.integers(0, 7)))
+            g = exact_product(sys_, u)
             for n in range(0, 13):
-                hits += _exact_chi_tie(sys_, u, n)
-                assert _exact_chi_tie(sys_, u, n) == tie(sys_, u, n)
+                hits += _exact_chi_tie(g, n)
+                assert _exact_chi_tie(g, n) == tie(sys_, u, n)
     assert hits > 0
-    assert _exact_chi_tie(SINGLE, (0, 0, 0), 6)
-    assert not _exact_chi_tie(SINGLE, (0, 0, 0), 5)
+    assert _exact_chi_tie(exact_product(SINGLE, (0, 0, 0)), 6)
+    assert not _exact_chi_tie(exact_product(SINGLE, (0, 0, 0)), 5)
 
 
 def test_first_passage_single_matrix():
@@ -138,6 +140,30 @@ def test_first_passage_block_prefix_free():
         for cut in range(0, len(u), 2):
             if cut and tuple(u[:cut]) in words:
                 pytest.fail(f"{u[:cut]} is a block prefix of {u}")
+
+
+PAIR = System.from_exact((_exact_diag(2), _exact_diag(4)), (0.5, 0.5), "pair")
+
+
+@pytest.mark.parametrize("sys_, jln, digest", [
+    (SANOV, (1, 2, 12),
+     "ad2fa5ff533a3dbee445237dfcaceb62cebf2fb4b9ea81976755290d51ea1d74"),
+    (SANOV, (1, 2, 16),
+     "acf25be1c502e94562828ddeb57e7c0447582e493e854da6f9f227e16bbe23f3"),
+    (PAIR, (1, 2, 12),
+     "96e5559d0ab6b7912de616c45a9ec09e398ff1de02205f7bcddac11d9a142b55"),
+], ids=["sanov-12", "sanov-16", "diag-pair-12"])
+def test_first_passage_carried_exact_ties(sys_, jln, digest):
+    # digests of (words, weights, exact_ties) when every frontier word's
+    # exact product was formed from scratch
+    j, l, n = jln
+    ws = enumerate_first_passage(sys_, j, l, n)
+    text = repr((ws.words, ws.weights, ws.exact_ties)).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+    # the frontier words are the proper block prefixes of the family
+    prefixes = {u[:k] for u in ws.words for k in range(j, len(u), l)}
+    assert ws.exact_ties == sum(_exact_chi_tie(exact_product(sys_, u), n)
+                                for u in prefixes)
 
 
 def test_first_passage_cap_error():
