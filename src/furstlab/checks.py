@@ -17,8 +17,8 @@ from .dyadic import shannon_entropy
 from .errors import (CapExceededError, FloatOverflowError, LogBranchError,
                      UndersampledError)
 from .sl2 import (EXACT_IDENTITY, ExactMatrix, GaussianRational,
-                  GroupElement, ProjPoint, E1, E2, dist_cp1, exact_matrix,
-                  exact_mul, principal_log_norm, proj_act)
+                  GroupElement, NEG_AXIS_TOL, ProjPoint, E1, E2, dist_cp1,
+                  exact_matrix, exact_mul, principal_log_norm, proj_act)
 from .words import ScaledMatrix, System, draw_letters
 
 TAU_EIG = 1e-9
@@ -29,6 +29,11 @@ NORM_THRESHOLD_BITS = 32.0   # unboundedness passes at ||g||_op > 2^32
 TRACE_SLACK = 1e-9
 PROXIMALITY_DEPTH = 64       # compositions per proximality search
 PROXIMALITY_TRIALS = 256     # random words per proximality search
+SCREEN_SLAB_PAIRS = 1 << 13  # pairs per screen slab, about 3 MiB of arrays
+SCREEN_REL = 1e-9            # relative error the screen's decisions survive
+SCREEN_AMP = 1e5             # largest |delta| / |lam log lam| it decides
+SCREEN_SEP_MAX = 1e150       # largest separation it decides: the scalar
+                             # routine's squares overflow past about 1.3e154
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +467,19 @@ def _level_product(m: np.ndarray, g: np.ndarray) -> np.ndarray:
     Im a, Re b, ..., Im d). One ufunc per step of CPython's complex product
     keeps the bits of `GroupElement.__matmul__`; numpy's complex multiply
     rounds differently."""
-    x = m.reshape(-1, 1, 2, 2, 1, 2)     # [i, -, row, k, -, re/im]
-    y = g.reshape(1, -1, 1, 2, 2, 2)     # [-, j, -, k, col, re/im]
+    x, y = m[:, None, :], g[None, :, :]
+    out = np.empty((len(m), len(g), 8))
     with np.errstate(over="ignore", invalid="ignore"):
-        re = x[..., 0] * y[..., 0] - x[..., 1] * y[..., 1]
-        im = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]
-        out = np.stack((re[:, :, :, 0] + re[:, :, :, 1],
-                        im[:, :, :, 0] + im[:, :, :, 1]), axis=-1)
+        for row in (0, 1):
+            for col in (0, 1):
+                # entry (row, col) = x[row, 0] y[0, col] + x[row, 1] y[1, col]
+                u, v = 4 * row, 2 * col
+                xr0, xi0, xr1, xi1 = (x[..., u + k] for k in range(4))
+                yr0, yi0, yr1, yi1 = (y[..., v + k] for k in (0, 1, 4, 5))
+                out[..., u + v] = ((xr0 * yr0 - xi0 * yi0)
+                                   + (xr1 * yr1 - xi1 * yi1))
+                out[..., u + v + 1] = ((xr0 * yi0 + xi0 * yr0)
+                                       + (xr1 * yi1 + xi1 * yr1))
     return out.reshape(-1, 8)
 
 
@@ -564,41 +575,130 @@ class DiophantineReport:
         return min(vals) if vals else None
 
 
+def _screen_ratios(m: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`principal_log_norm` of each matrix row of m (float rows as in
+    `_level_product`) in numpy. Returns masks of the rows surely on the log
+    branch cut and of the rows surely off it, past the near-parabolic
+    switch, well conditioned and below SCREEN_SEP_MAX, with their screened
+    separations.
+
+    "Surely" means under a relative error of SCREEN_REL in each part of
+    an eigenvalue: the trace and the discriminant carry the scalar
+    routine's bits, and `np.sqrt` and `np.log` may differ from `cmath`'s
+    by a few ulps."""
+    with np.errstate(all="ignore"):
+        ma, mb, mc, md = m.view(complex).T
+        t = ma + md
+        tr, ti = t.real, t.imag
+        sq_r, sq_i = tr * tr - ti * ti, tr * ti + ti * tr
+        disc = np.empty_like(t)              # t * t * 0.25 - 1.0
+        disc.real = sq_r * 0.25 - 1.0
+        disc.imag = sq_r * 0.0 + sq_i * 0.25
+        delta = np.sqrt(disc)
+        half_t = t * 0.5
+        lam = half_t + delta
+        on_cut = np.zeros(len(t), dtype=bool)
+        off_cut = np.ones(len(t), dtype=bool)
+        for ev in (lam, half_t - delta):
+            re, im = np.abs(ev.real), np.abs(ev.imag)
+            err_re = SCREEN_REL * (re + np.abs(delta.real))
+            err_im = SCREEN_REL * (im + np.abs(delta.imag))
+            on_cut |= ((ev.real < -err_re)
+                       & (im + err_im <= NEG_AXIS_TOL * (re - err_re)))
+            off_cut &= ((ev.real > err_re)
+                        | (im - err_im > NEG_AXIS_TOL * (re + err_re)))
+        abs_t, abs_delta = np.abs(t), np.abs(delta)
+        parabolic = abs_delta < 1e-6 * abs_t
+        log_lam = np.log(lam)
+        b = log_lam / delta
+        if parabolic.any():
+            w2 = (2.0 * delta[parabolic] / t[parabolic]) ** 2
+            b[parabolic] = ((2.0 / t[parabolic])
+                            * (1.0 + w2 / 3.0 + w2 * w2 / 5.0))
+        sep = np.abs(b) * np.sqrt(
+            np.abs(ma - half_t) ** 2 + np.abs(mb) ** 2
+            + np.abs(mc) ** 2 + np.abs(md - half_t) ** 2)
+        # log(lam) turns an error in lam into one |delta| / |lam log lam|
+        # times larger, relative to b
+        clear = (off_cut & (sep < SCREEN_SEP_MAX)
+                 & (np.abs(abs_delta - 1e-6 * abs_t)
+                    > SCREEN_REL * (abs_delta + 1e-6 * abs_t))
+                 & (parabolic | (abs_delta <= SCREEN_AMP * np.abs(lam)
+                                 * np.abs(log_lam))))
+    return on_cut, clear, sep
+
+
+def _screen_pairs(reps: np.ndarray) -> Tuple[int, np.ndarray]:
+    """Screen the ratios g_i^-1 g_j of every pair i < j of the float rows
+    `reps`, SCREEN_SLAB_PAIRS pairs at a time. Returns the number of pairs
+    surely on the log branch cut, and the flat indices i * N + j, in pair
+    order, of the pairs `principal_log_norm` must evaluate: every pair the
+    screen cannot decide, and every pair within relative SCREEN_REL of the
+    least screened separation."""
+    n = len(reps)
+    inv = reps[:, [6, 7, 2, 3, 4, 5, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1]
+    rows_per_slab = max(1, SCREEN_SLAB_PAIRS // n)
+    branch = 0
+    best = math.inf
+    confirm = [np.empty(0, dtype=np.int64)]
+    near: List[Tuple[np.ndarray, np.ndarray]] = []
+    for i0 in range(0, n - 1, rows_per_slab):
+        # rows i0 <= i < i1 against columns j > i0; pairs need j > i
+        i1 = min(i0 + rows_per_slab, n - 1)
+        i, j = np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)[None, :]
+        key, upper = (i * n + j).ravel(), (j > i).ravel()
+        on_cut, clear, sep = _screen_ratios(
+            _level_product(inv[i0:i1], reps[i0 + 1:]))
+        on_cut &= upper
+        clear &= upper
+        branch += int(np.count_nonzero(on_cut))
+        confirm.append(key[upper & ~(on_cut | clear)])
+        if clear.any():
+            best = min(best, float(sep[clear].min()))
+            keep = clear & (sep <= best * (1.0 + SCREEN_REL))
+            near.append((key[keep], sep[keep]))
+    confirm += [k[s <= best * (1.0 + SCREEN_REL)] for k, s in near]
+    return branch, np.sort(np.concatenate(confirm))
+
+
 def diophantine_probe(sys: System, n_max: int,
                       cap: int = 2_000_000) -> DiophantineReport:
     """Minimum pairwise distance between distinct length-n products for each
     n <= n_max, with exact collisions counted separately, plus a log-linear
-    fit of the separation decay rate."""
+    fit of the separation decay rate.
+
+    A numpy screen (`_screen_pairs`) picks the pairs that can decide the
+    minimum or the branch count; `principal_log_norm` gives every reported
+    value."""
     rows: List[dict] = []
     collisions_total = 0
     branch_total = 0
     for n, reps, _, _ in _grouped_products(sys, n_max, cap):
         n_words = sys.size ** n
-        grouped = [GroupElement(*z) for z in reps.view(complex).tolist()]
-        n_distinct = len(grouped)
+        n_distinct = len(reps)
         collisions = n_words - n_distinct
         collisions_total += collisions
 
         min_sep = None
-        branch_pairs = 0
-        pair_count = 0
-        for i in range(n_distinct):
-            gi_inv = grouped[i].inverse()
-            for j in range(i + 1, n_distinct):
-                pair_count += 1
-                try:
-                    sep = principal_log_norm(gi_inv @ grouped[j])
-                except LogBranchError:
-                    # ratio on the log branch cut: such pairs are order-one
-                    # separated (the cut sits at distance >= pi*sqrt(2) from
-                    # the identity), so they never decide the minimum
-                    branch_pairs += 1
-                    continue
-                if min_sep is None or sep < min_sep:
-                    min_sep = sep
+        branch_pairs, confirm = _screen_pairs(reps)
+        z = reps.view(complex)
+        for i, j in zip(*np.divmod(confirm, n_distinct)):
+            gi, gj = (GroupElement(*z[k].tolist()) for k in (i, j))
+            try:
+                sep = principal_log_norm(gi.inverse() @ gj)
+            except LogBranchError:
+                # ratio on the log branch cut: such pairs are order-one
+                # separated (the cut sits at distance >= pi*sqrt(2) from
+                # the identity), so they never decide the minimum
+                branch_pairs += 1
+                continue
+            if min_sep is None or sep < min_sep:
+                min_sep = sep
         branch_total += branch_pairs
         rows.append({"n": n, "words": n_words, "distinct": n_distinct,
-                     "collisions": collisions, "pairs": pair_count,
+                     "collisions": collisions,
+                     "pairs": n_distinct * (n_distinct - 1) // 2,
                      "branch_pairs": branch_pairs, "min_separation": min_sep})
 
     xs = [r["n"] for r in rows if r["min_separation"]]

@@ -211,7 +211,6 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
         first = np.full(n, -1, dtype=np.int64)
         chi_stop = np.zeros(n)
         steps = np.zeros(n, dtype=np.int64)
-        retired_log2s = -math.inf
         for step in range(max_len):
             # one draw per row, retired rows included, keeps the streams
             letters = draw_letters(rng, probs, n)
@@ -232,15 +231,17 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
                 out[:, fin] = done.entries()
                 chi_stop[fin] = chi[passed]
                 steps[fin] = step + 1
-                retired_log2s = max(retired_log2s, done.log2s.max())
                 keep = np.ones(len(live), dtype=bool)
                 keep[gone] = False
                 walk = walk.rows(keep)
                 live = live[keep]
-            if (step == 255 and walk.log2s.max(initial=retired_log2s) * 2.0
-                    < 0.02 * chi_goal):
-                raise StallError("norm cocycle is not growing; "
-                                 "system looks non-proximal")
+            if step == 255:
+                # chi of the live rows, and of the retired ones at their stop
+                chi_max = max(chi_stop.max(), 2.0 * walk.log2_opnorm().max(
+                    initial=-math.inf))
+                if chi_max < 0.02 * chi_goal:
+                    raise StallError("norm cocycle is not growing; "
+                                     "system looks non-proximal")
         if len(live):
             raise StallError(f"chi failed to pass {chi_goal:.1f} "
                              f"within {max_len} letters")

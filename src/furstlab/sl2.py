@@ -27,7 +27,7 @@ from .errors import ChartError, LogBranchError, PoleError
 
 TAU_SVD = 1e-12          # degeneracy threshold on frob^2 - 2 for the SVD branch
 TAU_PHASE = 1e-14        # pivot tie tolerance for canonical phase
-_NEG_AXIS_TOL = 1e-14    # relative tolerance for "eigenvalue on (-inf, 0]"
+NEG_AXIS_TOL = 1e-14    # relative tolerance for "eigenvalue on (-inf, 0]"
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def principal_log_norm(m: GroupElement) -> float:
     lam = t * 0.5 + delta
 
     for ev in (lam, t * 0.5 - delta):
-        if ev.real < 0 and abs(ev.imag) <= _NEG_AXIS_TOL * abs(ev.real):
+        if ev.real < 0 and abs(ev.imag) <= NEG_AXIS_TOL * abs(ev.real):
             raise LogBranchError("eigenvalue on the closed negative real axis")
         if ev == 0:
             raise LogBranchError("singular matrix")

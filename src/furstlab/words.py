@@ -24,6 +24,8 @@ Word = Tuple[int, ...]
 EXACT_BITS_CAP = 1 << 20     # bit-size cap for exact-mode integer entries
 DEFAULT_ENUM_CAP = 10_000_000
 MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
+COMPARE_LETTERS_MAX = 4        # draw_letters compares up to this alphabet
+COMPARE_DRAWS_MIN = 1024       # and from this many draws a call
 
 
 def _rounded(x: ExactEntries) -> GroupElement:
@@ -103,10 +105,21 @@ def draw_letters(rng: np.random.Generator, probs: np.ndarray,
                  size: int) -> np.ndarray:
     """Inverse-CDF letter draws; one uniform per letter. The steps of
     `Generator.choice(len(probs), size, p=probs)` when the cumulative sum
-    ends at exactly 1.0, without its per-call checks of probs."""
+    ends at exactly 1.0, without its per-call checks of probs.
+
+    A letter is the number of cdf entries <= u. Long draws on small
+    alphabets count them with one comparison per entry, a pass each, which
+    beats the binary search of `searchsorted`; on short draws the search
+    costs less than the passes' per-call overhead."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    return np.searchsorted(cdf, rng.random(size), side="right")
+    u = rng.random(size)
+    if len(cdf) > COMPARE_LETTERS_MAX or size < COMPARE_DRAWS_MIN:
+        return np.searchsorted(cdf, u, side="right")
+    letters = np.zeros(size, dtype=np.intp)
+    for c in cdf[:-1].tolist():
+        letters += u >= c
+    return letters
 
 
 @dataclass
@@ -316,17 +329,16 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
     j, l, n = first_passage
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
-    word = tuple(draw_letters(rng, p, j).tolist())
-    acc = scaled_product(sys, word)
-    if acc.chi() > n:
-        return word
-    for _ in range(MAX_PASSAGE_BLOCKS):
+    block = tuple(draw_letters(rng, p, j).tolist())
+    blocks, acc = [block], scaled_product(sys, block)
+    while not acc.chi() > n:
+        if len(blocks) > MAX_PASSAGE_BLOCKS:
+            raise StallError(
+                f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")
         block = tuple(draw_letters(rng, p, l).tolist())
-        word = word + block
+        blocks.append(block)
         acc = scaled_product(sys, block, acc)
-        if acc.chi() > n:
-            return word
-    raise StallError(f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")
+    return tuple(itertools.chain.from_iterable(blocks))
 
 
 # ---------------------------------------------------------------------------

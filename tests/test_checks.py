@@ -1,6 +1,11 @@
 """Assumption certifiers, the circle detector, the separation probe, and the
 exact entropy table."""
 
+import cmath
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, log2
 
@@ -8,13 +13,14 @@ import numpy as np
 import pytest
 
 import furstlab as fl
-from furstlab.checks import (_group_products, _level_product, certify,
+from furstlab.checks import (DiophantineReport, _group_products,
+                             _grouped_products, _level_product, certify,
                              check_proximality, check_strong_irreducibility,
                              diophantine_probe, find_common_fixed_points,
                              find_fixed_circles, random_walk_entropy)
-from furstlab.errors import FloatOverflowError
+from furstlab.errors import FloatOverflowError, LogBranchError
 from furstlab.sl2 import (E1, E2, GaussianRational, GroupElement, dist_cp1,
-                          random_element)
+                          principal_log_norm, random_element)
 from furstlab.words import System, product_of_word
 
 SANOV = fl.get_preset("sanov")
@@ -177,6 +183,133 @@ def test_dio_exact_table_rational_preset():
     rep = diophantine_probe(fl.get_preset("discrete-gaussian"), 6)
     assert all(r["min_separation"] is None or r["min_separation"] > 0
                for r in rep.rows)
+
+
+# -- separation screen against the all-pairs scalar loop -------------------------
+
+def _probe_all_pairs(system, n_max):
+    """The probe as a loop of `principal_log_norm` over every pair."""
+    rows = []
+    for n, reps, _, _ in _grouped_products(system, n_max, 2_000_000):
+        grouped = [GroupElement(*z) for z in reps.view(complex).tolist()]
+        min_sep, branch_pairs = None, 0
+        for i, gi in enumerate(grouped):
+            for gj in grouped[i + 1:]:
+                try:
+                    sep = principal_log_norm(gi.inverse() @ gj)
+                except LogBranchError:
+                    branch_pairs += 1
+                    continue
+                if min_sep is None or sep < min_sep:
+                    min_sep = sep
+        k = len(grouped)
+        rows.append({"n": n, "words": system.size ** n, "distinct": k,
+                     "collisions": system.size ** n - k,
+                     "pairs": k * (k - 1) // 2, "branch_pairs": branch_pairs,
+                     "min_separation": min_sep})
+    xs = [r["n"] for r in rows if r["min_separation"]]
+    ys = [math.log(r["min_separation"]) for r in rows if r["min_separation"]]
+    fitted_c = math.exp(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
+    return DiophantineReport(rows, fitted_c,
+                             sum(r["collisions"] for r in rows),
+                             sum(r["branch_pairs"] for r in rows))
+
+
+@pytest.mark.parametrize("name", sorted(fl.presets.PRESETS))
+def test_dio_screen_matches_all_pairs_on_presets(name):
+    system = fl.get_preset(name)
+    assert diophantine_probe(system, 5) == _probe_all_pairs(system, 5)
+
+
+def _unit(g):
+    r = cmath.sqrt(g.a * g.d - g.b * g.c)
+    return GroupElement(g.a / r, g.b / r, g.c / r, g.d / r)
+
+
+def _ratio_eigenvalues():
+    """Eigenvalues on, beside and across the log branch test and the
+    near-parabolic switch |delta| = 1e-6 |t| of `principal_log_norm`."""
+    out = []
+    for eps in (0.0, 1e-15, 1e-13, 1e-9,
+                *(1e-14 * (1 + k * 1e-3) for k in range(-2, 3))):
+        for r in (1.0, 2.0, 30.0):
+            out += [-r * cmath.exp(1j * eps), -r * cmath.exp(-1j * eps)]
+        out.append(cmath.exp(1j * (math.pi - eps)))
+    for x in (0.0, 1e-7, *(2e-6 * (1 + k * 1e-9) for k in range(-2, 3))):
+        out += [cmath.exp(x), -cmath.exp(x), cmath.exp(1j * x),
+                cmath.exp(1j * (math.pi - x))]
+    return out
+
+
+def test_dio_screen_matches_all_pairs_near_branch_and_parabolic():
+    # generators a, a m, b: level-n ratios include m and its conjugates
+    rng = np.random.default_rng(23)
+    for lam in _ratio_eigenvalues():
+        a, b, p = (random_element(rng, lg) for lg in (1.0, 3.0, 1.0))
+        m = p @ GroupElement(lam, 0j, 0j, 1 / lam) @ p.inverse()
+        system = System((a, _unit(a @ _unit(m)), b), (0.3, 0.3, 0.4))
+        assert diophantine_probe(system, 3) == _probe_all_pairs(system, 3), lam
+
+
+def test_dio_screen_matches_all_pairs_at_large_norms():
+    # |trace| up to about 2^50: cancellation in the small eigenvalue
+    rng = np.random.default_rng(29)
+    for _ in range(8):
+        system = System(tuple(_unit(random_element(rng, 8.0)) for _ in range(3)),
+                     (0.2, 0.3, 0.5))
+        assert diophantine_probe(system, 3) == _probe_all_pairs(system, 3)
+
+
+def test_dio_screen_keeps_scalar_overflow():
+    # the ratio of the last two generators has |b| about 1e6 and an entry
+    # 1e150: numpy squares the entry alone, the scalar routine the product,
+    # which overflows, so the all-pairs loop raises and the screen must too
+    lam = -cmath.exp(3e-6j)
+    system = System((GroupElement(1 + 0j, 0j, 0j, 1 + 0j),
+                     GroupElement(lam, 1e150 + 0j, 0j, 1 / lam),
+                     GroupElement(1 + 0j, 1e-3 + 0j, 0j, 1 + 0j)),
+                    (0.3, 0.3, 0.4))
+    for probe in (diophantine_probe, _probe_all_pairs):
+        with pytest.raises(OverflowError):
+            probe(system, 1)
+
+
+def test_dio_screen_duplicate_representatives():
+    # distinct exact generators with equal float entries: ratio I, sep 0
+    tiny = Fraction(1, 10 ** 30)
+    system = System.from_exact(
+        ((_gr(1), _gr(1), _gr(0), _gr(1)),
+         (_gr(1 + tiny), _gr(1), _gr(0), _gr(1 / (1 + tiny))),
+         (_gr(1), _gr(0), _gr(2), _gr(1))),
+        (0.3, 0.3, 0.4), "float-twins")
+    rep = diophantine_probe(system, 4)
+    assert rep == _probe_all_pairs(system, 4)
+    assert rep.rows[0]["min_separation"] == 0.0
+
+
+_CAPPED_PROBE = """
+import resource
+import scipy.spatial  # the grouping's import, loaded before the cap
+import furstlab as fl
+with open("/proc/self/status") as fh:
+    vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
+limit = vm * 1024 + ({headroom} << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+print(fl.diophantine_probe(fl.get_preset("twist"), 6).rows[-1]["pairs"])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmSize from /proc")
+def test_dio_screen_bounds_memory():
+    # 265 356 pairs at n = 6; screening them in one piece needs about
+    # 160 MiB more address space, the slabs about 35 MiB
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_PROBE.format(headroom=64)], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert proc.stdout.strip() == "265356", proc.stderr
 
 
 # -- grouping of equal float products --------------------------------------------

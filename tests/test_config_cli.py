@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from furstlab.engine import entropy_slope_dimension, sample_boundary
 from furstlab.errors import (CapExceededError, ConfigError, ExactOverflowError,
                              StallError, UndersampledError)
 from furstlab.presets import PRESETS, get_preset
-from furstlab.words import enumerate_first_passage, exact_product
+from furstlab.words import enumerate_first_passage, exact_product, sample_word
 
 MINIMAL = """
 [system]
@@ -484,6 +485,18 @@ BAD_INPUTS = {
                                         0, 1, 4, cap=10_000),
         CapExceededError, ["sample", "--out", "@cloud.csv",
                            "--param", "count=64"], NORM_ONE),
+    # a first passage on a norm-one system stops at the block cap
+    "stalled-first-passage": (
+        lambda: sample_word(get_preset("su2-control"),
+                            np.random.default_rng(0), first_passage=(0, 1, 60)),
+        StallError, ["exp", "direction-cocycle", "--preset", "su2-control",
+                     "--param", "trials=1", "--param", "n=10"], None),
+}
+
+# what the CLI's error line says, where a case pins it
+BAD_INPUT_MESSAGES = {
+    # the sampler's stall test at step 255, not its 4096-letter cap
+    "norm-one-first-passage": "system looks non-proximal",
 }
 
 
@@ -502,7 +515,9 @@ def test_bad_input_cli_exits_1(tmp_path, capsys, case):
         (tmp_path / "run.cfg").write_text(config)
         args += ["--config", str(tmp_path / "run.cfg")]
     assert main(args) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert BAD_INPUT_MESSAGES.get(case, "") in err
 
 
 def test_report_su2_control_is_inconclusive(capsys):

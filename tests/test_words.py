@@ -15,8 +15,9 @@ import furstlab as fl
 from furstlab.errors import CapExceededError, ExactOverflowError
 from furstlab.sl2 import (EXACT_IDENTITY, GaussianRational, GroupElement,
                           dist_cp1, exact_mul)
-from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
-                            doubling_word_sets, enumerate_first_passage,
+from furstlab.words import (COMPARE_DRAWS_MIN, ScaledMatrix, System,
+                            _exact_chi_tie, chi_word, doubling_word_sets,
+                            draw_letters, enumerate_first_passage,
                             exact_product, is_doubling_word, product_of_word,
                             sample_word)
 
@@ -217,6 +218,45 @@ def test_doubling_cap_bounds_memory():
     # 7.6 GB before the default cap
     _run_capped('fl.doubling_word_sets(fl.get_preset("twist"), 0, 1, 40)',
                 768)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def _searchsorted_letters(probs, u):
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, u, side="right")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 2048])
+@pytest.mark.parametrize("size", [7, COMPARE_DRAWS_MIN])
+def test_draw_letters_matches_searchsorted(k, size):
+    rng = np.random.default_rng(k)
+    for trial in range(20):
+        probs = rng.random(k) * (rng.random(k) < 0.7)   # zero letters too
+        probs[rng.integers(k)] += 0.1
+        probs /= probs.sum()
+        got, want = np.random.default_rng(trial), np.random.default_rng(trial)
+        letters = draw_letters(got, probs, size)
+        expect = _searchsorted_letters(probs, want.random(size))
+        assert letters.dtype == expect.dtype
+        assert np.array_equal(letters, expect)
+        assert got.random() == want.random()     # the stream moved alike
+        # uniforms on the cdf entries themselves, and at 0
+        cdf = np.cumsum(probs)[:-1]
+        u = np.concatenate([[0.0], cdf, np.nextafter(cdf, 0.0)])
+        u = np.resize(u[u < 1.0], size)
+        assert np.array_equal(draw_letters(_FixedUniforms(u), probs, size),
+                              _searchsorted_letters(probs, u))
 
 
 def test_sample_word_degenerate():
