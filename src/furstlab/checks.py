@@ -31,6 +31,9 @@ PROXIMALITY_DEPTH = 64       # compositions per proximality search
 PROXIMALITY_TRIALS = 256     # random words per proximality search
 SCREEN_SLAB_PAIRS = 1 << 13  # pairs per screen slab, about 3 MiB of arrays
 SCREEN_REL = 1e-9            # relative error the screen's decisions survive
+# The least true separation is within this ratio of the least screened one:
+# each of the two screened values may be off by SCREEN_REL, in either sense.
+SCREEN_NEAR = (1.0 + SCREEN_REL) / (1.0 - SCREEN_REL)
 SCREEN_AMP = 1e5             # largest |delta| / |lam log lam| it decides
 SCREEN_SEP_MAX = 1e150       # largest separation it decides: the scalar
                              # routine's squares overflow past about 1.3e154
@@ -634,8 +637,8 @@ def _screen_pairs(reps: np.ndarray) -> Tuple[int, np.ndarray]:
     `reps`, SCREEN_SLAB_PAIRS pairs at a time. Returns the number of pairs
     surely on the log branch cut, and the flat indices i * N + j, in pair
     order, of the pairs `principal_log_norm` must evaluate: every pair the
-    screen cannot decide, and every pair within relative SCREEN_REL of the
-    least screened separation."""
+    screen cannot decide, and every pair within SCREEN_NEAR of the least
+    screened separation."""
     n = len(reps)
     inv = reps[:, [6, 7, 2, 3, 4, 5, 0, 1]] * [1, 1, -1, -1, -1, -1, 1, 1]
     rows_per_slab = max(1, SCREEN_SLAB_PAIRS // n)
@@ -656,9 +659,9 @@ def _screen_pairs(reps: np.ndarray) -> Tuple[int, np.ndarray]:
         confirm.append(key[upper & ~(on_cut | clear)])
         if clear.any():
             best = min(best, float(sep[clear].min()))
-            keep = clear & (sep <= best * (1.0 + SCREEN_REL))
+            keep = clear & (sep <= best * SCREEN_NEAR)
             near.append((key[keep], sep[keep]))
-    confirm += [k[s <= best * (1.0 + SCREEN_REL)] for k, s in near]
+    confirm += [k[s <= best * SCREEN_NEAR] for k, s in near]
     return branch, np.sort(np.concatenate(confirm))
 
 

@@ -25,7 +25,6 @@ EXACT_BITS_CAP = 1 << 20     # bit-size cap for exact-mode integer entries
 DEFAULT_ENUM_CAP = 10_000_000
 MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
 COMPARE_LETTERS_MAX = 4        # draw_letters compares up to this alphabet
-COMPARE_DRAWS_MIN = 1024       # and from this many draws a call
 
 
 def _rounded(x: ExactEntries) -> GroupElement:
@@ -107,17 +106,18 @@ def draw_letters(rng: np.random.Generator, probs: np.ndarray,
     `Generator.choice(len(probs), size, p=probs)` when the cumulative sum
     ends at exactly 1.0, without its per-call checks of probs.
 
-    A letter is the number of cdf entries <= u. Long draws on small
-    alphabets count them with one comparison per entry, a pass each, which
-    beats the binary search of `searchsorted`; on short draws the search
-    costs less than the passes' per-call overhead."""
+    A letter is the number of cdf entries <= u. Alphabets of 2 to
+    COMPARE_LETTERS_MAX letters count them with one comparison per entry,
+    a pass each, which beats the binary search of `searchsorted` on long
+    draws; larger alphabets search."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     u = rng.random(size)
-    if len(cdf) > COMPARE_LETTERS_MAX or size < COMPARE_DRAWS_MIN:
+    if not 1 < len(cdf) <= COMPARE_LETTERS_MAX:
         return np.searchsorted(cdf, u, side="right")
-    letters = np.zeros(size, dtype=np.intp)
-    for c in cdf[:-1].tolist():
+    first, *rest = cdf[:-1].tolist()
+    letters = (u >= first).astype(np.intp)
+    for c in rest:
         letters += u >= c
     return letters
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import furstlab as fl
+from furstlab import checks
 from furstlab.checks import (DiophantineReport, _group_products,
                              _grouped_products, _level_product, certify,
                              check_proximality, check_strong_irreducibility,
@@ -285,6 +286,37 @@ def test_dio_screen_duplicate_representatives():
     rep = diophantine_probe(system, 4)
     assert rep == _probe_all_pairs(system, 4)
     assert rep.rows[0]["min_separation"] == 0.0
+
+
+def test_dio_screen_window_covers_screen_errors(monkeypatch):
+    # ratios m and m' of two pairs whose separations differ by 5e-10
+    # relative; a screen off by just under SCREEN_REL, up on the least value
+    # and down on the rest, must still send the least pair to the scalar
+    # routine
+    rng = np.random.default_rng(31)
+    a, b, p = (random_element(rng, lg) for lg in (1.0, 1.0, 1.0))
+
+    def ratio(x):
+        return _unit(p @ GroupElement(cmath.exp(x), 0j, 0j, cmath.exp(-x))
+                     @ p.inverse())
+
+    system = System((a, _unit(a @ ratio(1e-3)), b,
+                     _unit(b @ ratio(1e-3 * (1 + 5e-10)))),
+                    (0.25, 0.25, 0.25, 0.25))
+    err = checks.SCREEN_REL * (1 - 1e-3)
+    screen = checks._screen_ratios
+
+    def skewed(m):
+        # slabs hold the ratios g_i^-1 g_i too, at separation 0
+        on_cut, clear, sep = screen(m)
+        least = sep[clear & (sep > 0)].min()
+        return on_cut, clear, sep * np.where(sep <= least * (1 + 1e-10),
+                                             1 + err, 1 - err)
+
+    monkeypatch.setattr(checks, "_screen_ratios", skewed)
+    rep = diophantine_probe(system, 1)
+    assert rep == _probe_all_pairs(system, 1)
+    assert rep.rows[0]["min_separation"] < 1e-2
 
 
 _CAPPED_PROBE = """

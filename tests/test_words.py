@@ -15,11 +15,10 @@ import furstlab as fl
 from furstlab.errors import CapExceededError, ExactOverflowError
 from furstlab.sl2 import (EXACT_IDENTITY, GaussianRational, GroupElement,
                           dist_cp1, exact_mul)
-from furstlab.words import (COMPARE_DRAWS_MIN, ScaledMatrix, System,
-                            _exact_chi_tie, chi_word, doubling_word_sets,
-                            draw_letters, enumerate_first_passage,
-                            exact_product, is_doubling_word, product_of_word,
-                            sample_word)
+from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
+                            doubling_word_sets, draw_letters,
+                            enumerate_first_passage, exact_product,
+                            is_doubling_word, product_of_word, sample_word)
 
 
 def _exact_diag(top):
@@ -238,7 +237,7 @@ def _searchsorted_letters(probs, u):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 2048])
-@pytest.mark.parametrize("size", [7, COMPARE_DRAWS_MIN])
+@pytest.mark.parametrize("size", [0, 1, 7, 1024])
 def test_draw_letters_matches_searchsorted(k, size):
     rng = np.random.default_rng(k)
     for trial in range(20):
