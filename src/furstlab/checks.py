@@ -31,8 +31,8 @@ PROXIMALITY_DEPTH = 64       # compositions per proximality search
 PROXIMALITY_TRIALS = 256     # random words per proximality search
 SCREEN_SLAB_PAIRS = 1 << 13  # pairs per screen slab, about 3 MiB of arrays
 SCREEN_REL = 1e-9            # relative error the screen's decisions survive
-# The least true separation is within this ratio of the least screened one:
-# each of the two screened values may be off by SCREEN_REL, in either sense.
+# The least pair's screened separation is at most this ratio above the least
+# screened one: each of the two may be off by SCREEN_REL, in opposite senses.
 SCREEN_NEAR = (1.0 + SCREEN_REL) / (1.0 - SCREEN_REL)
 SCREEN_AMP = 1e5             # largest |delta| / |lam log lam| it decides
 SCREEN_SEP_MAX = 1e150       # largest separation it decides: the scalar
