@@ -4,11 +4,11 @@ SL(2,C), assumption certifiers, and seeded experiments testing the dimension
 formula dim = min{2, h / (2 chi)} at desk scale.
 """
 
-from .sl2 import (GaussianRational, GroupElement, ProjPoint, RPoint,
-                  SvdDecomposition, INFINITY, E1, E2,
-                  boundary_direction, chart_g, chart_g_inverse, dist_cp1,
-                  dist_g_proxy, dist_rp1, mobius_apply, mobius_derivative,
-                  proj_act, proj_line, psi, psi_inv, svd2)
+from .sl2 import (GroupElement, ProjPoint, RPoint, SvdDecomposition,
+                  INFINITY, E1, E2, boundary_direction, chart_g,
+                  chart_g_inverse, dist_cp1, dist_g_proxy, dist_rp1,
+                  mobius_apply, mobius_derivative, proj_act, proj_line, psi,
+                  psi_inv, svd2)
 from .words import (System, Word, WordSet, chi_word, doubling_word_sets,
                     enumerate_first_passage, is_doubling_word,
                     product_of_word, sample_word)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -16,9 +15,9 @@ import numpy as np
 from .dyadic import shannon_entropy
 from .errors import (CapExceededError, FloatOverflowError, LogBranchError,
                      UndersampledError)
-from .sl2 import (EXACT_IDENTITY, ExactMatrix, GaussianRational,
-                  GroupElement, NEG_AXIS_TOL, ProjPoint, E1, E2, dist_cp1,
-                  exact_matrix, exact_mul, principal_log_norm, proj_act)
+from .sl2 import (EXACT_IDENTITY, ExactMatrix, GroupElement, NEG_AXIS_TOL,
+                  ProjPoint, E1, E2, dist_cp1, exact_mul, principal_log_norm,
+                  proj_act)
 from .words import ScaledMatrix, System, draw_letters
 
 TAU_EIG = 1e-9
@@ -69,105 +68,41 @@ def eig_directions(g: GroupElement) -> List[ProjPoint]:
 
 
 # ---------------------------------------------------------------------------
-# exact invariance of a candidate direction (quadratic extension over Q(i))
+# exact common fixed direction
 # ---------------------------------------------------------------------------
 
-def _sqrt_fraction(f: Fraction) -> Optional[Fraction]:
-    if f < 0:
-        return None
-    pn, pd = f.numerator, f.denominator
-    rn, rd = math.isqrt(pn), math.isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
+def _exact_common_direction(sys: System) -> bool:
+    """Exact check that an eigenline of generator 0 is fixed by every
+    generator; False when generator 0 is scalar.
 
+    Works on the integer numerators M of generator 0, with trace t and
+    eigenvalues (t +- r)/2, r^2 = t^2 - 4 D^2. The discriminant is a square
+    in Q(i) exactly when it is one in Z[i]. Without a root the two eigenlines
+    are Galois conjugates, so a rational X fixes one exactly when it fixes
+    both, that is when X commutes with M. With a root (r = 0 included) the
+    range of 2M - (t -+ r) I is the (t +- r)/2 eigenline (Cayley-Hamilton),
+    so X fixes it exactly when (2M - (t +- r) I) X (2M - (t -+ r) I) = 0."""
+    m = sys.exact[0]
+    den, ar, ai, br, bi, cr, ci, dr, di = m
+    if not (br or bi or cr or ci) and (ar, ai) == (dr, di):
+        return False
+    tr, ti = ar + dr, ai + di
+    p, q = tr * tr - ti * ti - 4 * den * den, 2 * tr * ti
+    n = math.isqrt(p * p + q * q)
+    x, y = math.isqrt((n + p) // 2), math.isqrt((n - p) // 2)
+    y = -y if q < 0 else y
+    if (x * x - y * y, 2 * x * y) != (p, q):
+        return all(exact_mul(m, g) == exact_mul(g, m) for g in sys.exact)
 
-def _sqrt_gaussian(d: GaussianRational) -> Optional[GaussianRational]:
-    """Square root in Q(i) when it exists, else None."""
-    if d.is_zero():
-        return GaussianRational.of(0)
-    if d.im == 0:
-        r = _sqrt_fraction(d.re)
-        if r is not None:
-            return GaussianRational(r, Fraction(0))
-        r = _sqrt_fraction(-d.re)
-        if r is not None:
-            return GaussianRational(Fraction(0), r)
-        return None
-    n2 = _sqrt_fraction(d.re * d.re + d.im * d.im)
-    if n2 is None:
-        return None
-    x2 = (d.re + n2) / 2
-    x = _sqrt_fraction(x2)
-    if x is None or x == 0:
-        return None
-    y = d.im / (2 * x)
-    cand = GaussianRational(x, y)
-    return cand if cand * cand == d else None
+    def shifted(sr: int, si: int) -> ExactMatrix:
+        # 2M - (t + s) I over the integers
+        return (1, 2 * ar - tr - sr, 2 * ai - ti - si, 2 * br, 2 * bi,
+                2 * cr, 2 * ci, 2 * dr - tr - sr, 2 * di - ti - si)
 
-
-# elements of Q(i)[X]/(X^2 - D) as pairs (p, q) meaning p + q*sqrt(D)
-_Ext = Tuple[GaussianRational, GaussianRational]
-
-
-def _ext_mul(u: _Ext, v: _Ext, d: GaussianRational) -> _Ext:
-    return (u[0] * v[0] + u[1] * v[1] * d, u[0] * v[1] + u[1] * v[0])
-
-
-def _ext_addsub(u: _Ext, v: _Ext, sign: int) -> _Ext:
-    if sign > 0:
-        return (u[0] + v[0], u[1] + v[1])
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def _exact_invariant_direction(sys: System, which_root: int) -> Optional[bool]:
-    """Exact check that an eigendirection of generator 0 is fixed by every
-    generator. Returns True/False, or None when generator 0 is scalar."""
-    a, b, c, d = sys.exact[0]
-    if b.is_zero() and c.is_zero() and a == d:
-        return None
-    two = GaussianRational.of(2)
-    four = GaussianRational.of(4)
-    t = a + d
-    disc = t * t - four                      # (2*delta)^2
-    root = _sqrt_gaussian(disc)
-
-    zero = GaussianRational.of(0)
-    if root is not None:
-        # eigenvalue rational in Q(i): verify with plain Q(i) arithmetic
-        lam = (t + (root if which_root == 0 else -root)) / two
-        if not c.is_zero():
-            v1, v2 = lam - d, c
-        elif not b.is_zero():
-            v1, v2 = b, lam - a
-        else:  # diagonal: eigendirections are the coordinate axes
-            v1, v2 = (GaussianRational.of(1), zero) if which_root == 0 \
-                else (zero, GaussianRational.of(1))
-        for xa, xb, xc, xd in sys.exact:
-            w1 = xa * v1 + xb * v2
-            w2 = xc * v1 + xd * v2
-            if not (w1 * v2 - w2 * v1).is_zero():
-                return False
-        return True
-
-    # irrational eigenvalue: work in the field Q(i)[X]/(X^2 - disc), where
-    # lambda = (t + X)/2 up to the root choice
-    dd = disc
-    sgn = GaussianRational.of(1 if which_root == 0 else -1)
-    lam: _Ext = (t / two, sgn / two)
-    if not c.is_zero():
-        v1: _Ext = _ext_addsub(lam, (d, zero), -1)
-        v2: _Ext = (c, zero)
-    else:
-        v1 = (b, zero)
-        v2 = _ext_addsub(lam, (a, zero), -1)
-    for xa, xb, xc, xd in sys.exact:
-        w1 = _ext_addsub(_ext_mul((xa, zero), v1, dd), _ext_mul((xb, zero), v2, dd), 1)
-        w2 = _ext_addsub(_ext_mul((xc, zero), v1, dd), _ext_mul((xd, zero), v2, dd), 1)
-        cross = _ext_addsub(_ext_mul(w1, v2, dd), _ext_mul(w2, v1, dd), -1)
-        if not (cross[0].is_zero() and cross[1].is_zero()):
-            return False
-    return True
+    plus, minus = shifted(x, y), shifted(-x, -y)
+    return any(all(not any(exact_mul(exact_mul(u, g), v)[1:])
+                   for g in sys.exact)
+               for u, v in ((plus, minus), (minus, plus)))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +126,7 @@ def find_common_fixed_points(sys: System) -> List[ProjPoint]:
     if sys.exact and not _is_scalar(sys.generators[0]):
         # exact decision overrides borderline float verdicts; the float
         # candidates still supply the witness directions
-        exact_hit = any(_exact_invariant_direction(sys, w) for w in (0, 1))
+        exact_hit = _exact_common_direction(sys)
         if exact_hit and not out:
             out = [p for p in candidates
                    if all(dist_cp1(proj_act(g, p), p) <= 1e-6
@@ -546,15 +481,14 @@ def _grouped_products(sys: System, n_max: int, cap: int
         raise CapExceededError(f"|alphabet|^{n_max} exceeds cap={cap}")
     gens = np.array([g.entries() for g in sys.generators], complex).view(float)
     probs = sys.probs_array()
-    letters = None if sys.exact is None else list(map(exact_matrix, sys.exact))
     rows, weights = np.array([[1.0, 0, 0, 0, 0, 0, 1, 0]]), np.ones(1)
-    exact = [EXACT_IDENTITY] if letters else None
+    exact = None if sys.exact is None else [EXACT_IDENTITY]
     for n in range(1, n_max + 1):
         rows = _level_product(rows, gens)
-        if letters is None and not np.isfinite(rows).all():
+        if exact is None and not np.isfinite(rows).all():
             raise FloatOverflowError(f"float products overflow at length {n}")
         weights = (weights[:, None] * probs[None, :]).ravel()
-        exact = exact and [exact_mul(x, y) for x in exact for y in letters]
+        exact = exact and [exact_mul(x, y) for x in exact for y in sys.exact]
         first, weights, ambiguous = _group_products(rows, weights, exact)
         rows, exact = rows[first], exact and [exact[k] for k in first]
         yield n, rows, weights, ambiguous
@@ -696,6 +630,9 @@ def diophantine_probe(sys: System, n_max: int,
                 # the identity), so they never decide the minimum
                 branch_pairs += 1
                 continue
+            except OverflowError as exc:
+                raise FloatOverflowError(
+                    f"pair separations overflow at length {n}") from exc
             if min_sep is None or sep < min_sep:
                 min_sep = sep
         branch_total += branch_pairs

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import ConfigError
 from .presets import get_preset
-from .sl2 import ExactEntries, GaussianRational, GroupElement
+from .sl2 import ExactMatrix, GroupElement, exact_det_is_one, exact_matrix
 from .words import System
 
 DET_TOL = 1e-8
@@ -67,8 +67,8 @@ class RunConfig:
             lines.append(f"preset = {self.preset}")
         else:
             if self.system.exact:
-                rows = [[_frac_str(f) for x in xs for f in (x.re, x.im)]
-                        for xs in self.system.exact]
+                rows = [[_frac_str(Fraction(v, x[0])) for v in x[1:]]
+                        for x in self.system.exact]
             else:
                 rows = [[f"{t:.17g}" for z in g.entries()
                          for t in (z.real, z.imag)]
@@ -111,7 +111,7 @@ def _parse_scalar(tok: str, line_no: int) -> Tuple[float, Optional[Fraction]]:
 
 
 def _build_matrix(tokens: List[str], line_no: int,
-                  want_exact: bool) -> Union[ExactEntries, GroupElement]:
+                  want_exact: bool) -> Union[ExactMatrix, GroupElement]:
     """The exact entries of a `g = ...` line in exact mode, else its float
     matrix."""
     if len(tokens) != 8:
@@ -130,12 +130,11 @@ def _build_matrix(tokens: List[str], line_no: int,
         if any(f is None for f in fracs):
             raise ConfigError("exact mode needs rational entries (p/q or "
                               "integer literals)", line_no)
-        gr = [GaussianRational(fracs[2 * i], fracs[2 * i + 1]) for i in range(4)]
-        det = gr[0] * gr[3] - gr[1] * gr[2]
-        if not (det.re == 1 and det.im == 0):
-            raise ConfigError(
-                f"exact determinant is {det.re}+{det.im}i, not 1", line_no)
-        return tuple(gr)
+        x = exact_matrix(fracs)
+        if not exact_det_is_one(x):
+            raise ConfigError(f"exact determinant is not 1 (in floats "
+                              f"{det:.12g})", line_no)
+        return x
     if abs(det - 1.0) > DET_TOL:
         raise ConfigError(
             f"determinant {det:.12g} violates |det-1| <= {DET_TOL:g}; "

@@ -19,7 +19,8 @@ from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
 from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
                      shannon_entropy, sphere_embedding)
 from .errors import StallError, UndersampledError
-from .words import System, draw_letters
+from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
+                    draw_letters)
 
 DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
 MIN_BIN_COUNT = 20.0             # Delta level undersampled below this median
@@ -235,11 +236,11 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
                 keep[gone] = False
                 walk = walk.rows(keep)
                 live = live[keep]
-            if step == 255:
+            if step + 1 == STALL_CHECK_STEPS:
                 # chi of the live rows, and of the retired ones at their stop
                 chi_max = max(chi_stop.max(), 2.0 * walk.log2_opnorm().max(
                     initial=-math.inf))
-                if chi_max < 0.02 * chi_goal:
+                if chi_max < STALL_CHI_FRACTION * chi_goal:
                     raise StallError("norm cocycle is not growing; "
                                      "system looks non-proximal")
         if len(live):

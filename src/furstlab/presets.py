@@ -3,21 +3,15 @@
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 
-from .sl2 import ExactEntries, GaussianRational, GroupElement, su2_from_pair
+from .sl2 import GroupElement, exact_matrix, su2_from_pair
 from .words import System
-
-
-def _exact_mat(entries) -> ExactEntries:
-    return tuple(GaussianRational(Fraction(re), Fraction(im))
-                 for re, im in entries)
 
 
 def sanov() -> System:
     """Integer parabolic pair; free semigroup, fixes the real line."""
-    g0 = _exact_mat([(1, 0), (2, 0), (0, 0), (1, 0)])
-    g1 = _exact_mat([(1, 0), (0, 0), (2, 0), (1, 0)])
+    g0 = exact_matrix([1, 0, 2, 0, 0, 0, 1, 0])
+    g1 = exact_matrix([1, 0, 0, 0, 2, 0, 1, 0])
     return System.from_exact((g0, g1), (0.5, 0.5), "sanov")
 
 
@@ -33,15 +27,15 @@ def twist() -> System:
 
 def discrete_gaussian() -> System:
     """Parabolic pair over the Gaussian integers."""
-    g0 = _exact_mat([(1, 0), (1, 1), (0, 0), (1, 0)])
-    g1 = _exact_mat([(1, 0), (0, 0), (1, -1), (1, 0)])
+    g0 = exact_matrix([1, 0, 1, 1, 0, 0, 1, 0])
+    g1 = exact_matrix([1, 0, 0, 0, 1, -1, 1, 0])
     return System.from_exact((g0, g1), (0.5, 0.5), "discrete-gaussian")
 
 
 def inverse_pair() -> System:
     """Diagonal matrix and its inverse; collision control, zero drift."""
-    g0 = _exact_mat([(2, 0), (0, 0), (0, 0), (Fraction(1, 2), 0)])
-    g1 = _exact_mat([(Fraction(1, 2), 0), (0, 0), (0, 0), (2, 0)])
+    g0 = exact_matrix([2, 0, 0, 0, 0, 0, "1/2", 0])
+    g1 = exact_matrix(["1/2", 0, 0, 0, 0, 0, 2, 0])
     return System.from_exact((g0, g1), (0.5, 0.5), "inverse-pair")
 
 

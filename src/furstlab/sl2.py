@@ -1,4 +1,4 @@
-"""Floating arithmetic for SL(2,C), exact Gaussian-rational matrix entries,
+"""Floating arithmetic for SL(2,C), exact Gaussian-rational matrices,
 Moebius actions on the Riemann sphere, closed-form 2x2 singular value
 decomposition, the top-singular-direction map, and the metrics and charts
 used by the rest of the package.
@@ -31,55 +31,8 @@ NEG_AXIS_TOL = 1e-14    # relative tolerance for "eigenvalue on (-inf, 0]"
 
 
 # ---------------------------------------------------------------------------
-# exact scalars
+# exact matrices
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Exact complex scalar with rational parts, closed under +, -, * and
-    nonzero division: the parsed entries of exact generators. Products of
-    words use the integer form of `exact_matrix` instead."""
-
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def of(cls, re, im=0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
-
-    def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __truediv__(self, other):
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
-
-ExactEntries = Tuple[GaussianRational, GaussianRational,
-                     GaussianRational, GaussianRational]
 
 # (D, Re a, Im a, ..., Im d) in ints: [[a, b], [c, d]] / D with D > 0 and
 # gcd 1 over all nine, a unique form, so equal tuples are equal matrices
@@ -88,11 +41,19 @@ ExactMatrix = Tuple[int, int, int, int, int, int, int, int, int]
 EXACT_IDENTITY: ExactMatrix = (1, 1, 0, 0, 0, 0, 0, 1, 0)
 
 
-def exact_matrix(x: ExactEntries) -> ExactMatrix:
-    """Canonical integer form of Gaussian-rational entries a, b, c, d."""
-    parts = [f for z in x for f in (z.re, z.im)]
+def exact_matrix(parts) -> ExactMatrix:
+    """Canonical integer form of the eight row-major parts Re a, Im a, ...,
+    Im d, each an int, a Fraction or a "p/q" string."""
+    parts = [Fraction(f) for f in parts]
     den = math.lcm(*(f.denominator for f in parts))
     return (den, *(f.numerator * (den // f.denominator) for f in parts))
+
+
+def exact_det_is_one(x: ExactMatrix) -> bool:
+    """det([[a, b], [c, d]] / D) == 1, that is ad - bc == D^2 in Z[i]."""
+    den, ar, ai, br, bi, cr, ci, dr, di = x
+    return (ar * dr - ai * di - br * cr + bi * ci == den * den
+            and ar * di + ai * dr - br * ci - bi * cr == 0)
 
 
 def exact_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
@@ -117,7 +78,7 @@ def exact_mul(x: ExactMatrix, y: ExactMatrix) -> ExactMatrix:
 # group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
     """A 2x2 complex matrix of determinant one, row-major entries a, b, c, d."""
 

@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import CapExceededError, ExactOverflowError, StallError
-from .sl2 import (EXACT_IDENTITY, ExactEntries, ExactMatrix, GroupElement,
-                  exact_matrix, exact_mul)
+from .sl2 import (EXACT_IDENTITY, ExactMatrix, GroupElement, exact_det_is_one,
+                  exact_mul)
 
 Word = Tuple[int, ...]
 
@@ -25,22 +25,30 @@ EXACT_BITS_CAP = 1 << 20     # bit-size cap for exact-mode integer entries
 DEFAULT_ENUM_CAP = 10_000_000
 MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
 COMPARE_LETTERS_MAX = 4        # draw_letters compares up to this alphabet
+# the stall rule of the stopping-rule samplers: after STALL_CHECK_STEPS
+# letters or blocks, a chi below STALL_CHI_FRACTION of the goal means the
+# norm cocycle is not growing
+STALL_CHECK_STEPS = 256
+STALL_CHI_FRACTION = 0.02
 
 
-def _rounded(x: ExactEntries) -> GroupElement:
-    xa, xb, xc, xd = x
-    return GroupElement(complex(xa), complex(xb), complex(xc), complex(xd))
+def _rounded(x: ExactMatrix) -> GroupElement:
+    # int true division rounds correctly, as float(Fraction) does
+    den, *parts = x
+    return GroupElement(*(complex(re / den, im / den)
+                          for re, im in zip(parts[::2], parts[1::2])))
 
 
 @dataclass(frozen=True)
 class System:
     """Generating data: matrices g_i and probability vector p. In exact mode
-    `exact` holds the Gaussian-rational entries of each g_i, and the float
-    generators are those entries rounded; in float mode it is None."""
+    `exact` holds the canonical integer tuple (see `sl2.exact_matrix`) of
+    each g_i, and the float generators are those entries rounded; in float
+    mode it is None."""
 
     generators: Tuple[GroupElement, ...]
     probs: Tuple[float, ...]
-    exact: Optional[Tuple[ExactEntries, ...]] = None
+    exact: Optional[Tuple[ExactMatrix, ...]] = None
     name: str = "custom"
 
     def __post_init__(self):
@@ -58,18 +66,20 @@ class System:
                     raise ValueError(
                         f"generator {i}: |det - 1| = {g.det_defect():.3e}")
             return
-        for i, (xa, xb, xc, xd) in enumerate(self.exact):
-            det = xa * xd - xb * xc
-            if not (det.re == 1 and det.im == 0):
+        for i, x in enumerate(self.exact):
+            # grouping keys compare tuples, so each must be the unique form
+            if not (x[0] > 0 and math.gcd(*x) == 1):
+                raise ValueError(f"generator {i}: exact tuple not canonical")
+            if not exact_det_is_one(x):
                 raise ValueError(f"generator {i}: exact determinant is not 1")
         if self.generators != tuple(map(_rounded, self.exact)):
             raise ValueError("float generators are not the rounded exact ones")
 
     @classmethod
-    def from_exact(cls, exact: Sequence[ExactEntries], probs: Sequence[float],
+    def from_exact(cls, exact: Sequence[ExactMatrix], probs: Sequence[float],
                    name: str) -> "System":
         """Exact-mode system; the float generators are the exact entries
-        rounded by complex()."""
+        rounded."""
         exact = tuple(tuple(x) for x in exact)
         return cls(tuple(map(_rounded, exact)), tuple(probs), exact, name)
 
@@ -81,8 +91,9 @@ class System:
         return np.asarray(self.probs, dtype=float)
 
     def transposed(self) -> "System":
+        # b sits in slots 3-4 of an exact tuple and c in slots 5-6
         exact = None if self.exact is None else tuple(
-            (xa, xc, xb, xd) for xa, xb, xc, xd in self.exact)
+            x[:3] + x[5:7] + x[3:5] + x[7:] for x in self.exact)
         return System(tuple(g.transpose() for g in self.generators),
                       self.probs, exact, self.name + "-transpose")
 
@@ -143,7 +154,7 @@ class WordSet:
 # renormalized products
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ScaledMatrix:
     """Product matrix stored as (entries / 2^log2_scale) to avoid overflow."""
 
@@ -189,9 +200,9 @@ def exact_product(sys: System, u: Sequence[int],
     raises ExactOverflowError when one of its ints passes `bits_cap` bits."""
     if sys.exact is None:
         raise ValueError(f"system {sys.name!r} has no exact entries")
-    acc, letters = EXACT_IDENTITY, [exact_matrix(x) for x in sys.exact]
+    acc = EXACT_IDENTITY
     for i in u:
-        acc = _capped(exact_mul(acc, letters[i]), bits_cap, len(u))
+        acc = _capped(exact_mul(acc, sys.exact[i]), bits_cap, len(u))
     return acc
 
 
@@ -331,7 +342,10 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
         raise ValueError("need 0 <= j < l")
     block = tuple(draw_letters(rng, p, j).tolist())
     blocks, acc = [block], scaled_product(sys, block)
-    while not acc.chi() > n:
+    while not (chi := acc.chi()) > n:
+        if len(blocks) == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
+            raise StallError("norm cocycle is not growing; "
+                             "system looks non-proximal")
         if len(blocks) > MAX_PASSAGE_BLOCKS:
             raise StallError(
                 f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")

@@ -108,10 +108,8 @@ def test_criterion_02_exact_entropy():
                           for k in range(nn + 1))
         binom_ok = binom_ok and abs(h - closed) <= 1e-12
 
-    from fractions import Fraction
-    from furstlab.sl2 import GaussianRational
-    g = (GaussianRational(Fraction(2), Fraction(0)), GaussianRational.of(0),
-         GaussianRational.of(0), GaussianRational(Fraction(1, 2), Fraction(0)))
+    from furstlab.sl2 import exact_matrix
+    g = exact_matrix([2, 0, 0, 0, 0, 0, "1/2", 0])
     rep = fl.random_walk_entropy(System.from_exact((g, g), (0.5, 0.5), "rep"),
                                  8)
     rep_ok = all(h == 0.0 for _, h, _ in rep.rows)

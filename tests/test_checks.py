@@ -20,8 +20,9 @@ from furstlab.checks import (DiophantineReport, _group_products,
                              diophantine_probe, find_common_fixed_points,
                              find_fixed_circles, random_walk_entropy)
 from furstlab.errors import FloatOverflowError, LogBranchError
-from furstlab.sl2 import (E1, E2, GaussianRational, GroupElement, dist_cp1,
-                          principal_log_norm, random_element)
+from furstlab.sl2 import (E1, E2, EXACT_IDENTITY, GroupElement, dist_cp1,
+                          exact_matrix, exact_mul, principal_log_norm,
+                          random_element)
 from furstlab.words import System, product_of_word
 
 SANOV = fl.get_preset("sanov")
@@ -30,17 +31,16 @@ INV = fl.get_preset("inverse-pair")
 SU2 = fl.get_preset("su2-control")
 
 
-def _gr(x):
-    return GaussianRational(Fraction(x), Fraction(0))
+def _real(a, b, c, d):
+    """Exact tuple of a matrix with real rational entries a, b, c, d."""
+    return exact_matrix([a, 0, b, 0, c, 0, d, 0])
 
 
 UPPER_PAIR = System.from_exact(
-    ((_gr(2), _gr(1), _gr(0), _gr("1/2")),
-     (_gr(3), _gr(1), _gr(0), _gr("1/3"))),
-    (0.5, 0.5), "upper-pair")
+    (_real(2, 1, 0, "1/2"), _real(3, 1, 0, "1/3")), (0.5, 0.5), "upper-pair")
 
-SINGLE_DIAG = System.from_exact(
-    ((_gr(2), _gr(0), _gr(0), _gr("1/2")),), (1.0,), "single-diag")
+SINGLE_DIAG = System.from_exact((_real(2, 0, 0, "1/2"),), (1.0,),
+                                "single-diag")
 
 DIAG_AND_SWAP = System(
     (GroupElement(2 + 0j, 0j, 0j, 0.5 + 0j),
@@ -91,6 +91,82 @@ def test_strong_irreducibility_upper_pair_fails():
     rep = check_strong_irreducibility(UPPER_PAIR)
     assert not rep.passes
     assert len(rep.witness) == 1
+
+
+# -- exact common fixed direction, against constructions ---------------------
+
+def _inv(x):
+    """Inverse of an exact tuple of determinant 1: its adjugate."""
+    den, ar, ai, br, bi, cr, ci, dr, di = x
+    return (den, dr, di, -br, -bi, -cr, -ci, ar, ai)
+
+
+def _conj(p, x):
+    return exact_mul(exact_mul(p, x), _inv(p))
+
+
+def _gauss(rng):
+    """A Gaussian rational with small nonzero parts, so that eigenvalues (and
+    the root of the discriminant) are not real."""
+    parts = [-4, -3, -2, -1, 1, 2, 3, 4]
+    return [Fraction(int(rng.choice(parts)), int(rng.integers(1, 4)))
+            for _ in range(2)]
+
+
+def _triangular(a, b=(0, 0), lower=False):
+    """[[a, b], [0, 1/a]], or [[a, 0], [b, 1/a]] when lower."""
+    ar, ai = map(Fraction, a)
+    n = ar * ar + ai * ai
+    off = [0, 0, *b] if lower else [*b, 0, 0]
+    return exact_matrix([ar, ai, *off, ar / n, -ai / n])
+
+
+def _shears(rng, k):
+    g = EXACT_IDENTITY
+    for _ in range(k):
+        for lower in (False, True):
+            g = exact_mul(g, _triangular((1, 0), _gauss(rng), lower))
+    return g
+
+
+def _oracle_cases():
+    """(generators, expected) pairs whose answer is known by construction:
+    conjugating by p moves the eigenlines of diagonal and triangular
+    matrices to p e1 and p e2."""
+    rng = np.random.default_rng(23)
+    golden = exact_matrix([2, 0, 1, 0, 1, 0, 1, 0])  # trace 3, disc 5
+
+    def tri(lower=False):
+        return _triangular(_gauss(rng), _gauss(rng), lower)
+
+    for _ in range(12):
+        p = _shears(rng, 2)
+        diag = _conj(p, _triangular(_gauss(rng)))
+        upper = [_conj(p, tri()) for _ in range(2)]
+        lower = _conj(p, tri(lower=True))
+        parabolic = _conj(p, _triangular((1, 0), _gauss(rng)))
+        g = _conj(p, golden)
+        generic = _shears(rng, 3)
+        yield [upper[0], upper[1], parabolic], True
+        yield [parabolic, upper[0]], True
+        yield [diag, upper[0]], True          # one eigenline of diag
+        yield [diag, lower], True             # the other one
+        yield [diag, upper[0], lower], False  # one eigenline each
+        yield [g, exact_mul(g, g), exact_mul(exact_mul(g, g), g)], True
+        yield [generic, exact_mul(generic, generic)], True
+        yield [g, generic], False
+        yield [g, exact_mul(g, g), upper[0]], False
+        yield [parabolic, lower], False
+        yield [EXACT_IDENTITY, upper[0]], False
+
+
+def test_exact_common_direction_matches_constructions():
+    expected, got = [], []
+    for gens, want in _oracle_cases():
+        sys_ = System.from_exact(gens, [1.0 / len(gens)] * len(gens), "oracle")
+        expected.append(want)
+        got.append(checks._exact_common_direction(sys_))
+    assert got == expected
 
 
 # -- proximality ---------------------------------------------------------------
@@ -270,18 +346,18 @@ def test_dio_screen_keeps_scalar_overflow():
                      GroupElement(lam, 1e150 + 0j, 0j, 1 / lam),
                      GroupElement(1 + 0j, 1e-3 + 0j, 0j, 1 + 0j)),
                     (0.3, 0.3, 0.4))
-    for probe in (diophantine_probe, _probe_all_pairs):
-        with pytest.raises(OverflowError):
-            probe(system, 1)
+    with pytest.raises(FloatOverflowError, match="length 1"):
+        diophantine_probe(system, 1)
+    with pytest.raises(OverflowError):
+        _probe_all_pairs(system, 1)
 
 
 def test_dio_screen_duplicate_representatives():
     # distinct exact generators with equal float entries: ratio I, sep 0
     tiny = Fraction(1, 10 ** 30)
     system = System.from_exact(
-        ((_gr(1), _gr(1), _gr(0), _gr(1)),
-         (_gr(1 + tiny), _gr(1), _gr(0), _gr(1 / (1 + tiny))),
-         (_gr(1), _gr(0), _gr(2), _gr(1))),
+        (_real(1, 1, 0, 1), _real(1 + tiny, 1, 0, 1 / (1 + tiny)),
+         _real(1, 0, 2, 1)),
         (0.3, 0.3, 0.4), "float-twins")
     rep = diophantine_probe(system, 4)
     assert rep == _probe_all_pairs(system, 4)
@@ -399,8 +475,8 @@ def test_float_overflow_raises_only_past_the_float_range():
     assert random_walk_entropy(wide, 1).rows == [(1, 1.0, 1.0)]
     # exact mode groups by integers, so overflowing floats do not stop it
     big = Fraction(2 ** 600)
-    exact = System.from_exact(((_gr(big), _gr(0), _gr(0), _gr(1 / big)),),
-                              (1.0,), "huge-exact")
+    exact = System.from_exact((_real(big, 0, 0, 1 / big),), (1.0,),
+                              "huge-exact")
     assert [h for _, h, _ in random_walk_entropy(exact, 3).rows] == [0.0] * 3
 
 
@@ -435,7 +511,7 @@ def test_hrw_sanov_free():
 
 
 def test_hrw_repeated_matrix_zero():
-    g = (_gr(2), _gr(0), _gr(0), _gr("1/2"))
+    g = _real(2, 0, 0, "1/2")
     sys_ = System.from_exact((g, g), (0.5, 0.5), "rep")
     t = random_walk_entropy(sys_, 8)
     assert all(h == 0.0 for _, h, _ in t.rows)

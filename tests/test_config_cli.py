@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from furstlab.cli import main
 from furstlab.config import parse_config
 from furstlab.engine import entropy_slope_dimension, sample_boundary
+from furstlab.checks import diophantine_probe
 from furstlab.errors import (CapExceededError, ConfigError, ExactOverflowError,
-                             StallError, UndersampledError)
+                             FloatOverflowError, StallError,
+                             UndersampledError)
 from furstlab.presets import PRESETS, get_preset
 from furstlab.words import enumerate_first_passage, exact_product, sample_word
 
@@ -78,6 +80,13 @@ def test_parse_rejects_bad_determinant_with_line():
     with pytest.raises(ConfigError) as err:
         parse_config(BAD_DET)
     assert "determinant" in str(err.value)
+    assert "line 3" in str(err.value)
+
+
+def test_parse_rejects_bad_exact_determinant_with_line():
+    with pytest.raises(ConfigError) as err:
+        parse_config(BAD_DET + "exact = true\n")
+    assert "exact determinant is not 1" in str(err.value)
     assert "line 3" in str(err.value)
 
 
@@ -452,6 +461,13 @@ def test_cli_boundary_convergence_default_lengths(tmp_path):
 # exits 1 ---------------------------------------------------------------------
 
 NORM_ONE = "[system]\ng = 1,0,0,0,0,0,1,0\np = 1\n"
+# the ratio of the last two generators is finite, with |b| about 1e6 and an
+# entry 1e150, but the squares in its log norm overflow
+OVERFLOWING_RATIO = (
+    "[system]\ng = 1,0,0,0,0,0,1,0\n"
+    "g = -0.9999999999955,-2.9999999999955002e-06,1e150,0,0,0,"
+    "-0.9999999999955,2.9999999999955002e-06\n"
+    "g = 1,0,1e-3,0,0,0,1,0\np = 0.3,0.3,0.4\n")
 HUGE_EXACT = (f"[system]\ng = {10 ** 400},0,0,0,0,0,1/{10 ** 400},0\n"
               "exact = true\n")
 
@@ -491,12 +507,18 @@ BAD_INPUTS = {
                             np.random.default_rng(0), first_passage=(0, 1, 60)),
         StallError, ["exp", "direction-cocycle", "--preset", "su2-control",
                      "--param", "trials=1", "--param", "n=10"], None),
+    "dio-overflowing-ratio": (
+        lambda: diophantine_probe(parse_config(OVERFLOWING_RATIO).system, 1),
+        FloatOverflowError, ["dio", "--param", "nmax=1"], OVERFLOWING_RATIO),
 }
 
 # what the CLI's error line says, where a case pins it
 BAD_INPUT_MESSAGES = {
     # the sampler's stall test at step 255, not its 4096-letter cap
     "norm-one-first-passage": "system looks non-proximal",
+    # the first passage's stall test at block 256, not its block cap
+    "stalled-first-passage": "system looks non-proximal",
+    "dio-overflowing-ratio": "length 1",
 }
 
 

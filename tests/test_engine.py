@@ -280,7 +280,10 @@ def test_boundary_transpose_flag(tmp_path):
     t = SANOV.transposed()
     a = sample_boundary(t, 20, 2000, seed=8)
     assert a.system == t and t.name == "sanov-transpose"
-    assert t.exact == tuple((xa, xc, xb, xd) for xa, xb, xc, xd in SANOV.exact)
+    # slots 3-4 (b) swap with slots 5-6 (c) of each (D, Re a, ..., Im d)
+    assert t.exact == tuple((den, ar, ai, cr, ci, br, bi, dr, di)
+                            for den, ar, ai, br, bi, cr, ci, dr, di
+                            in SANOV.exact)
     b = sample_boundary(SANOV, 20, 2000, seed=8)
     assert a.measure.points.tobytes() != b.measure.points.tobytes()
     sphere_to_plane(a.measure).to_csv(str(tmp_path / "direct.csv"))

@@ -11,7 +11,6 @@ Python's shortest round-trip float repr, which is exact to the bit.
 
 import hashlib
 import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from furstlab import (PipelineBudget, System, certify, check_proximality,
                       get_preset, random_walk_entropy, sample_boundary,
                       sample_word)
 from furstlab.dyadic import uniform_square
-from furstlab.sl2 import GaussianRational
+from furstlab.sl2 import exact_matrix
 
 
 def _plain(obj) -> str:
@@ -39,11 +38,9 @@ def _main_theorem(name):
 
 
 def _certify_exact():
-    gr = [GaussianRational(Fraction(x), Fraction(0))
-          for x in (0, 1, 2, 3, "1/2", "1/3")]
-    upper_pair = System.from_exact(((gr[2], gr[1], gr[0], gr[4]),
-                                    (gr[3], gr[1], gr[0], gr[5])),
-                                   (0.5, 0.5), "upper-pair")
+    upper_pair = System.from_exact(
+        (exact_matrix([2, 0, 1, 0, 0, 0, "1/2", 0]),
+         exact_matrix([3, 0, 1, 0, 0, 0, "1/3", 0])), (0.5, 0.5), "upper-pair")
     systems = [get_preset(name) for name in
                ("sanov", "discrete-gaussian", "inverse-pair")] + [upper_pair]
     return _plain([certify(s).to_dict() for s in systems])

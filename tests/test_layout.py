@@ -6,6 +6,8 @@
   over the alphabet `sys.size`;
 - `np.unique(..., return_inverse=True)` appears only in `dyadic._ranks`, the
   one sort-based labelling of cell keys;
+- `fractions` is imported only by `sl2` (the exact-matrix builder) and
+  `config` (the literal parser), so the exact decisions stay on integers;
 - the number of defaulted parameters stays at or below a pinned count.
 """
 
@@ -62,6 +64,17 @@ def _inverse_uniques(tree):
                              and not k.value.value) for k in node.keywords)]
 
 
+def _fraction_imports(tree):
+    return [node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(alias.name == "fractions" for alias in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module == "fractions")]
+
+
+# the modules that may read rationals: the exact builder and the parser
+FRACTION_MODULES = {"sl2.py", "config.py"}
+
 RULES = {"private-import": _private_imports,
          "local-relative-import": _local_relative_imports,
          "choice-over-alphabet": _alphabet_choices,
@@ -83,6 +96,11 @@ def _ranks(a):
 def labels(keys):
     first = np.unique(keys, return_inverse=False)
     return first, np.unique(keys, return_inverse=True)[1]
+
+
+import fractions
+from fractions import Fraction
+from .fractions import helper
 """
 
 
@@ -98,10 +116,17 @@ def test_rules_flag_violations():
     assert _local_relative_imports(tree) == [5]
     assert _alphabet_choices(tree) == [6, 6]
     assert _inverse_uniques(tree) == [15]
+    assert _fraction_imports(tree) == [18, 19]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_fractions_only_in_exact_builders(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert path.name in FRACTION_MODULES or _fraction_imports(tree) == []
 
 
 # defaulted parameters of module-level functions and methods at the last count
-DEFAULTED_PARAMETERS_PIN = 96
+DEFAULTED_PARAMETERS_PIN = 95
 
 
 def _defaulted_parameters(tree) -> int:

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from furstlab.errors import ChartError, LogBranchError, PoleError
-from furstlab.sl2 import (E1, E2, INFINITY, GaussianRational, GroupElement,
-                          ProjPoint, RPoint, boundary_direction, chart_g,
-                          chart_g_inverse, dist_cp1, dist_g_proxy, dist_rp1,
-                          exact_matrix, exact_mul, mobius_apply,
-                          mobius_derivative, proj_act, proj_line, psi,
-                          psi_inv, random_element, random_su2, svd2)
+from furstlab.sl2 import (E1, E2, INFINITY, GroupElement, ProjPoint, RPoint,
+                          boundary_direction, chart_g, chart_g_inverse,
+                          dist_cp1, dist_g_proxy, dist_rp1, exact_matrix,
+                          exact_mul, mobius_apply, mobius_derivative,
+                          proj_act, proj_line, psi, psi_inv, random_element,
+                          random_su2, svd2)
 
 RNG = np.random.default_rng(20240811)
 
@@ -346,16 +346,25 @@ def test_equivariance_bulk():
 # -- exact products ------------------------------------------------------------
 
 def _random_gaussian_matrix(rng):
-    def frac():
-        return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
-    return tuple(GaussianRational(frac(), frac()) for _ in range(4))
+    """Eight row-major Fraction parts Re a, Im a, ..., Im d."""
+    return [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+            for _ in range(8)]
 
 
 def _gaussian_product(x, y):
-    xa, xb, xc, xd = x
-    ya, yb, yc, yd = y
-    return (xa * ya + xb * yc, xa * yb + xb * yd,
-            xc * ya + xd * yc, xc * yb + xd * yd)
+    """Row-major product of two matrices given as eight Fraction parts."""
+    xa, xb, xc, xd = zip(x[::2], x[1::2])
+    ya, yb, yc, yd = zip(y[::2], y[1::2])
+
+    def mul(u, v):
+        return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+    def add(u, v):
+        return (u[0] + v[0], u[1] + v[1])
+
+    out = (add(mul(xa, ya), mul(xb, yc)), add(mul(xa, yb), mul(xb, yd)),
+           add(mul(xc, ya), mul(xd, yc)), add(mul(xc, yb), mul(xd, yd)))
+    return [f for z in out for f in z]
 
 
 def _canonical(m):
@@ -377,10 +386,7 @@ def test_exact_mul_matches_gaussian_rationals():
 
 def test_exact_matrix_is_unique():
     # the same matrix reached through different denominators gives one tuple
-    half = GaussianRational.of(Fraction(1, 2))
-    two = GaussianRational.of(2)
-    zero = GaussianRational.of(0)
-    diag = exact_matrix((half, zero, zero, two))
+    diag = exact_matrix(["1/2", 0, 0, 0, 0, 0, 2, 0])
     assert diag == (2, 1, 0, 0, 0, 0, 0, 4, 0)
-    assert exact_mul(diag, exact_matrix((two, zero, zero, half))) \
-        == (1, 1, 0, 0, 0, 0, 0, 1, 0)
+    inverse = exact_matrix([2, 0, 0, 0, 0, 0, Fraction(1, 2), 0])
+    assert exact_mul(diag, inverse) == (1, 1, 0, 0, 0, 0, 0, 1, 0)

@@ -13,8 +13,8 @@ import pytest
 
 import furstlab as fl
 from furstlab.errors import CapExceededError, ExactOverflowError
-from furstlab.sl2 import (EXACT_IDENTITY, GaussianRational, GroupElement,
-                          dist_cp1, exact_mul)
+from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
+                          exact_matrix, exact_mul)
 from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
                             doubling_word_sets, draw_letters,
                             enumerate_first_passage, exact_product,
@@ -22,9 +22,7 @@ from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
 
 
 def _exact_diag(top):
-    t = Fraction(top)
-    return (GaussianRational(t, Fraction(0)), GaussianRational.of(0),
-            GaussianRational.of(0), GaussianRational(1 / t, Fraction(0)))
+    return exact_matrix([top, 0, 0, 0, 0, 0, 1 / Fraction(top), 0])
 
 
 SINGLE = System.from_exact((_exact_diag(2),), (1.0,), "single")
@@ -66,6 +64,16 @@ def test_system_rejects_nan(gens, probs):
         System(gens, probs)
 
 
+@pytest.mark.parametrize("x, message", [
+    ((2, 2, 0, 0, 0, 0, 0, 2, 0), "not canonical"),      # I as 2I / 2
+    ((-1, -1, 0, 0, 0, 0, 0, -1, 0), "not canonical"),   # I with D < 0
+    ((1, 2, 0, 0, 0, 0, 0, 1, 0), "determinant"),
+], ids=["common-factor", "negative-denominator", "det-2"])
+def test_system_rejects_bad_exact_tuple(x, message):
+    with pytest.raises(ValueError, match=message):
+        System.from_exact((x,), (1.0,), "bad")
+
+
 def test_chi_word_values():
     assert chi_word(SANOV, ()) == 0.0
     assert abs(chi_word(SINGLE, (0,)) - 2.0) <= 1e-12
@@ -85,17 +93,29 @@ def test_exact_overflow_cap():
         exact_product(SANOV, tuple([0, 1] * 200), bits_cap=64)
 
 
+def _mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
 def test_exact_chi_tie_matches_fractions():
-    # reference: frobenius^2 == 2^n + 2^-n on a Gaussian-rational product
+    # reference: frobenius^2 == 2^n + 2^-n on a product of Fraction pairs
     def tie(sys_, u, n):
-        one, zero = GaussianRational.of(1), GaussianRational.of(0)
+        one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
         acc = (one, zero, zero, one)
         for i in u:
+            den, *parts = sys_.exact[i]
+            ya, yb, yc, yd = ((Fraction(re, den), Fraction(im, den))
+                              for re, im in zip(parts[::2], parts[1::2]))
             xa, xb, xc, xd = acc
-            ya, yb, yc, yd = sys_.exact[i]
-            acc = (xa * ya + xb * yc, xa * yb + xb * yd,
-                   xc * ya + xd * yc, xc * yb + xd * yd)
-        f2 = sum(x.re * x.re + x.im * x.im for x in acc)
+            acc = (_add(_mul(xa, ya), _mul(xb, yc)),
+                   _add(_mul(xa, yb), _mul(xb, yd)),
+                   _add(_mul(xc, ya), _mul(xd, yc)),
+                   _add(_mul(xc, yb), _mul(xd, yd)))
+        f2 = sum(re * re + im * im for re, im in acc)
         return f2 == Fraction(2) ** n + Fraction(1, 2 ** n)
 
     rng = np.random.default_rng(5)
