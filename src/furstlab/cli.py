@@ -15,8 +15,8 @@ from dataclasses import replace
 
 from .checks import certify, diophantine_probe, random_walk_entropy
 from .config import RunConfig, load_config, parse_flag
-from .engine import (delta_estimate, dim_estimate, lyapunov_estimate,
-                     sample_boundary)
+from .engine import (DEFAULT_TARGET_BITS, delta_estimate, dim_estimate,
+                     lyapunov_estimate, sample_boundary)
 from .dyadic import sphere_to_plane
 from .errors import FurstlabError
 from .experiments import EXPERIMENTS, PipelineBudget, ThetaSpec, exp_main_theorem
@@ -109,7 +109,7 @@ def cmd_dio(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     count = cfg.param("count", 100_000, int)
-    bits = cfg.param("bits", 40.0, float)
+    bits = cfg.param("bits", DEFAULT_TARGET_BITS, float)
     transpose = parse_flag("transpose", cfg.param("transpose", "false"), None)
     space = cfg.param("space", "c_inf")
     if not cfg.out_path:
@@ -132,8 +132,8 @@ def cmd_dim(cfg: RunConfig) -> int:
     scheme = cfg.param("scheme", "entropy-slope")
     lo = cfg.param("window_lo", 2, int)
     hi = cfg.param("window_hi", 12, int)
-    cloud = sample_boundary(cfg.system, cfg.param("bits", 40.0, float),
-                            count, cfg.seed, cfg.workers)
+    bits = cfg.param("bits", DEFAULT_TARGET_BITS, float)
+    cloud = sample_boundary(cfg.system, bits, count, cfg.seed, cfg.workers)
     est = dim_estimate(cloud.measure, scheme, window=(lo, hi), seed=cfg.seed)
     summary = {"dimension": est.value, "stderr": est.stderr,
                "method": est.method, "count": count}
@@ -207,7 +207,8 @@ def cmd_exp(cfg: RunConfig, name: str) -> int:
     else:
         kw = {"theta": _theta_from_params(cfg), "k": cfg.param("k", 8, int),
               "n": cfg.param("n", 6, int)}
-    cloud = sample_boundary(cfg.system, 40.0, count, seed, workers)
+    cloud = sample_boundary(cfg.system, DEFAULT_TARGET_BITS, count, seed,
+                            workers)
     return _emit(exp(cloud, **kw, seed=seed), cfg)
 
 

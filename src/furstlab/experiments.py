@@ -19,7 +19,7 @@ from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
 from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
                      projection_entropies, sphere_embedding, sphere_to_plane)
-from .engine import (BoundaryCloud, Walk, delta_ladder,
+from .engine import (DEFAULT_TARGET_BITS, BoundaryCloud, Walk, delta_ladder,
                      entropy_slope_dimension, local_dimension,
                      lyapunov_estimate, sample_boundary)
 from .errors import LogBranchError, StallError, UndersampledError
@@ -698,7 +698,7 @@ class PipelineBudget:
     fixtures with known dimension, not theoretical constants."""
 
     boundary_samples: int = 1_000_000
-    target_bits: float = 40.0
+    target_bits: float = DEFAULT_TARGET_BITS
     chi_n: int = 10_000
     chi_trials: int = 1000
     hrw_nmax: int = 9

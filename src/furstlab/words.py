@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,15 +115,21 @@ def draw_letters(rng: np.random.Generator, probs: np.ndarray,
                  size: int) -> np.ndarray:
     """Inverse-CDF letter draws; one uniform per letter. The steps of
     `Generator.choice(len(probs), size, p=probs)` when the cumulative sum
-    ends at exactly 1.0, without its per-call checks of probs.
+    ends at exactly 1.0, without its per-call checks of probs."""
+    return _letters(_cdf(probs), rng.random(size))
 
-    A letter is the number of cdf entries <= u. Alphabets of 2 to
-    COMPARE_LETTERS_MAX letters count them with one comparison per entry,
-    a pass each, which beats the binary search of `searchsorted` on long
-    draws; larger alphabets search."""
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    u = rng.random(size)
+    return cdf
+
+
+def _letters(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The letter of each uniform: the number of cdf entries <= u.
+    Alphabets of 2 to COMPARE_LETTERS_MAX letters count them with one
+    comparison per entry, a pass each, which beats the binary search of
+    `searchsorted` on long draws; larger alphabets search."""
     if not 1 < len(cdf) <= COMPARE_LETTERS_MAX:
         return np.searchsorted(cdf, u, side="right")
     first, *rest = cdf[:-1].tolist()
@@ -141,7 +147,6 @@ class WordSet:
     weights: List[float]
     block_norm_const: Optional[float] = None   # C with ||g_u||_op <= C 2^(n/2)
     exact_ties: int = 0
-    complete: bool = True
 
     def total_weight(self) -> float:
         return math.fsum(self.weights)
@@ -262,8 +267,25 @@ def block_norm_constant(sys: System, l: int) -> float:
     return best
 
 
-# (word, scaled product, weight, exact product or None) of open words
-_Frontier = List[Tuple[Word, ScaledMatrix, float, Optional[ExactMatrix]]]
+# open words of one length: (word, scaled product, weight, extra)
+_Frontier = List[Tuple[Word, ScaledMatrix, float, object]]
+
+
+def _grow(sys: System, frontier: _Frontier, length: int, letters: int,
+          cap: float, what: str) -> Tuple[int, Iterator[tuple]]:
+    """Extend every open word by every block of `length` letters, through
+    `scaled_product` as the samplers do. Returns the stored-letter count
+    with this level's children added, checked against `cap` once before any
+    child is made, and an iterator over the children as (word, scaled
+    product, weight, parent's extra, block)."""
+    blocks = _blocks(sys, length)
+    letters += len(frontier) * len(blocks) * (len(frontier[0][0]) + length)
+    if letters > cap:
+        raise CapExceededError(f"{what} passed cap={cap} letters")
+    weights = [word_weight(sys, b) for b in blocks]
+    return letters, ((word + b, scaled_product(sys, b, acc), w * bw, extra, b)
+                     for word, acc, w, extra in frontier
+                     for b, bw in zip(blocks, weights))
 
 
 def enumerate_first_passage(sys: System, j: int, l: int, n: int,
@@ -274,6 +296,9 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
     The family is block-prefix-free and carries total weight 1; enumeration
     fails loudly when the words it has stored pass `cap` letters, so memory
     stays bounded even where the family is infinite (a norm-one generator).
+    The words grow from the empty word, by one level of j letters and then
+    levels of l letters; the j-letter level counts toward `cap` from the
+    first block level on.
     """
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
@@ -281,46 +306,26 @@ def enumerate_first_passage(sys: System, j: int, l: int, n: int,
     out_weights: List[float] = []
     ties = 0
 
-    # frontier words carry their exact products, which decide chi ties
+    # open words carry their exact products, which decide chi ties
     exact = sys.exact is not None
-    frontier: _Frontier = []
-    letters = 0
-    for u0 in itertools.product(range(sys.size), repeat=j):
-        acc = scaled_product(sys, u0)
-        letters += j
-        w = word_weight(sys, u0)
-        if acc.chi() > n:
-            out_words.append(tuple(u0))
-            out_weights.append(w)
-        else:
-            ex = exact_product(sys, u0) if exact else None
-            ties += exact and _exact_chi_tie(ex, n)
-            frontier.append((tuple(u0), acc, w, ex))
-
-    blocks = _blocks(sys, l)
-    block_mats = [product_of_word(sys, b) for b in blocks]
-    block_ws = [word_weight(sys, b) for b in blocks]
-    block_ex = [exact_product(sys, b) if exact else None for b in blocks]
-
+    block_ex = {b: exact_product(sys, b) for k in (j, l)
+                for b in _blocks(sys, k)} if exact else {}
+    frontier: _Frontier = [((), ScaledMatrix.identity(), 1.0, EXACT_IDENTITY)]
+    letters, length, level_cap = 0, j, math.inf
     while frontier:
-        new_frontier: _Frontier = []
-        for word, acc, w, ex in frontier:
-            for b, bm, bw, bx in zip(blocks, block_mats, block_ws, block_ex):
-                letters += len(word) + l
-                if letters > cap:
-                    raise CapExceededError(
-                        f"first-passage enumeration passed cap={cap} letters")
-                nxt = acc.times(bm)
-                nw = word + b
-                if nxt.chi() > n:
-                    out_words.append(nw)
-                    out_weights.append(w * bw)
-                else:
-                    nx = _capped(exact_mul(ex, bx), EXACT_BITS_CAP,
-                                 len(nw)) if exact else None
-                    ties += exact and _exact_chi_tie(nx, n)
-                    new_frontier.append((nw, nxt, w * bw, nx))
-        frontier = new_frontier
+        letters, children = _grow(sys, frontier, length, letters, level_cap,
+                                  "first-passage enumeration")
+        frontier = []
+        for word, acc, w, ex, b in children:
+            if acc.chi() > n:
+                out_words.append(word)
+                out_weights.append(w)
+            else:
+                nx = _capped(exact_mul(ex, block_ex[b]), EXACT_BITS_CAP,
+                             len(word)) if exact else None
+                ties += exact and _exact_chi_tie(nx, n)
+                frontier.append((word, acc, w, nx))
+        length, level_cap = l, cap
 
     const = block_norm_constant(sys, l)
     return WordSet(out_words, out_weights, block_norm_const=const,
@@ -333,14 +338,14 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
     chi exceeds the passage level (the first-passage stopping rule)."""
     if (length is None) == (first_passage is None):
         raise ValueError("specify exactly one of length / first_passage")
-    p = sys.probs_array()
+    cdf = _cdf(sys.probs_array())
     if length is not None:
-        return tuple(draw_letters(rng, p, length).tolist())
+        return tuple(_letters(cdf, rng.random(length)).tolist())
 
     j, l, n = first_passage
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
-    block = tuple(draw_letters(rng, p, j).tolist())
+    block = tuple(_letters(cdf, rng.random(j)).tolist())
     blocks, acc = [block], scaled_product(sys, block)
     while not (chi := acc.chi()) > n:
         if len(blocks) == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
@@ -349,7 +354,7 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
         if len(blocks) > MAX_PASSAGE_BLOCKS:
             raise StallError(
                 f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")
-        block = tuple(draw_letters(rng, p, l).tolist())
+        block = tuple(_letters(cdf, rng.random(l)).tolist())
         blocks.append(block)
         acc = scaled_product(sys, block, acc)
     return tuple(itertools.chain.from_iterable(blocks))
@@ -395,37 +400,23 @@ def doubling_word_sets(sys: System, j: int, l: int, n: int,
     # frontier keeps every block word (a failure now can extend to a doubling
     # word later), so this is exponential and guarded by the stored letters;
     # each word carries the largest log2 norm among its block prefixes
-    frontier: List[Tuple[Word, ScaledMatrix, float, float]] = []
-    letters = 0
-    for u0 in itertools.product(range(sys.size), repeat=j):
-        acc = scaled_product(sys, u0)
-        letters += j
-        frontier.append((tuple(u0), acc, word_weight(sys, u0),
-                         acc.log2_op_norm()))
-
-    blocks = _blocks(sys, l)
-    block_ws = [word_weight(sys, b) for b in blocks]
-
-    for _ in range(n):
-        new_frontier = []
-        for word, acc, w, top in frontier:
-            for b, bw in zip(blocks, block_ws):
-                letters += len(word) + l
-                if letters > cap:
-                    raise CapExceededError(
-                        f"doubling-word enumeration passed cap={cap} letters")
-                nxt = scaled_product(sys, b, acc)
-                nw = word + b
-                lg = nxt.log2_op_norm()
-                if lg > top + 0.5:
-                    out_words.append(nw)
-                    out_weights.append(w * bw)
-                    chi_full = 2.0 * lg
-                    k_pass = max(0, math.ceil(2.0 * top))
-                    if not (chi_full > k_pass and k_pass <= n * m_bound):
-                        raise RuntimeError(
-                            "doubling word escaped the first-passage envelope")
-                new_frontier.append((nw, nxt, w * bw, max(top, lg)))
-        frontier = new_frontier
+    frontier: _Frontier = [((), ScaledMatrix.identity(), 1.0, -math.inf)]
+    letters, length, level_cap = 0, j, math.inf
+    for level in range(n + 1):
+        letters, children = _grow(sys, frontier, length, letters, level_cap,
+                                  "doubling-word enumeration")
+        frontier = []
+        for word, acc, w, top, _ in children:
+            lg = acc.log2_op_norm()
+            if level and lg > top + 0.5:
+                out_words.append(word)
+                out_weights.append(w)
+                chi_full = 2.0 * lg
+                k_pass = max(0, math.ceil(2.0 * top))
+                if not (chi_full > k_pass and k_pass <= n * m_bound):
+                    raise RuntimeError(
+                        "doubling word escaped the first-passage envelope")
+            frontier.append((word, acc, w, max(top, lg)))
+        length, level_cap = l, cap
 
     return WordSet(out_words, out_weights), m_bound

@@ -6,6 +6,8 @@
   over the alphabet `sys.size`;
 - `np.unique(..., return_inverse=True)` appears only in `dyadic._ranks`, the
   one sort-based labelling of cell keys;
+- `itertools.product(range(sys.size), ...)` appears only in `words._blocks`,
+  so the alphabet's words of one length are enumerated in one place;
 - `fractions` is imported only by `sl2` (the exact-matrix builder) and
   `config` (the literal parser), so the exact decisions stay on integers;
 - the number of defaulted parameters stays at or below a pinned count.
@@ -50,11 +52,16 @@ def _alphabet_choices(tree):
     return out
 
 
+def _inside(tree, name):
+    """ids of the nodes inside the functions called `name`."""
+    return {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == name
+            for node in ast.walk(fn)}
+
+
 def _inverse_uniques(tree):
     """Lines of `unique(..., return_inverse=True)` calls outside `_ranks`."""
-    exempt = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, ast.FunctionDef) and fn.name == "_ranks"
-              for node in ast.walk(fn)}
+    exempt = _inside(tree, "_ranks")
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Call) and id(node) not in exempt
             and isinstance(node.func, ast.Attribute)
@@ -62,6 +69,21 @@ def _inverse_uniques(tree):
             and any(k.arg == "return_inverse"
                     and not (isinstance(k.value, ast.Constant)
                              and not k.value.value) for k in node.keywords)]
+
+
+def _alphabet_products(tree):
+    """Lines of `product(range(sys.size), ...)` calls outside `_blocks`."""
+    exempt = _inside(tree, "_blocks")
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in exempt
+            and (isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "product"
+                 or isinstance(node.func, ast.Name)
+                 and node.func.id == "product")
+            and node.args and isinstance(node.args[0], ast.Call)
+            and isinstance(node.args[0].func, ast.Name)
+            and node.args[0].func.id == "range"
+            and any(_is_sys_size(a) for a in node.args[0].args)]
 
 
 def _fraction_imports(tree):
@@ -78,7 +100,8 @@ FRACTION_MODULES = {"sl2.py", "config.py"}
 RULES = {"private-import": _private_imports,
          "local-relative-import": _local_relative_imports,
          "choice-over-alphabet": _alphabet_choices,
-         "sort-labelling-outside-ranks": _inverse_uniques}
+         "sort-labelling-outside-ranks": _inverse_uniques,
+         "alphabet-product-outside-blocks": _alphabet_products}
 
 VIOLATIONS = """\
 from .sl2 import _hidden
@@ -101,6 +124,14 @@ def labels(keys):
 import fractions
 from fractions import Fraction
 from .fractions import helper
+
+
+def _blocks(sys, l):
+    return list(itertools.product(range(sys.size), repeat=l))
+
+
+def prefixes(sys, j):
+    return itertools.product(range(sys.size), repeat=j), product(range(sys.size))
 """
 
 
@@ -117,6 +148,7 @@ def test_rules_flag_violations():
     assert _alphabet_choices(tree) == [6, 6]
     assert _inverse_uniques(tree) == [15]
     assert _fraction_imports(tree) == [18, 19]
+    assert _alphabet_products(tree) == [28, 28]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

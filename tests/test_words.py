@@ -2,6 +2,7 @@
 norm-doubling words."""
 
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import furstlab as fl
 from furstlab.errors import CapExceededError, ExactOverflowError
 from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
-                          exact_matrix, exact_mul)
+                          exact_matrix, exact_mul, random_element)
 from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
                             doubling_word_sets, draw_letters,
                             enumerate_first_passage, exact_product,
@@ -29,6 +30,11 @@ SINGLE = System.from_exact((_exact_diag(2),), (1.0,), "single")
 SANOV = fl.get_preset("sanov")
 INV = fl.get_preset("inverse-pair")
 TWIST = fl.get_preset("twist")
+# float generators whose first-passage families at the levels below are
+# finite: 806 words at (j, l, n) = (1, 2, 8)
+_PAIR_RNG = np.random.default_rng(2)
+RANDOM_PAIR = System(tuple(random_element(_PAIR_RNG, 2.0) for _ in range(2)),
+                     (0.5, 0.5), name="random-pair")
 
 
 def test_product_empty_word():
@@ -191,6 +197,49 @@ def test_first_passage_cap_error():
         enumerate_first_passage(SANOV, 0, 1, 40, cap=50)
 
 
+@pytest.mark.parametrize("sys_, jln", [
+    (SANOV, (1, 2, 6)), (SANOV, (0, 1, 5)),
+    (fl.get_preset("discrete-gaussian"), (0, 2, 4)), (PAIR, (1, 2, 12)),
+    (RANDOM_PAIR, (2, 3, 10)),
+], ids=["sanov-1-2-6", "sanov-0-1-5", "dgauss-0-2-4", "diag-pair-1-2-12",
+        "random-pair-2-3-10"])
+def test_first_passage_cap_boundary(sys_, jln):
+    # the stored words are the family and its proper block prefixes
+    j, l, _ = jln
+    ws = enumerate_first_passage(sys_, *jln)
+    opened = {u[:k] for u in ws.words for k in range(j, len(u), l)}
+    stored = sum(map(len, ws.words)) + sum(map(len, opened))
+    assert enumerate_first_passage(sys_, *jln, cap=stored).words == ws.words
+    with pytest.raises(CapExceededError):
+        enumerate_first_passage(sys_, *jln, cap=stored - 1)
+
+
+@pytest.mark.parametrize("sys_, jln", [
+    (TWIST, (0, 1, 4)), (SANOV, (1, 2, 3)), (INV, (2, 3, 2)),
+    (RANDOM_PAIR, (1, 2, 3)),
+], ids=["twist-0-1-4", "sanov-1-2-3", "inverse-pair-2-3-2",
+        "random-pair-1-2-3"])
+def test_doubling_cap_boundary(sys_, jln):
+    # every block word of up to n blocks is stored
+    j, l, n = jln
+    stored = sum(sys_.size ** (j + k * l) * (j + k * l) for k in range(n + 1))
+    words = doubling_word_sets(sys_, *jln)[0].words
+    assert doubling_word_sets(sys_, *jln, cap=stored)[0].words == words
+    with pytest.raises(CapExceededError):
+        doubling_word_sets(sys_, *jln, cap=stored - 1)
+
+
+def test_cap_counts_prefix_level_from_first_block_level():
+    # at n = 0 every sanov prefix of two letters passes, so no block level
+    # follows and the four prefixes (8 letters) are returned whatever the cap
+    ws = enumerate_first_passage(SANOV, 2, 3, 0, cap=0)
+    assert ws.words == list(itertools.product(range(2), repeat=2))
+    assert doubling_word_sets(SANOV, 2, 3, 0, cap=0)[0].words == []
+    # with one block level: 8 prefix letters and 32 words of 5 letters
+    with pytest.raises(CapExceededError):
+        doubling_word_sets(SANOV, 2, 3, 1, cap=8 + 32 * 5 - 1)
+
+
 # Child process: cap its own address space at `headroom` MiB above what it
 # has mapped after the imports, then run one enumeration at its default cap.
 # It must stop with CapExceededError, not run out of memory.
@@ -302,6 +351,16 @@ def test_sample_word_first_passage_membership():
     rng = np.random.default_rng(2)
     for _ in range(200):
         assert sample_word(SANOV, rng, first_passage=(0, 1, 8)) in words
+
+
+@pytest.mark.parametrize("jln", [(1, 2, 8), (0, 3, 8), (2, 3, 10)])
+def test_sample_word_first_passage_membership_float_blocks(jln):
+    # float generators and blocks of several letters: the sampler and the
+    # enumeration apply a block by the same scaled product
+    words = set(enumerate_first_passage(RANDOM_PAIR, *jln).words)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        assert sample_word(RANDOM_PAIR, rng, first_passage=jln) in words
 
 
 def test_norm_lower_bound_outside_repelling_ball():
