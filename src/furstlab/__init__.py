@@ -17,8 +17,8 @@ from .checks import (AssumptionReport, EntropyTable, HermitianClass,
                      diophantine_probe, find_common_fixed_points,
                      find_fixed_circles, random_walk_entropy)
 from .dyadic import (DyadicCellId, EmpiricalMeasure, EntropyReport,
-                     component_average, dyadic_cell, project_component,
-                     projection_entropies, sphere_to_plane, total_variation)
+                     project_component, projection_entropies, sphere_to_plane,
+                     total_variation)
 from .engine import (BoundaryCloud, EstimateWithCI, LyapunovEstimate,
                      boundary_mass_probe, delta_estimate, dim_estimate,
                      lyapunov_estimate, sample_boundary)

@@ -28,7 +28,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ._parallel import TAG_FIXTURE, block_rng
-from .sl2 import INFINITY, ProjPoint
 
 CP1 = "cp1"
 C_INF = "c_inf"
@@ -38,6 +37,7 @@ G_CHART = "g_chart"
 _SPACES = (CP1, C_INF, RP1, G_CHART)
 
 BIAS_GUARD_FRACTION = 10     # bias note when occupied cells > N / 10
+PROJECTION_BLOCK = 1 << 16   # point-directions projected at once
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,8 @@ class EmpiricalMeasure:
     def cell_labels(self, level: int) -> np.ndarray:
         """Per-point integer cell labels at the given level, numbered
         0, 1, ... in cell order."""
-        labels, counts = _cells(self.cell_keys(level), None)
-        return (np.cumsum(counts > 0) - 1)[labels]
+        labels = _labels(self.cell_keys(level))
+        return (np.cumsum(np.bincount(labels) > 0) - 1)[labels]
 
     def cell_indices(self, level: int) -> np.ndarray:
         """(N, axes) per-axis integer cell indices of every point, as
@@ -172,8 +172,7 @@ class EmpiricalMeasure:
     # -- entropy -------------------------------------------------------------
 
     def _cell_entropy(self, level: int) -> Tuple[float, int]:
-        masses = _cells(self.cell_keys(level), self.weights)[1]
-        return shannon_entropy(masses), int(np.count_nonzero(masses > 0))
+        return cell_entropy(_labels(self.cell_keys(level)), self.weights)
 
     def entropy(self, level: int,
                 cond: Optional[int] = None) -> EntropyReport:
@@ -311,13 +310,14 @@ def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
     return inverse, len(uniq)
 
 
-def _cells(keys: np.ndarray, weights) -> Tuple[np.ndarray, np.ndarray]:
+def _labels(keys: np.ndarray) -> np.ndarray:
     """Labels in key order (key - min when max - min < max(4N, 2^16), with
-    gaps, else ranks from one sort) and bincount(labels, weights)."""
+    gaps, else ranks from one sort). The labelling leaves an entropy's bits
+    alone: bincount adds a cell's weights in point order under any label,
+    and the fsum in shannon_entropy does not depend on the order of cells."""
     lo = int(keys.min())
     dense = int(keys.max()) - lo < max(4 * len(keys), 1 << 16)
-    labels = keys - lo if dense else _ranks(keys)[0]
-    return labels, np.bincount(labels, weights=weights)
+    return keys - lo if dense else _ranks(keys)[0]
 
 
 def _pack(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -414,51 +414,62 @@ def shannon_entropy(masses) -> float:
 
     math.log2 rather than np.log2, whose vectorised results differ in the
     last bit on some hosts; fsum is correctly rounded, so the result does
-    not depend on the order of the masses."""
+    not depend on the order of the masses, and any list of exact terms with
+    the same real sum gives the same bits (what `cell_entropy` uses)."""
     m = np.asarray(masses, dtype=float)
     m = m[m > 0].tolist()
     return max(0.0, -math.fsum(map(operator.mul, m, map(math.log2, m))))
 
 
+def cell_entropy(labels: np.ndarray, weights: np.ndarray) -> Tuple[float, int]:
+    """(entropy in bits, occupied cells) of the cell masses
+    bincount(labels, weights) over nonnegative integer labels, with the bits
+    of shannon_entropy of those masses.
+
+    With equal positive weights (the default weights, a component of such a
+    measure, the Delta ladder) it works from the histogram of counts, one
+    entry per distinct count, instead of a mass per bin of the dense label
+    range; _count_entropies says why the bits are the same. Other weights
+    take the masses path."""
+    w = _equal_weight(weights)
+    if w:
+        mult = np.bincount(np.bincount(labels))
+        return _count_entropies(mult[None], w)[0], int(mult[1:].sum())
+    masses = np.bincount(labels, weights=weights)
+    return shannon_entropy(masses), int(np.count_nonzero(masses > 0))
+
+
+def _equal_weight(weights: np.ndarray) -> float:
+    """The common weight when all weights are equal and positive, else 0."""
+    w = float(weights[0])
+    return w if w > 0 and bool((weights == w).all()) else 0.0
+
+
+def _count_entropies(mult: np.ndarray, w: float) -> List[float]:
+    """Entropy of each row of a histogram of counts, mult[r, k] cells of k
+    points of weight w each, with the bits of shannon_entropy over the masses
+    that bincount would give.
+
+    bincount adds a cell's weights one at a time in point order, as cumsum
+    does, so the mass of a k-point cell is cumsum(full(kmax, w))[k - 1]. Each
+    term m log2 m is formed with math.log2 as shannon_entropy forms it, and a
+    multiplicity c is expanded into its set bits: t 2^b is exact, so fsum
+    sees exact terms with the real sum c t and rounds it the same way."""
+    ks = np.flatnonzero(mult[:, 1:].any(axis=0)) + 1
+    masses = np.cumsum(np.full(int(ks[-1]), w))[ks - 1].tolist()
+    terms = np.array([m * math.log2(m) for m in masses])
+    mult = mult[:, ks]
+    bits = 1 << np.arange(int(mult.max()).bit_length())
+    rows, cols, b = np.nonzero(mult[:, :, None] & bits)
+    parts = (terms[cols] * bits[b]).tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(mult))).tolist()
+    return [max(0.0, -math.fsum(parts[a:e]))
+            for a, e in zip([0] + ends[:-1], ends)]
+
+
 # ---------------------------------------------------------------------------
 # measure arithmetic used across the engine and the experiments
 # ---------------------------------------------------------------------------
-
-def dyadic_cell(space: str, point, level: int) -> DyadicCellId:
-    """Cell id of a single point: complex (or INFINITY) for the plane, a
-    canonical unit pair for the sphere, an angle for the line space, six
-    chart coordinates for the group."""
-    if space == C_INF:
-        if point is INFINITY:
-            return DyadicCellId(C_INF, level, (), atom=True)
-        m = EmpiricalMeasure.on_plane(np.array([complex(point)]))
-    elif space == CP1:
-        if isinstance(point, ProjPoint):
-            arr = np.array([[point.z1, point.z2]])
-        else:
-            arr = np.array([point], dtype=complex)
-        m = EmpiricalMeasure.on_sphere(arr)
-    elif space == RP1:
-        theta = point.theta if hasattr(point, "theta") else float(point)
-        m = EmpiricalMeasure.on_lines(np.array([theta]))
-    elif space == G_CHART:
-        m = EmpiricalMeasure.on_group_chart(np.array([point], dtype=float))
-    else:
-        raise ValueError(f"unknown space {space!r}")
-    return m.cell_of(0, level)
-
-
-def component_average(m: EmpiricalMeasure, levels: Sequence[int], fn) -> float:
-    """Mass-weighted average of fn(cell, mass, component) over occupied cells,
-    averaged uniformly over the given levels (random-component semantics)."""
-    vals = []
-    for lev in levels:
-        acc = 0.0
-        for cell, mass, comp in m.components(lev):
-            acc += mass * fn(cell, mass, comp)
-        vals.append(acc)
-    return float(np.mean(vals))
-
 
 def _projection_check(m: EmpiricalMeasure) -> None:
     if m.space != C_INF:
@@ -485,17 +496,55 @@ def projection_entropies(m: EmpiricalMeasure, level: int,
                          angles: Sequence[float]) -> List[float]:
     """H(project_component(m, a), D_level) in bits for each angle a, with the
     same bits: the projected cells lie on a monotone lattice path (Bresenham
-    1965), keyed densely by sign(cos a) ix + sign(sin a) iy of their indices."""
+    1965), keyed densely by sign(cos a) ix + sign(sin a) iy of their indices.
+
+    Directions are projected in blocks of about PROJECTION_BLOCK
+    point-directions and their cells counted by one bincount per block, each
+    direction's keys offset past the previous direction's."""
     _projection_check(m)
     # floor indices below 2^51 keep the float key exact
     exact = float(np.abs(m.points).max()) * 2.0 ** level < 2.0 ** 51
+    if not exact:
+        return [cell_entropy(_labels(_pack(_plane_axes(_project(m.points, a),
+                                                       level))), m.weights)[0]
+                for a in angles]
+    step = max(1, PROJECTION_BLOCK // m.size)
     out: List[float] = []
-    for angle in angles:
-        x, y = _plane_axes(_project(m.points, angle), level)
-        sx, sy = np.sign([math.cos(angle), math.sin(angle)])
-        keys = (sx * x + sy * y).astype(np.int64) if exact else _pack([x, y])
-        out.append(shannon_entropy(_cells(keys, m.weights)[1]))
+    for i in range(0, len(angles), step):
+        out += _block_entropies(m, level, angles[i:i + step])
     return out
+
+
+def _block_entropies(m: EmpiricalMeasure, level: int,
+                     angles: Sequence[float]) -> List[float]:
+    """projection_entropies of one block of directions, exact keys only.
+
+    t is _project's complex product on a (directions, N) array, and t d.real,
+    t d.imag are the parts of its product t d (the zero imaginary part of t
+    adds a zero). The flat labels are direction-major, so each cell still
+    adds its points' weights in point order. Keys spanning more than
+    4 PROJECTION_BLOCK cells are labelled one direction at a time."""
+    d = np.array([complex(math.cos(a), math.sin(a)) for a in angles])[:, None]
+    t = (m.points * np.conj(d)).real
+    s = 2.0 ** level
+    keys = (np.sign(d.real) * np.floor(t * d.real * s)
+            + np.sign(d.imag) * np.floor(t * d.imag * s)).astype(np.int64)
+    lo = keys.min(axis=1)
+    widths = keys.max(axis=1) - lo + 1
+    if sum(widths.tolist()) > 4 * PROJECTION_BLOCK:   # wide: one at a time
+        return [cell_entropy(_labels(row), m.weights)[0] for row in keys]
+    offsets = np.cumsum(widths) - widths
+    flat = (keys + (offsets - lo)[:, None]).ravel()
+    w0 = _equal_weight(m.weights)
+    if w0:
+        counts = np.bincount(flat)
+        span = int(counts.max()) + 1
+        rows = np.repeat(np.arange(len(angles)) * span, widths)
+        mult = np.bincount(rows + counts, minlength=len(angles) * span)
+        return _count_entropies(mult.reshape(len(angles), span), w0)
+    masses = np.bincount(flat, weights=np.tile(m.weights, len(angles)))
+    return [shannon_entropy(masses[o:o + n])
+            for o, n in zip(offsets.tolist(), widths.tolist())]
 
 
 def sphere_to_plane(m: EmpiricalMeasure) -> EmpiricalMeasure:
@@ -525,7 +574,8 @@ def total_variation(a: EmpiricalMeasure, b: EmpiricalMeasure,
         raise ValueError("space mismatch")
     # one call keys both measures, so their keys share one offset
     keys = _cell_keys(a.space, np.concatenate([a.points, b.points]), level)
-    labels, counts = _cells(keys, None)
+    labels = _labels(keys)
+    counts = np.bincount(labels)
     wa = np.bincount(labels[:a.size], weights=a.weights, minlength=len(counts))
     wb = np.bincount(labels[a.size:], weights=b.weights, minlength=len(counts))
     # over occupied cells only: pairwise rounding depends on the term count

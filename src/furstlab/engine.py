@@ -17,7 +17,7 @@ import numpy as np
 from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
                         run_blocks)
 from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
-                     shannon_entropy, sphere_embedding)
+                     cell_entropy, shannon_entropy, sphere_embedding)
 from .errors import StallError, UndersampledError
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
                     draw_letters)
@@ -354,12 +354,9 @@ def _conditional_letter_entropy(labels: np.ndarray, letters: np.ndarray,
     sample-weighted: the bin count seen by the median sample, so stray
     singleton bins do not dominate."""
     w = np.full(len(letters), 1.0 / len(letters))
-    cell_mass = np.bincount(labels, weights=w)
-    joint_mass = np.bincount(labels * k + letters, weights=w)
-    counts = np.bincount(labels)
-    h = shannon_entropy(joint_mass) - shannon_entropy(cell_mass)
-    return (max(0.0, h), int(np.count_nonzero(counts)),
-            float(np.median(counts[labels])))
+    h_cell, bins = cell_entropy(labels, w)
+    h = cell_entropy(labels * k + letters, w)[0] - h_cell
+    return max(0.0, h), bins, float(np.median(np.bincount(labels)[labels]))
 
 
 def delta_ladder(cloud: BoundaryCloud, q_max: int) -> DeltaLadder:

@@ -178,18 +178,16 @@ def exp_uniform_entropy_dim(cloud, m: int = 8,
         comps = nu.components(lev)
         pick = rng.choice(len(comps), size=min(comps_per_level, 4 * len(comps)),
                           replace=True, p=comps.masses / comps.masses.sum())
-        hits = 0
-        used = 0
-        unresolved = 0
-        for k in pick:
-            _, _, comp = comps[int(k)]
-            if comp.size < min_component_points:
-                unresolved += 1
-                continue
-            val = comp.entropy(lev + m).entropy / m
-            used += 1
-            if abs(val - dim_val) < eps:
-                hits += 1
+        picked = pick.tolist()
+        vals = {}                 # each distinct pick once; None: too small
+        for k in dict.fromkeys(picked):
+            comp = comps[k][2]
+            vals[k] = (comp.entropy(lev + m).entropy / m
+                       if comp.size >= min_component_points else None)
+        resolved = [vals[k] for k in picked if vals[k] is not None]
+        used = len(resolved)
+        unresolved = len(picked) - used
+        hits = sum(abs(v - dim_val) < eps for v in resolved)
         frac = hits / used if used else 0.0
         rows.append({"level": lev, "components": len(comps),
                      "sampled": int(len(pick)), "resolved": used,
@@ -254,15 +252,21 @@ def exp_projection_entropy(cloud, m: int = 8,
         comps = nu.components(lev)
         pick = rng.choice(len(comps), size=comps_per_level, replace=True,
                           p=comps.masses / comps.masses.sum())
-        for k in pick:
+        found = {}                # each distinct pick once
+        for k in pick.tolist():
             sampled += 1
-            _, mass, comp = comps[int(k)]
-            if comp.size < min_component_points:
+            if k not in found:
+                _, mass, comp = comps[k]
+                found[k] = (mass, comp.size,
+                            _projected_entropy_min(comp, lev, m, directions)
+                            if comp.size >= min_component_points else None)
+            mass, size, res = found[k]
+            if res is None:
                 unresolved += 1
                 continue
-            val, ang = _projected_entropy_min(comp, lev, m, directions)
+            val, ang = res
             minima.append(val)
-            rows.append({"level": lev, "mass": mass, "points": comp.size,
+            rows.append({"level": lev, "mass": mass, "points": size,
                          "min_entropy": val, "argmin_angle": ang})
     if len(minima) < 8:
         return ExperimentReport(

@@ -1,14 +1,15 @@
 """Dyadic partitions, entropies, components, and measure arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from furstlab.dyadic import (C_INF, CP1, G_CHART, RP1, DyadicCellId,
-                             EmpiricalMeasure, component_average,
+from furstlab.dyadic import (C_INF, CP1, G_CHART, PROJECTION_BLOCK, RP1,
+                             DyadicCellId, EmpiricalMeasure, cell_entropy,
                              dyadic_grid_square, project_component,
                              projection_entropies, shannon_entropy,
                              sphere_embedding, total_variation,
@@ -121,6 +122,60 @@ def test_cells_labels_and_entropy_agree(space, n, level, seed):
         assert comps[labels[i]][0] == m.cell_of(i, level)
     masses = np.bincount(labels, weights=m.weights)
     assert m.entropy(level).entropy == shannon_entropy(masses)
+
+
+# -- equal weights: entropies from the histogram of counts ---------------------
+
+def _masses_entropy(labels, w):
+    """(shannon_entropy, occupied cells) of the masses bincount forms."""
+    masses = np.bincount(labels, weights=w)
+    return shannon_entropy(masses), int(np.count_nonzero(masses > 0))
+
+
+@pytest.mark.parametrize("space", [C_INF, CP1])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3000), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_equal_weight_entropy_matches_masses(space, n, level, seed):
+    if space == C_INF:
+        rng = np.random.default_rng(seed)
+        m = EmpiricalMeasure.on_plane(rng.standard_normal(n)
+                                      + 1j * rng.standard_normal(n))
+    else:
+        m = _random_sphere_cloud(n, seed)
+    assert np.all(m.weights == m.weights[0])
+    rep = m.entropy(level)
+    assert (rep.entropy, rep.occupied) == _masses_entropy(m.cell_labels(level),
+                                                          m.weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(50, 3000), st.integers(0, 3), st.integers(1, 9),
+       st.integers(0, 2 ** 32 - 1))
+def test_equal_weight_component_entropy_matches_masses(n, level, extra, seed):
+    comps = uniform_square(n, seed=seed % 1000).components(level)
+    for k in range(0, len(comps), max(1, len(comps) // 5)):
+        sub = comps[k][2]                  # weights w / mass, all equal
+        assert np.all(sub.weights == sub.weights[0])
+        rep = sub.entropy(level + extra)
+        labels = sub.cell_labels(level + extra)
+        assert (rep.entropy, rep.occupied) == _masses_entropy(labels,
+                                                              sub.weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 20_000), st.floats(0.25, 4.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_cell_entropy_counts_with_many_set_bits(singletons, big, scale, seed):
+    # many singletons and small cells, so the multiplicities have many set
+    # bits, next to one cell holding most points
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([np.ones(singletons, dtype=np.int64),
+                            np.repeat(np.arange(2, 7), rng.integers(0, 700, 5)),
+                            [big]])
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    rng.shuffle(labels)
+    w = np.full(len(labels), scale / len(labels))
+    assert cell_entropy(labels, w) == _masses_entropy(labels, w)
 
 
 @settings(max_examples=60, deadline=None)
@@ -280,6 +335,39 @@ def test_projection_entropies_match_projected_measures():
         assert got == want
 
 
+# (points, directions): PROJECTION_BLOCK // points directions per block, so
+# 13 per block with 11 left over, 6 with 2 left over, and one per block
+BLOCK_CASES = [(5041, 180), (10_922, 20), (PROJECTION_BLOCK + 1000, 3)]
+
+
+@pytest.mark.parametrize("n, count", BLOCK_CASES)
+def test_projection_entropies_block_boundaries(n, count):
+    step = max(1, PROJECTION_BLOCK // n)
+    assert step == 1 or count % step
+    square = uniform_square(n, seed=n, side=2.0 ** -5, origin=0.3 + 0.6j)
+    w = np.random.default_rng(n).random(n)
+    angles = [k * math.pi / count + 0.01 for k in range(count)]
+    for m in (square, EmpiricalMeasure.on_plane(square.points, w)):
+        for level in (7, 13):
+            want = [project_component(m, a).entropy(level).entropy
+                    for a in angles]
+            assert projection_entropies(m, level, angles) == want
+
+
+def test_projection_entropies_memory_is_bounded():
+    # all 180 directions of a 2e5-point component projected at once would
+    # hold several (180, 2e5) arrays, about 1.3 GiB
+    m = uniform_square(200_000, seed=4, side=2.0 ** -4)
+    angles = [k * math.pi / 180 for k in range(180)]
+    tracemalloc.start()
+    try:
+        projection_entropies(m, 12, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
 def _spread_measure(space, n, seed, log2_scale):
     """Finite cloud with repeated points, spread over about 2^log2_scale."""
     rng = np.random.default_rng(seed)
@@ -357,17 +445,19 @@ def test_counting_with_points_at_infinity(n, level, seed):
 @pytest.mark.parametrize("log2_scale, level", [(-2, 9), (12, 9), (45, 9)],
                          ids=["dense", "sparse-span", "huge-indices"])
 def test_projection_entropies_paths(log2_scale, level):
-    # sparse-span: S spans about 2^22 values for 400 points, so the labels
-    # come from one sort; huge-indices: floor indices past 2^51 are packed
+    # sparse-span: S spans about 2^22 values for 400 points, so a block's
+    # keys pass its bins and each direction's labels come from one sort;
+    # huge-indices: floor indices past 2^51 are packed
     rng = np.random.default_rng(log2_scale + 100)
     zs = (rng.random(400) + 1j * rng.random(400)) * 2.0 ** log2_scale
     zs[::6] = zs[1]
     w = rng.random(400)
     w[::5] = 0.0                              # zero-weight points
-    m = EmpiricalMeasure.on_plane(zs, w)
     angles = [0.0, math.pi / 2, 0.3, 2.0, 2.9, math.pi - 1e-9, 4.0, 5.5]
-    want = [project_component(m, a).entropy(level).entropy for a in angles]
-    assert projection_entropies(m, level, angles) == want
+    for weights in (w, None):                 # and the equal-weight path
+        m = EmpiricalMeasure.on_plane(zs, weights)
+        want = [project_component(m, a).entropy(level).entropy for a in angles]
+        assert projection_entropies(m, level, angles) == want
 
 
 def test_projection_entropies_zero_weight_infinity():
@@ -499,6 +589,14 @@ def test_components_masses_sum_to_one():
         assert abs(total - 1.0) <= 1e-10
 
 
+def _component_average(m, levels, fn):
+    """Mass-weighted average of fn(cell, mass, component) over the occupied
+    cells, averaged uniformly over the levels (random-component semantics)."""
+    return float(np.mean([sum(mass * fn(cell, mass, comp)
+                              for cell, mass, comp in m.components(lev))
+                          for lev in levels]))
+
+
 def test_global_to_local_entropy():
     # (1/n) H(m, D_{i+n}) matches the level-averaged component entropies up
     # to O(m'/n) on a uniform fixture
@@ -509,7 +607,7 @@ def test_global_to_local_entropy():
     def comp_ent(cell, mass, comp):
         return comp.entropy(cell.level + mprime).entropy / mprime
 
-    rhs = component_average(grid, range(i, i + n + 1), comp_ent)
+    rhs = _component_average(grid, range(i, i + n + 1), comp_ent)
     assert abs(lhs - rhs) <= 0.5 + 2.0 * mprime / n
 
 
@@ -564,20 +662,6 @@ def test_segment_fixture_is_one_dimensional():
     h4 = seg.entropy(4).entropy
     h8 = seg.entropy(8).entropy
     assert abs((h8 - h4) / 4 - 1.0) <= 0.05
-
-
-def test_dyadic_cell_standalone():
-    from furstlab.dyadic import dyadic_cell, C_INF, CP1, RP1, G_CHART
-    from furstlab.sl2 import INFINITY, ProjPoint, RPoint
-    c = dyadic_cell(C_INF, 0.3 + 0.7j, 1)
-    assert c.index == (0, 1)
-    assert dyadic_cell(C_INF, INFINITY, 4).atom
-    p = dyadic_cell(CP1, ProjPoint.from_vector(1, 0.2), 3)
-    assert p.index[0] == 0 and len(p.index) == 3
-    r = dyadic_cell(RP1, RPoint(0.5), 4)
-    assert r.index == (int(0.5 / math.pi * 16),)
-    g = dyadic_cell(G_CHART, (0.1, 0, 0, 0, 0, 0), 3)
-    assert len(g.index) == 6
 
 
 def test_csv_export_sphere_schema(tmp_path):

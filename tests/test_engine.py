@@ -10,8 +10,8 @@ import furstlab as fl
 from furstlab._parallel import run_blocks
 from furstlab.cli import main
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
-                             sphere_to_plane, total_variation, uniform_square,
-                             uniform_segment)
+                             shannon_entropy, sphere_to_plane, total_variation,
+                             uniform_square, uniform_segment)
 from furstlab.engine import (MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
                              boundary_mass_probe, delta_estimate, delta_ladder,
                              dim_estimate, lyapunov_estimate, sample_boundary)
@@ -190,6 +190,23 @@ def test_delta_sanov_schottky_decay():
     vals = [r["delta"] for r in ladder.rows]
     assert vals[-1] <= 0.05
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5000), st.integers(2, 6), st.floats(0.001, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_conditional_letter_entropy_matches_masses(n, k, p, seed):
+    # geometric labels: one cell holding many points, a tail of small cells
+    rng = np.random.default_rng(seed)
+    labels = rng.geometric(p, n) - 1
+    letters = rng.integers(0, k, n)
+    w = np.full(n, 1.0 / n)
+    counts = np.bincount(labels)
+    h = (shannon_entropy(np.bincount(labels * k + letters, weights=w))
+         - shannon_entropy(np.bincount(labels, weights=w)))
+    assert _conditional_letter_entropy(labels, letters, k) == (
+        max(0.0, h), int(np.count_nonzero(counts)),
+        float(np.median(counts[labels])))
 
 
 def test_delta_ladder_matches_masked_chunks():

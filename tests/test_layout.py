@@ -10,6 +10,8 @@
   so the alphabet's words of one length are enumerated in one place;
 - `fractions` is imported only by `sl2` (the exact-matrix builder) and
   `config` (the literal parser), so the exact decisions stay on integers;
+- `engine` and `experiments` make no weighted `bincount`: cell masses and
+  their entropies come from `dyadic.cell_entropy`;
 - the number of defaulted parameters stays at or below a pinned count.
 """
 
@@ -94,8 +96,22 @@ def _fraction_imports(tree):
                 and node.module == "fractions")]
 
 
+def _weighted_bincounts(tree):
+    """Lines of `bincount(labels, weights)` calls, by keyword or position."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "bincount"
+                 or isinstance(node.func, ast.Name)
+                 and node.func.id == "bincount")
+            and (len(node.args) > 1
+                 or any(k.arg == "weights" for k in node.keywords))]
+
+
 # the modules that may read rationals: the exact builder and the parser
 FRACTION_MODULES = {"sl2.py", "config.py"}
+# the modules that take cell masses and entropies from dyadic
+MASS_FREE_MODULES = {"engine.py", "experiments.py"}
 
 RULES = {"private-import": _private_imports,
          "local-relative-import": _local_relative_imports,
@@ -132,6 +148,11 @@ def _blocks(sys, l):
 
 def prefixes(sys, j):
     return itertools.product(range(sys.size), repeat=j), product(range(sys.size))
+
+
+def masses(labels, w):
+    counts = np.bincount(labels)
+    return np.bincount(labels, weights=w), bincount(labels, w), counts
 """
 
 
@@ -149,12 +170,21 @@ def test_rules_flag_violations():
     assert _inverse_uniques(tree) == [15]
     assert _fraction_imports(tree) == [18, 19]
     assert _alphabet_products(tree) == [28, 28]
+    assert _weighted_bincounts(tree) == [33, 33]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_fractions_only_in_exact_builders(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert path.name in FRACTION_MODULES or _fraction_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name in MASS_FREE_MODULES],
+                         ids=lambda p: p.name)
+def test_cell_masses_only_from_dyadic(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _weighted_bincounts(tree) == []
 
 
 # defaulted parameters of module-level functions and methods at the last count
