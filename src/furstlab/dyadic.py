@@ -499,8 +499,9 @@ def projection_entropies(m: EmpiricalMeasure, level: int,
     1965), keyed densely by sign(cos a) ix + sign(sin a) iy of their indices.
 
     Directions are projected in blocks of about PROJECTION_BLOCK
-    point-directions and their cells counted by one bincount per block, each
-    direction's keys offset past the previous direction's."""
+    point-directions. With equal weights their cells are counted by one
+    bincount per block, each direction's keys offset past the previous
+    direction's."""
     _projection_check(m)
     # floor indices below 2^51 keep the float key exact
     exact = float(np.abs(m.points).max()) * 2.0 ** level < 2.0 ** 51
@@ -521,9 +522,8 @@ def _block_entropies(m: EmpiricalMeasure, level: int,
 
     t is _project's complex product on a (directions, N) array, and t d.real,
     t d.imag are the parts of its product t d (the zero imaginary part of t
-    adds a zero). The flat labels are direction-major, so each cell still
-    adds its points' weights in point order. Keys spanning more than
-    4 PROJECTION_BLOCK cells are labelled one direction at a time."""
+    adds a zero). Unequal weights, and keys spanning more than
+    4 PROJECTION_BLOCK cells, are labelled one direction at a time."""
     d = np.array([complex(math.cos(a), math.sin(a)) for a in angles])[:, None]
     t = (m.points * np.conj(d)).real
     s = 2.0 ** level
@@ -531,20 +531,15 @@ def _block_entropies(m: EmpiricalMeasure, level: int,
             + np.sign(d.imag) * np.floor(t * d.imag * s)).astype(np.int64)
     lo = keys.min(axis=1)
     widths = keys.max(axis=1) - lo + 1
-    if sum(widths.tolist()) > 4 * PROJECTION_BLOCK:   # wide: one at a time
+    w0 = _equal_weight(m.weights)
+    if not w0 or sum(widths.tolist()) > 4 * PROJECTION_BLOCK:
         return [cell_entropy(_labels(row), m.weights)[0] for row in keys]
     offsets = np.cumsum(widths) - widths
-    flat = (keys + (offsets - lo)[:, None]).ravel()
-    w0 = _equal_weight(m.weights)
-    if w0:
-        counts = np.bincount(flat)
-        span = int(counts.max()) + 1
-        rows = np.repeat(np.arange(len(angles)) * span, widths)
-        mult = np.bincount(rows + counts, minlength=len(angles) * span)
-        return _count_entropies(mult.reshape(len(angles), span), w0)
-    masses = np.bincount(flat, weights=np.tile(m.weights, len(angles)))
-    return [shannon_entropy(masses[o:o + n])
-            for o, n in zip(offsets.tolist(), widths.tolist())]
+    counts = np.bincount((keys + (offsets - lo)[:, None]).ravel())
+    span = int(counts.max()) + 1
+    rows = np.repeat(np.arange(len(angles)) * span, widths)
+    mult = np.bincount(rows + counts, minlength=len(angles) * span)
+    return _count_entropies(mult.reshape(len(angles), span), w0)
 
 
 def sphere_to_plane(m: EmpiricalMeasure) -> EmpiricalMeasure:
