@@ -4,24 +4,20 @@ SL(2,C), assumption certifiers, and seeded experiments testing the dimension
 formula dim = min{2, h / (2 chi)} at desk scale.
 """
 
-from .sl2 import (GroupElement, ProjPoint, RPoint, SvdDecomposition,
-                  INFINITY, E1, E2, boundary_direction, chart_g,
-                  chart_g_inverse, dist_cp1, dist_g_proxy, dist_rp1,
-                  mobius_apply, mobius_derivative, proj_act, proj_line, psi,
-                  psi_inv, svd2)
+from .sl2 import (GroupElement, ProjPoint, SvdDecomposition, INFINITY, E1,
+                  E2, boundary_direction, chart_g, chart_g_inverse, dist_cp1,
+                  dist_g_proxy, mobius_derivative, proj_act, psi, svd2)
 from .words import (System, Word, WordSet, chi_word, doubling_word_sets,
-                    enumerate_first_passage, is_doubling_word,
-                    product_of_word, sample_word)
+                    enumerate_first_passage, product_of_word, sample_word)
 from .checks import (AssumptionReport, EntropyTable, HermitianClass,
                      certify, check_proximality, check_strong_irreducibility,
                      diophantine_probe, find_common_fixed_points,
                      find_fixed_circles, random_walk_entropy)
-from .dyadic import (DyadicCellId, EmpiricalMeasure, EntropyReport,
-                     project_component, projection_entropies, sphere_to_plane,
-                     total_variation)
+from .dyadic import (EmpiricalMeasure, EntropyReport, project_component,
+                     projection_entropies, sphere_to_plane)
 from .engine import (BoundaryCloud, EstimateWithCI, LyapunovEstimate,
-                     boundary_mass_probe, delta_estimate, dim_estimate,
-                     lyapunov_estimate, sample_boundary)
+                     delta_estimate, dim_estimate, lyapunov_estimate,
+                     sample_boundary)
 from .experiments import (CocycleTrace, PipelineBudget, ThetaSpec, EXPERIMENTS,
                           exp_action_entropy_transfer, exp_boundary_convergence,
                           exp_direction_cocycle, exp_entropy_increase,

@@ -15,10 +15,10 @@ from dataclasses import replace
 
 from .checks import certify, diophantine_probe, random_walk_entropy
 from .config import RunConfig, load_config, parse_flag
-from .engine import (DEFAULT_TARGET_BITS, delta_estimate, dim_estimate,
-                     lyapunov_estimate, sample_boundary)
-from .dyadic import sphere_to_plane
-from .errors import FurstlabError
+from .engine import (DEFAULT_TARGET_BITS, DIM_SCHEMES, delta_estimate,
+                     dim_estimate, lyapunov_estimate, sample_boundary)
+from .dyadic import C_INF, CP1, sphere_to_plane
+from .errors import ConfigError, FurstlabError
 from .experiments import EXPERIMENTS, PipelineBudget, ThetaSpec, exp_main_theorem
 from .presets import get_preset, list_presets
 from .reporting import ExperimentReport, VERDICT_CONSISTENT, rows_to_csv
@@ -111,15 +111,18 @@ def cmd_sample(cfg: RunConfig) -> int:
     count = cfg.param("count", 100_000, int)
     bits = cfg.param("bits", DEFAULT_TARGET_BITS, float)
     transpose = parse_flag("transpose", cfg.param("transpose", "false"), None)
-    space = cfg.param("space", "c_inf")
+    space = cfg.param("space", C_INF)
+    if space not in (C_INF, CP1):
+        raise ConfigError(f"bad value {space!r} for 'space': expected "
+                          f"{C_INF} or {CP1}")
     if not cfg.out_path:
         raise FurstlabError("sample needs --out for the point-cloud CSV")
     system = cfg.system.transposed() if transpose else cfg.system
     cloud = sample_boundary(system, bits, count, cfg.seed, cfg.workers)
-    measure = cloud.measure if space == "cp1" else sphere_to_plane(cloud.measure)
+    measure = cloud.measure if space == CP1 else sphere_to_plane(cloud.measure)
     measure.to_csv(cfg.out_path)
     summary = {"count": count, "space": space,
-               "inf_mass": measure.inf_mass() if space == "c_inf" else 0.0,
+               "inf_mass": measure.inf_mass() if space == C_INF else 0.0,
                "mean_stop_length": float(cloud.steps.mean()),
                "path": cfg.out_path}
     rep = _wrap("sample", replace(cfg, system=system), [], summary)
@@ -130,6 +133,8 @@ def cmd_sample(cfg: RunConfig) -> int:
 def cmd_dim(cfg: RunConfig) -> int:
     count = cfg.param("count", 200_000, int)
     scheme = cfg.param("scheme", "entropy-slope")
+    if scheme not in DIM_SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; known: {DIM_SCHEMES}")
     lo = cfg.param("window_lo", 2, int)
     hi = cfg.param("window_hi", 12, int)
     bits = cfg.param("bits", DEFAULT_TARGET_BITS, float)

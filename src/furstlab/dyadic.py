@@ -1,6 +1,5 @@
-"""Empirical measures on the sphere, the plane, the circle of directions, and
-the group chart, with their dyadic partitions, entropies, and component
-decompositions.
+"""Empirical measures on the sphere, the plane and the group chart, with
+their dyadic partitions, entropies, and component decompositions.
 
 Partition schemes by space:
 
@@ -10,7 +9,6 @@ Partition schemes by space:
   coordinate w (|w| <= 1) lives in the box [-1,1]^2 split into a 2^n x 2^n
   grid. Chart distortion against the sphere metric is at most a factor two,
   so entropies transfer with O(1) additive slack.
-* rp1: 2^n equal angle intervals of [0, pi).
 * g_chart: dyadic boxes of side 2^-n in the six chart coordinates.
 
 Level-(n+1) cells refine level-n cells by floor-halving of indices in every
@@ -31,36 +29,12 @@ from ._parallel import TAG_FIXTURE, block_rng
 
 CP1 = "cp1"
 C_INF = "c_inf"
-RP1 = "rp1"
 G_CHART = "g_chart"
 
-_SPACES = (CP1, C_INF, RP1, G_CHART)
+_SPACES = (CP1, C_INF, G_CHART)
 
 BIAS_GUARD_FRACTION = 10     # bias note when occupied cells > N / 10
 PROJECTION_BLOCK = 1 << 16   # point-directions projected at once
-
-
-@dataclass(frozen=True)
-class DyadicCellId:
-    """Cell of the level-n partition. `index` holds per-axis integers (cp1
-    carries the chart bit first); the infinity atom has atom=True."""
-
-    space: str
-    level: int
-    index: Tuple[int, ...]
-    atom: bool = False
-
-    def parent(self) -> "DyadicCellId":
-        if self.level == 0:
-            raise ValueError("level-0 cell has no parent")
-        if self.atom:
-            return DyadicCellId(self.space, self.level - 1, (), True)
-        if self.space == CP1:
-            chart = self.index[0]
-            rest = tuple(i >> 1 for i in self.index[1:])
-            return DyadicCellId(self.space, self.level - 1, (chart,) + rest)
-        return DyadicCellId(self.space, self.level - 1,
-                            tuple(i >> 1 for i in self.index))
 
 
 @dataclass(frozen=True)
@@ -76,11 +50,11 @@ class EntropyReport:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted point cloud in one of the four tagged spaces.
+    """Weighted point cloud in one of the three tagged spaces.
 
     points: cp1 -> (N,2) complex canonical unit rows; c_inf -> (N,) complex
-    with INFINITY stored as inf+0j; rp1 -> (N,) angles in [0,pi);
-    g_chart -> (N,6) float chart coordinates.
+    with INFINITY stored as inf+0j; g_chart -> (N,6) float chart
+    coordinates.
     """
 
     space: str
@@ -111,12 +85,6 @@ class EmpiricalMeasure:
                  weights: Optional[np.ndarray] = None) -> "EmpiricalMeasure":
         zs = np.asarray(zs, dtype=complex)
         return cls(C_INF, zs, _norm_weights(weights, len(zs)))
-
-    @classmethod
-    def on_lines(cls, angles: np.ndarray,
-                 weights: Optional[np.ndarray] = None) -> "EmpiricalMeasure":
-        t = np.mod(np.asarray(angles, dtype=float), math.pi)
-        return cls(RP1, t, _norm_weights(weights, len(t)))
 
     @classmethod
     def on_group_chart(cls, coords: np.ndarray,
@@ -155,19 +123,6 @@ class EmpiricalMeasure:
         0, 1, ... in cell order."""
         labels = _labels(self.cell_keys(level))
         return (np.cumsum(np.bincount(labels) > 0) - 1)[labels]
-
-    def cell_indices(self, level: int) -> np.ndarray:
-        """(N, axes) per-axis integer cell indices of every point, as
-        floats: the index tuples `cell_of` decodes (cp1: chart, ix, iy).
-        Points in the infinity atom hold the indices of 0."""
-        return np.stack(_cell_axes(self.space, self.points, level), axis=1)
-
-    def cell_of(self, i: int, level: int) -> DyadicCellId:
-        """Decoded cell id of point i."""
-        if self.space == C_INF and not np.isfinite(self.points[i]):
-            return DyadicCellId(C_INF, level, (), atom=True)
-        axes = _cell_axes(self.space, self.points[[i]], level)
-        return DyadicCellId(self.space, level, tuple(int(a[0]) for a in axes))
 
     # -- entropy -------------------------------------------------------------
 
@@ -241,8 +196,8 @@ class Components(Sequence):
     """The occupied cells of one level with positive mass, in cell order.
 
     Holds the sort order of the points, the cell bounds in it and the cell
-    masses; `comps[k]` is (DyadicCellId, mass, conditional measure) and
-    builds that measure only when read. Each mass is the pairwise `np.sum`
+    masses; `comps[k]` is (mass, conditional measure) and builds that
+    measure only when read. Each mass is the pairwise `np.sum`
     of the cell's weights in point order."""
 
     def __init__(self, m: EmpiricalMeasure, level: int):
@@ -268,8 +223,8 @@ class Components(Sequence):
         idx = self._order[self._starts[k]:self._ends[k]]
         m = self.measure
         mass = float(self.masses[k])
-        sub = EmpiricalMeasure(m.space, m.points[idx], m.weights[idx] / mass)
-        return m.cell_of(int(idx[0]), self.level), mass, sub
+        return mass, EmpiricalMeasure(m.space, m.points[idx],
+                                      m.weights[idx] / mass)
 
 
 def _slice_sums(w: np.ndarray, starts: np.ndarray,
@@ -297,8 +252,8 @@ def _slice_sums(w: np.ndarray, starts: np.ndarray,
 # as floats by _cell_axes (exact below 2^53; mass in the far tail of c_inf
 # beyond that is binned approximately). _pack turns the tuples into one
 # int64 key per point, in the lexicographic order of the tuples, so sorting
-# keys sorts cells. Keys are offsets from the minima of one call: decode a
-# cell from the indices of a member point, never from its key.
+# keys sorts cells. Keys are offsets from the minima of one call, so keys of
+# two calls are not comparable.
 
 _KEY_SPAN = 1 << 62          # finite keys lie in [0, 2^62)
 _ATOM_KEY = _KEY_SPAN        # the c_inf infinity atom, above every finite key
@@ -391,9 +346,6 @@ def _cell_axes(space: str, points: np.ndarray, level: int) -> List[np.ndarray]:
         top = 2.0 ** level - 1.0
         return [chart, np.clip(np.floor((w.real + 1.0) * half), 0.0, top),
                 np.clip(np.floor((w.imag + 1.0) * half), 0.0, top)]
-    if space == RP1:
-        return [np.minimum(np.floor(points / math.pi * 2.0 ** level),
-                           2.0 ** level - 1.0)]
     return list(np.floor(points * 2.0 ** level).T)
 
 
@@ -560,21 +512,6 @@ def sphere_embedding(rows: np.ndarray) -> np.ndarray:
     cross = z1 * np.conj(z2)
     return 0.5 * np.stack([2 * cross.real, 2 * cross.imag,
                            (np.abs(z1) ** 2 - np.abs(z2) ** 2)], axis=1)
-
-
-def total_variation(a: EmpiricalMeasure, b: EmpiricalMeasure,
-                    level: int) -> float:
-    """TV distance between the level-`level` cell-weight vectors."""
-    if a.space != b.space:
-        raise ValueError("space mismatch")
-    # one call keys both measures, so their keys share one offset
-    keys = _cell_keys(a.space, np.concatenate([a.points, b.points]), level)
-    labels = _labels(keys)
-    counts = np.bincount(labels)
-    wa = np.bincount(labels[:a.size], weights=a.weights, minlength=len(counts))
-    wb = np.bincount(labels[a.size:], weights=b.weights, minlength=len(counts))
-    # over occupied cells only: pairwise rounding depends on the term count
-    return 0.5 * float(np.abs(wa - wb)[counts > 0].sum())
 
 
 def uniform_square(n: int, seed: int, side: float = 1.0,

@@ -1,6 +1,6 @@
 """Monte-Carlo core: boundary-direction sampling via the first-passage
 stopping rule, Lyapunov exponent estimators, the first-letter conditional
-entropy ladder, dimension estimators, and the grid-neighborhood mass probe.
+entropy ladder, and dimension estimators.
 
 All samplers are pure functions of (system, parameters, seed) and are
 block-deterministic: output is bit-identical for any worker count.
@@ -18,7 +18,7 @@ from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
                         run_blocks)
 from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
                      cell_entropy, shannon_entropy, sphere_embedding)
-from .errors import StallError, UndersampledError
+from .errors import ConfigError, StallError, UndersampledError
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
                     draw_letters)
 
@@ -26,6 +26,7 @@ DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
 MIN_BIN_COUNT = 20.0             # Delta level undersampled below this median
 LOCAL_DIM_RADII = tuple(2.0 ** -k for k in range(4, 13))   # decreasing
 MIN_BALL_COUNT = 8               # local_dimension drops balls holding fewer
+DIM_SCHEMES = ("entropy-slope", "local-dimension")   # dim_estimate's schemes
 
 
 @dataclass(frozen=True)
@@ -488,30 +489,4 @@ def dim_estimate(m: EmpiricalMeasure, scheme: str = "entropy-slope",
         return entropy_slope_dimension(m, window)
     if scheme == "local-dimension":
         return local_dimension(m, centers=centers, seed=seed)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-# ---------------------------------------------------------------------------
-# grid-neighborhood mass probe
-# ---------------------------------------------------------------------------
-
-def boundary_mass_probe(m: EmpiricalMeasure, delta: float, n: int) -> float:
-    """Fraction of (finite) mass within delta * 2^-n of the level-n grid
-    lines of the plane. Mass at infinity is excluded; read it off the
-    measure via inf_mass()."""
-    if m.space != C_INF:
-        raise ValueError("probe needs a plane measure")
-    if not (0.0 < delta < 0.5):
-        raise ValueError("need 0 < delta < 1/2")
-    finite = m.finite_mask()
-    zs = m.points[finite]
-    w = m.weights[finite]
-    if w.sum() <= 0:
-        return 0.0
-    s = 2.0 ** n
-    fx = zs.real * s
-    fy = zs.imag * s
-    rx = fx - np.floor(fx)
-    ry = fy - np.floor(fy)
-    near = (rx < delta) | (rx > 1.0 - delta) | (ry < delta) | (ry > 1.0 - delta)
-    return float(np.sum(w[near]) / np.sum(w))
+    raise ConfigError(f"unknown scheme {scheme!r}; known: {DIM_SCHEMES}")

@@ -125,26 +125,6 @@ def apply_atoms_to_sphere(measure: EmpiricalMeasure, theta: ThetaSpec,
     return EmpiricalMeasure(CP1, canonicalize_rows(rows), measure.weights)
 
 
-def push_stationary(measure: EmpiricalMeasure, sys: System,
-                    seed: int) -> EmpiricalMeasure:
-    """One extra random generator applied to every sample: an exact sample of
-    the generator-weighted average of the input cloud."""
-    theta = ThetaSpec(list(sys.generators), list(sys.probs), "one-step")
-    return apply_atoms_to_sphere(measure, theta, seed)
-
-
-def small_ball_max_mass(measure: EmpiricalMeasure, eta: float,
-                        net: int = 1000, seed: int = 0) -> float:
-    """Max over a sampled net of the measure of closed eta-balls (sphere)."""
-    from scipy.spatial import cKDTree
-    pts = sphere_embedding(measure.points)
-    rng = block_rng(seed, TAG_EXPERIMENT, 1)
-    centers = pts[rng.choice(len(pts), size=min(net, len(pts)), replace=False)]
-    tree = cKDTree(pts)
-    counts = tree.query_ball_point(centers, eta, return_length=True)
-    return float(np.max(counts) / len(pts))
-
-
 # ---------------------------------------------------------------------------
 # uniform entropy dimension
 # ---------------------------------------------------------------------------
@@ -181,7 +161,7 @@ def exp_uniform_entropy_dim(cloud, m: int = 8,
         picked = pick.tolist()
         vals = {}                 # each distinct pick once; None: too small
         for k in dict.fromkeys(picked):
-            comp = comps[k][2]
+            comp = comps[k][1]
             vals[k] = (comp.entropy(lev + m).entropy / m
                        if comp.size >= min_component_points else None)
         resolved = [vals[k] for k in picked if vals[k] is not None]
@@ -256,7 +236,7 @@ def exp_projection_entropy(cloud, m: int = 8,
         for k in pick.tolist():
             sampled += 1
             if k not in found:
-                _, mass, comp = comps[k]
+                mass, comp = comps[k]
                 found[k] = (mass, comp.size,
                             _projected_entropy_min(comp, lev, m, directions)
                             if comp.size >= min_component_points else None)
@@ -494,7 +474,7 @@ def exp_action_entropy_transfer(xi, theta: ThetaSpec, k: int = 8, n: int = 6,
     comps_by_level = []
     for lev in range(1, n + 1):
         entries = []
-        for _, mass, comp in chart.components(lev):
+        for mass, comp in chart.components(lev):
             mats = [chart_g_inverse(c) for c in comp.points]
             a = np.array([g.a for g in mats])
             b = np.array([g.b for g in mats])

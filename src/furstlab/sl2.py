@@ -1,7 +1,7 @@
-"""Floating arithmetic for SL(2,C), exact Gaussian-rational matrices,
-Moebius actions on the Riemann sphere, closed-form 2x2 singular value
-decomposition, the top-singular-direction map, and the metrics and charts
-used by the rest of the package.
+"""Floating arithmetic for SL(2,C), exact Gaussian-rational matrices, the
+projective action on CP^1 and its ratio chart, the Moebius derivative,
+closed-form 2x2 singular value decomposition, the top-singular-direction
+map, and the metrics and charts used by the rest of the package.
 
 Conventions:
 
@@ -9,8 +9,6 @@ Conventions:
   first nonzero coordinate real and positive.
 * The sphere metric is the normalized-determinant distance, so diam(CP^1) = 1
   and special-unitary matrices act by isometries.
-* RP^1 (real lines in C) is the interval [0, pi) with angles added mod pi;
-  its metric is |sin(theta - theta')|.
 * The distance on SL(2,C) is the left-invariant proxy ||log(g^-1 h)||_F with
   the principal matrix logarithm (natural log).
 """
@@ -228,74 +226,9 @@ def psi(p: ProjPoint):
     return p.z1 / p.z2
 
 
-def psi_inv(z) -> ProjPoint:
-    if z is INFINITY:
-        return E1
-    return ProjPoint.from_vector(complex(z), 1.0 + 0j)
-
-
 # ---------------------------------------------------------------------------
-# real lines in C
+# Moebius derivative
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RPoint:
-    """Point of RP^1: a real line through 0 in C, stored as an angle in [0, pi)."""
-
-    theta: float
-
-    @classmethod
-    def from_angle(cls, theta: float) -> "RPoint":
-        t = math.fmod(theta, math.pi)
-        if t < 0.0:
-            t += math.pi
-        if t >= math.pi:  # fmod rounding at the seam
-            t -= math.pi
-        return cls(t)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "RPoint":
-        if z == 0:
-            raise ValueError("zero does not define a line")
-        return cls.from_angle(cmath.phase(z))
-
-    def direction(self) -> complex:
-        return cmath.exp(1j * self.theta)
-
-    def __mul__(self, other: "RPoint") -> "RPoint":
-        # RP^1 group law: multiply representatives, i.e. add angles mod pi
-        return RPoint.from_angle(self.theta + other.theta)
-
-    def inverse_el(self) -> "RPoint":
-        return RPoint.from_angle(-self.theta)
-
-
-def dist_rp1(x: RPoint, y: RPoint) -> float:
-    return abs(math.sin(x.theta - y.theta))
-
-
-def proj_line(x: RPoint, w: complex) -> complex:
-    """Orthogonal projection of w onto the line of angle x.theta."""
-    z = x.direction()
-    return (w * z.conjugate()).real * z
-
-
-# ---------------------------------------------------------------------------
-# Moebius action on the sphere
-# ---------------------------------------------------------------------------
-
-def mobius_apply(g: GroupElement, z):
-    """Apply (az+b)/(cz+d) with the standard conventions at infinity."""
-    if z is INFINITY:
-        if g.c == 0:
-            return INFINITY
-        return g.a / g.c
-    z = complex(z)
-    den = g.c * z + g.d
-    if den == 0:
-        return INFINITY
-    return (g.a * z + g.b) / den
-
 
 def mobius_derivative(g: GroupElement, z: complex) -> complex:
     """phi_g'(z) = 1/(cz+d)^2; raises PoleError at the pole."""

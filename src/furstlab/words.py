@@ -364,22 +364,6 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
 # norm-doubling words
 # ---------------------------------------------------------------------------
 
-def is_doubling_word(sys: System, word: Sequence[int], j: int, l: int) -> bool:
-    """True when the full product more than doubles the squared norm of every
-    block prefix: ||g_v||^2 > 2 ||g_{u_0...u_i}||^2 for all 0 <= i < k."""
-    word = tuple(word)
-    if len(word) < j + l or (len(word) - j) % l != 0:
-        raise ValueError("word length must be j + k*l with k >= 1")
-    acc = scaled_product(sys, word[:j])
-    prefix_log_norms = [acc.log2_op_norm()]
-    for s in range(j, len(word), l):
-        acc = scaled_product(sys, word[s:s + l], acc)
-        prefix_log_norms.append(acc.log2_op_norm())
-    full = prefix_log_norms.pop()
-    # squared-norm doubling <=> log2 gap > 1/2
-    return all(full > q + 0.5 for q in prefix_log_norms)
-
-
 def doubling_word_sets(sys: System, j: int, l: int, n: int,
                        cap: int = DEFAULT_ENUM_CAP) -> Tuple[WordSet, int]:
     """Enumerate the norm-doubling words of up to n blocks, together with the

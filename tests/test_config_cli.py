@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from furstlab.cli import main
 from furstlab.config import parse_config
-from furstlab.engine import entropy_slope_dimension, sample_boundary
+from furstlab.dyadic import uniform_square
+from furstlab.engine import (dim_estimate, entropy_slope_dimension,
+                             sample_boundary)
 from furstlab.checks import diophantine_probe
 from furstlab.errors import (CapExceededError, ConfigError, ExactOverflowError,
                              FloatOverflowError, StallError,
@@ -446,6 +448,25 @@ def test_cli_bad_input_exits_1(tmp_path, capsys, args, config, message):
     assert err.startswith("error: ") and message in err
 
 
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("sampled before the parameters were checked")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sample", "--out", "@cloud.csv", "--param", "space=sphere"], "'space'"),
+    (["sample", "--out", "@cloud.csv", "--param", "space=g_chart"], "'space'"),
+    (["dim", "--param", "scheme=box"], "'box'"),
+], ids=["sample-space-sphere", "sample-space-g-chart", "dim-scheme"])
+def test_cli_rejects_bad_choice_before_sampling(tmp_path, capsys, monkeypatch,
+                                                args, message):
+    monkeypatch.setattr("furstlab.cli.sample_boundary", _no_sampling)
+    args = [a.replace("@", f"{tmp_path}/") for a in args]
+    assert main(args + ["--preset", "sanov"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_boundary_convergence_default_lengths(tmp_path):
     # the default lengths start at n = 30; at n = 10 the twist fraction sits
     # on 1 - eta = 0.8 and reads 0.793 at seed 7
@@ -510,6 +531,10 @@ BAD_INPUTS = {
     "dio-overflowing-ratio": (
         lambda: diophantine_probe(parse_config(OVERFLOWING_RATIO).system, 1),
         FloatOverflowError, ["dio", "--param", "nmax=1"], OVERFLOWING_RATIO),
+    "unknown-dim-scheme": (
+        lambda: dim_estimate(uniform_square(100, seed=1), "box"),
+        ConfigError, ["dim", "--preset", "sanov", "--param", "scheme=box"],
+        None),
 }
 
 # what the CLI's error line says, where a case pins it

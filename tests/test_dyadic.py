@@ -8,12 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from furstlab.dyadic import (C_INF, CP1, G_CHART, PROJECTION_BLOCK, RP1,
-                             DyadicCellId, EmpiricalMeasure, cell_entropy,
+from furstlab.dyadic import (C_INF, CP1, G_CHART, PROJECTION_BLOCK,
+                             EmpiricalMeasure, cell_entropy,
                              dyadic_grid_square, project_component,
                              projection_entropies, shannon_entropy,
-                             sphere_embedding, total_variation,
-                             uniform_square, uniform_segment)
+                             sphere_embedding, uniform_square, uniform_segment)
 from furstlab.sl2 import dist_cp1, ProjPoint
 
 RNG = np.random.default_rng(99)
@@ -30,39 +29,37 @@ def _random_sphere_cloud(n, seed=0):
 # -- cells ---------------------------------------------------------------------
 
 def test_cinf_cell_values():
-    m = EmpiricalMeasure.on_plane(np.array([0.3 + 0.7j]))
-    cell = m.cell_of(0, 1)
-    assert cell.index == (0, 1) and not cell.atom
+    # level-1 cells [0, 1/2) x [1/2, 1), [1/2, 1) x [1/2, 1) and
+    # [0, 1/2) x [0, 1/2), numbered in the order of (ix, iy)
+    m = EmpiricalMeasure.on_plane(
+        np.array([0.3 + 0.7j, 0.1 + 0.99j, 0.6 + 0.7j, 0.3 + 0.2j]))
+    assert m.cell_labels(1).tolist() == [1, 1, 2, 0]
 
 
 def test_infinity_atom():
-    m = EmpiricalMeasure.on_plane(np.array([1.0 + 0j, np.inf + 0j]))
-    cell = m.cell_of(1, 5)
-    assert cell.atom
-    assert cell.parent().atom
-    assert abs(m.inf_mass() - 0.5) <= 1e-15
+    # the atom at infinity is one cell at every level, after the finite ones
+    m = EmpiricalMeasure.on_plane(np.array([np.inf + 0j, 1.0 + 0j, 3.0 + 0j]))
+    for level in (0, 5):
+        assert m.cell_labels(level).tolist() == [2, 0, 1]
+    assert abs(m.inf_mass() - 1 / 3) <= 1e-15
 
 
 def test_refinement_floor_halving():
+    # every level-(q+1) cell lies in exactly one level-q cell
     spaces = {
         C_INF: EmpiricalMeasure.on_plane(
             (RNG.standard_normal(10_000) * 3 + 1j * RNG.standard_normal(10_000) * 3)),
         CP1: _random_sphere_cloud(10_000, 1),
-        RP1: EmpiricalMeasure.on_lines(RNG.random(10_000) * math.pi),
+        G_CHART: EmpiricalMeasure.on_group_chart(
+            RNG.standard_normal((10_000, 6)) * 0.3),
     }
     for space, m in spaces.items():
         for lev in (1, 4, 7):
-            fine = m.cell_indices(lev + 1)
-            coarse = m.cell_indices(lev)
-            for i in range(0, m.size, 977):
-                cell = m.cell_of(i, lev + 1)
-                assert cell.parent() == m.cell_of(i, lev), space
-            # vectorized halving rule on every point's per-axis indices; the
-            # cp1 chart bit is not halved
-            halved = np.floor(fine / 2)
-            if space == CP1:
-                halved[:, 0] = fine[:, 0]
-            assert np.array_equal(halved, coarse), space
+            fine = m.cell_labels(lev + 1)
+            coarse = m.cell_labels(lev)
+            parent = np.full(fine.max() + 1, -1)
+            parent[fine] = coarse
+            assert np.array_equal(parent[fine], coarse), space
 
 
 def test_cp1_cell_count_bound():
@@ -101,25 +98,22 @@ def _random_measure(space, n, seed):
         pairs[::5, 1] = pairs[::5, 0]                 # |z1| = |z2|
         pairs[::13, 0] = 0.0                          # e2
         return EmpiricalMeasure.on_sphere(pairs, w)
-    if space == RP1:
-        t = rng.random(n) * math.pi
-        t[::6] = 0.0
-        return EmpiricalMeasure.on_lines(t, w)
     return EmpiricalMeasure.on_group_chart(rng.standard_normal((n, 6)) * scale,
                                            w)
 
 
-@pytest.mark.parametrize("space", [C_INF, CP1, RP1, G_CHART])
+@pytest.mark.parametrize("space", [C_INF, CP1, G_CHART])
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 10), st.integers(0, 2 ** 32 - 1))
 def test_cells_labels_and_entropy_agree(space, n, level, seed):
     m = _random_measure(space, n, seed)
     labels = m.cell_labels(level)
     comps = m.components(level)
-    # all weights are positive, so component k is the cell labelled k
+    # all weights are positive, so component k is the cell labelled k: it
+    # holds the points labelled k, in point order
     assert len(comps) == labels.max() + 1
-    for i in range(n):
-        assert comps[labels[i]][0] == m.cell_of(i, level)
+    for k, (_, sub) in enumerate(comps):
+        assert np.array_equal(sub.points, m.points[labels == k])
     masses = np.bincount(labels, weights=m.weights)
     assert m.entropy(level).entropy == shannon_entropy(masses)
 
@@ -154,7 +148,7 @@ def test_equal_weight_entropy_matches_masses(space, n, level, seed):
 def test_equal_weight_component_entropy_matches_masses(n, level, extra, seed):
     comps = uniform_square(n, seed=seed % 1000).components(level)
     for k in range(0, len(comps), max(1, len(comps) // 5)):
-        sub = comps[k][2]                  # weights w / mass, all equal
+        sub = comps[k][1]                  # weights w / mass, all equal
         assert np.all(sub.weights == sub.weights[0])
         rep = sub.entropy(level + extra)
         labels = sub.cell_labels(level + extra)
@@ -189,7 +183,7 @@ def test_plane_entropy_refinement_bounds(n, level, seed):
 
 
 # -- reference: the complex-key cells the int64 keys replace ---------------------
-# Plane, sphere and line keys were complex128 pairs of floor indices, sorted
+# Plane and sphere keys were complex128 pairs of floor indices, sorted
 # lexicographically; group-chart keys were (N, 6) int64 rows, uniqued with
 # axis=0. The int64 keys must give the same labels, components and masses.
 
@@ -211,8 +205,6 @@ def _ref_keys(space, points, level):
         ix = np.clip(np.floor((w.real + 1.0) * half), 0.0, top)
         iy = np.clip(np.floor((w.imag + 1.0) * half), 0.0, top)
         return (ix + chart * 2.0 ** (level + 1)) + 1j * iy
-    if space == RP1:
-        return np.minimum(np.floor(points / math.pi * s), s - 1.0) + 0j
     return np.floor(points * s).astype(np.int64)
 
 
@@ -221,20 +213,6 @@ def _ref_unique(keys):
         return np.unique(keys, return_inverse=True)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     return uniq, inverse.ravel()
-
-
-def _ref_decode(space, key, level):
-    if space == G_CHART:
-        return DyadicCellId(G_CHART, level, tuple(int(x) for x in key))
-    if space == C_INF and not math.isfinite(key.real):
-        return DyadicCellId(C_INF, level, (), atom=True)
-    re, im = int(key.real), int(key.imag)
-    if space == CP1:
-        chart = re >> (level + 1)
-        return DyadicCellId(CP1, level, (chart, re - (chart << (level + 1)), im))
-    if space == RP1:
-        return DyadicCellId(RP1, level, (re,))
-    return DyadicCellId(C_INF, level, (re, im))
 
 
 def _ref_components(m, level):
@@ -249,7 +227,7 @@ def _ref_components(m, level):
         if mass <= 0:
             continue
         sub = EmpiricalMeasure(m.space, m.points[idx], m.weights[idx] / mass)
-        out.append((_ref_decode(m.space, uniq[k], level), mass, sub))
+        out.append((mass, sub))
     return out
 
 
@@ -276,7 +254,7 @@ def _wide_measure(space, n, seed, log2_scale, level):
     return _random_measure(space, n, seed)
 
 
-@pytest.mark.parametrize("space", [C_INF, CP1, RP1, G_CHART])
+@pytest.mark.parametrize("space", [C_INF, CP1, G_CHART])
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 40), st.integers(-4, 60),
        st.integers(0, 2 ** 32 - 1))
@@ -301,7 +279,7 @@ def test_wide_plane_cloud_labels(scale):
     assert m.cell_keys(40)[13] > m.cell_keys(40)[~np.isinf(zs)].max()
 
 
-@pytest.mark.parametrize("space", [C_INF, CP1, RP1, G_CHART])
+@pytest.mark.parametrize("space", [C_INF, CP1, G_CHART])
 def test_components_match_reference_list(space):
     for seed, level in ((3, 0), (4, 2), (5, 4)):
         m = _random_measure(space, 3000, seed)
@@ -314,9 +292,8 @@ def test_components_match_reference_list(space):
         comps = m.components(level)
         ref = _ref_components(m, level)
         assert len(comps) == len(ref)
-        assert np.array_equal(comps.masses, [r[1] for r in ref])
-        for (cell, mass, sub), (rcell, rmass, rsub) in zip(comps, ref):
-            assert cell == rcell
+        assert np.array_equal(comps.masses, [r[0] for r in ref])
+        for (mass, sub), (rmass, rsub) in zip(comps, ref):
             assert type(mass) is float and mass == rmass
             assert np.array_equal(sub.points, rsub.points, equal_nan=True)
             assert np.array_equal(sub.weights, rsub.weights)
@@ -399,7 +376,6 @@ def _dense(m, level):
 COUNTING_CASES = {
     (C_INF, True): (0, (0, 3)), (C_INF, False): (40, (0, 10)),
     (CP1, True): (0, (0, 6)), (CP1, False): (0, (20, 40)),
-    (RP1, True): (0, (0, 14)), (RP1, False): (0, (20, 50)),
     (G_CHART, True): (-3, (0, 2)), (G_CHART, False): (40, (0, 10)),
 }
 
@@ -413,14 +389,12 @@ def test_counting_matches_sort_reference(space, dense, n, seed, data):
     log2_scale, (lo, hi) = COUNTING_CASES[space, dense]
     level = data.draw(st.integers(lo, hi))
     a = _spread_measure(space, n, seed, log2_scale)
-    b = _spread_measure(space, n // 2 + 1, seed + 1, log2_scale)
     assume(_dense(a, level) == dense)
     _, ref = _ref_unique(_ref_keys(space, a.points, level))
     assert np.array_equal(a.cell_labels(level), ref)
     rep = a.entropy(level)
     assert rep.entropy == _ref_entropy(a, level)
     assert rep.occupied == ref.max() + 1
-    assert total_variation(a, b, level) == _ref_total_variation(a, b, level)
 
 
 @settings(max_examples=40, deadline=None)
@@ -434,12 +408,9 @@ def test_counting_with_points_at_infinity(n, level, seed):
     w[::4] = 0.0
     w[0] = 1.0
     a = EmpiricalMeasure.on_plane(zs, w)
-    b = _spread_measure(C_INF, n, seed + 1, 0)
     _, ref = _ref_unique(_ref_keys(C_INF, a.points, level))
     assert np.array_equal(a.cell_labels(level), ref)
     assert a.entropy(level).entropy == _ref_entropy(a, level)
-    assert total_variation(a, b, level) == _ref_total_variation(a, b, level)
-    assert total_variation(b, a, level) == _ref_total_variation(b, a, level)
 
 
 @pytest.mark.parametrize("log2_scale, level", [(-2, 9), (12, 9), (45, 9)],
@@ -467,26 +438,6 @@ def test_projection_entropies_zero_weight_infinity():
     with np.errstate(invalid="ignore"):       # inf * 0 in the projection
         want = [project_component(m, a).entropy(6).entropy for a in angles]
         assert projection_entropies(m, 6, angles) == want
-
-
-def _ref_total_variation(a, b, level):
-    ka = _ref_keys(a.space, a.points, level)
-    kb = _ref_keys(b.space, b.points, level)
-    uniq, inverse = _ref_unique(np.concatenate([ka, kb]))
-    wa = np.bincount(inverse[:len(ka)], weights=a.weights, minlength=len(uniq))
-    wb = np.bincount(inverse[len(ka):], weights=b.weights, minlength=len(uniq))
-    return 0.5 * float(np.abs(wa - wb).sum())
-
-
-def test_total_variation_matches_reference():
-    a = uniform_square(3000, seed=1, side=0.25)
-    b = uniform_square(2000, seed=2, side=8.0, origin=-3 - 3j)
-    for level in (0, 3, 6):
-        assert total_variation(a, b, level) == _ref_total_variation(a, b, level)
-    far = uniform_square(1000, seed=3, origin=5 + 5j)
-    tv = total_variation(a, far, 4)
-    assert tv == _ref_total_variation(a, far, 4)
-    assert abs(tv - 1.0) <= 1e-12
 
 
 # -- entropy ---------------------------------------------------------------------
@@ -578,22 +529,22 @@ def test_components_single_cell():
     m = EmpiricalMeasure.on_plane(np.array([0.1 + 0.1j, 0.2 + 0.2j]))
     comps = m.components(0)
     assert len(comps) == 1
-    _, mass, sub = comps[0]
+    mass, sub = comps[0]
     assert abs(mass - 1.0) <= 1e-15 and sub.size == 2
 
 
 def test_components_masses_sum_to_one():
     m = uniform_square(5000, seed=4)
     for lev in (1, 3, 5):
-        total = sum(mass for _, mass, _ in m.components(lev))
+        total = sum(mass for mass, _ in m.components(lev))
         assert abs(total - 1.0) <= 1e-10
 
 
 def _component_average(m, levels, fn):
-    """Mass-weighted average of fn(cell, mass, component) over the occupied
-    cells, averaged uniformly over the levels (random-component semantics)."""
-    return float(np.mean([sum(mass * fn(cell, mass, comp)
-                              for cell, mass, comp in m.components(lev))
+    """Mass-weighted average of fn(level, component) over the occupied cells,
+    averaged uniformly over the levels (random-component semantics)."""
+    return float(np.mean([sum(mass * fn(lev, comp)
+                              for mass, comp in m.components(lev))
                           for lev in levels]))
 
 
@@ -604,8 +555,8 @@ def test_global_to_local_entropy():
     i, n, mprime = 1, 6, 2
     lhs = (grid.entropy(i + n).entropy - grid.entropy(i).entropy) / n
 
-    def comp_ent(cell, mass, comp):
-        return comp.entropy(cell.level + mprime).entropy / mprime
+    def comp_ent(level, comp):
+        return comp.entropy(level + mprime).entropy / mprime
 
     rhs = _component_average(grid, range(i, i + n + 1), comp_ent)
     assert abs(lhs - rhs) <= 0.5 + 2.0 * mprime / n
@@ -640,11 +591,6 @@ def test_project_component_rejects_infinity():
 
 
 # -- misc ----------------------------------------------------------------------------
-
-def test_total_variation_self_zero():
-    m = uniform_square(1000, seed=7)
-    assert total_variation(m, m, 6) == 0.0
-
 
 def test_csv_export_format(tmp_path):
     m = EmpiricalMeasure.on_plane(np.array([0.5 + 0.25j, 1.0 / 3 + 0j]))

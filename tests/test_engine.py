@@ -10,13 +10,13 @@ import furstlab as fl
 from furstlab._parallel import run_blocks
 from furstlab.cli import main
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
-                             shannon_entropy, sphere_to_plane, total_variation,
-                             uniform_square, uniform_segment)
+                             shannon_entropy, sphere_to_plane, uniform_square,
+                             uniform_segment)
 from furstlab.engine import (MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
-                             boundary_mass_probe, delta_estimate, delta_ladder,
-                             dim_estimate, lyapunov_estimate, sample_boundary)
+                             delta_estimate, delta_ladder, dim_estimate,
+                             lyapunov_estimate, sample_boundary)
 from furstlab.errors import StallError, UndersampledError
-from furstlab.experiments import push_stationary, small_ball_max_mass
+from furstlab.experiments import ThetaSpec, apply_atoms_to_sphere
 from furstlab.presets import PRESETS
 from furstlab.sl2 import E1, GroupElement, dist_cp1, ProjPoint
 from furstlab.words import System
@@ -106,17 +106,36 @@ def test_boundary_worker_invariance():
     assert np.array_equal(a.first_letters, c.first_letters)
 
 
+def _push_one_step(m, sys, seed):
+    """Every sample moved by one generator drawn with the system's weights:
+    a sample of the generator-weighted average of the cloud."""
+    theta = ThetaSpec(list(sys.generators), list(sys.probs), "one-step")
+    return apply_atoms_to_sphere(m, theta, seed)
+
+
+def _total_variation(a, b, level):
+    """TV distance between the level-`level` cell masses of two measures,
+    labelled together as the cells of their even mixture."""
+    both = EmpiricalMeasure(a.space, np.concatenate([a.points, b.points]),
+                            np.concatenate([a.weights, b.weights]) / 2)
+    labels = both.cell_labels(level)
+    cells = labels.max() + 1
+    wa = np.bincount(labels[:a.size], weights=a.weights, minlength=cells)
+    wb = np.bincount(labels[a.size:], weights=b.weights, minlength=cells)
+    return 0.5 * float(np.abs(wa - wb).sum())
+
+
 def test_boundary_stationarity_matched_seeds():
     # pushing every sample by one extra random generator resamples the same
     # stationary cloud: cell weights at level 8 agree within the Monte-Carlo
     # noise floor measured from two independent draws
     n = 60_000
     base = sample_boundary(TWIST, 30, n, seed=11).measure
-    pushed = push_stationary(base, TWIST, seed=12)
+    pushed = _push_one_step(base, TWIST, seed=12)
     indep1 = sample_boundary(TWIST, 30, n, seed=13).measure
     indep2 = sample_boundary(TWIST, 30, n, seed=14).measure
-    drift = total_variation(base, pushed, 8)
-    floor = total_variation(indep1, indep2, 8)
+    drift = _total_variation(base, pushed, 8)
+    floor = _total_variation(indep1, indep2, 8)
     assert drift <= 1.5 * floor + 0.01
 
 
@@ -254,42 +273,6 @@ def test_dim_window_guard():
     tiny = uniform_square(200, seed=23)
     with pytest.raises(UndersampledError):
         dim_estimate(tiny, "entropy-slope", window=(6, 12))
-
-
-# -- grid-neighborhood probe ---------------------------------------------------------
-
-def test_probe_atom_at_center():
-    # atom at the center of the level-3 cell [0, 1/8)^2
-    m = EmpiricalMeasure.on_plane(np.full(10, (0.5 + 0.5j) * 2.0 ** -3))
-    assert boundary_mass_probe(m, 0.2, 3) == 0.0
-    assert boundary_mass_probe(m, 0.49, 3) == 0.0
-
-
-def test_probe_uniform_analytic():
-    m = uniform_square(400_000, seed=24)
-    for delta in (0.05, 0.1, 0.2):
-        got = boundary_mass_probe(m, delta, 3)
-        want = 4 * delta - 4 * delta * delta
-        assert abs(got - want) <= 0.01
-
-
-def test_probe_monotone_in_delta():
-    cloud = sample_boundary(SANOV, 30, 20_000, seed=2)
-    nu = sphere_to_plane(cloud.measure).drop_infinity()
-    vals = [boundary_mass_probe(nu, d, 4) for d in (0.05, 0.1, 0.2, 0.4)]
-    assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-# -- small-ball mass -------------------------------------------------------------------
-
-def test_small_ball_mass_twist():
-    cloud = sample_boundary(TWIST, 30, 30_000, seed=6)
-    found = None
-    for eta in (0.5, 0.25, 0.125, 0.0625):
-        if small_ball_max_mass(cloud.measure, eta, net=1000, seed=0) < 0.5:
-            found = eta
-            break
-    assert found is not None
 
 
 def test_boundary_transpose_flag(tmp_path):

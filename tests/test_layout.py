@@ -12,6 +12,9 @@
   `config` (the literal parser), so the exact decisions stay on integers;
 - `engine` and `experiments` make no weighted `bincount`: cell masses and
   their entropies come from `dyadic.cell_entropy`;
+- every public top-level function or class is referenced by name from the
+  package's code outside its own definition and `__init__`, bar a short
+  list of exceptions;
 - the number of defaulted parameters stays at or below a pinned count.
 """
 
@@ -187,8 +190,68 @@ def test_cell_masses_only_from_dyadic(path):
     assert _weighted_bincounts(tree) == []
 
 
+# public definitions no package code calls, each kept for a stated reader
+UNREFERENCED_PUBLIC = {
+    # fixtures of the acceptance suite
+    "svd2", "random_element", "uniform_square", "uniform_segment",
+    "dyadic_grid_square",
+    # paper constructs pinned by golden digests
+    "enumerate_first_passage", "doubling_word_sets",
+    # the per-direction reference the projection_entropies tests compare to
+    "project_component",
+}
+
+
+def _public_definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(tree, skip=None):
+    """Names read (as names or attributes) outside the top-level statement
+    `skip`; import statements do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for top in tree.body if top is not skip
+            and not isinstance(top, (ast.Import, ast.ImportFrom))
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _unreferenced_public(trees):
+    """(module, name) of each public top-level function or class that no
+    code of `trees` (module name -> syntax tree) references outside its own
+    definition."""
+    return [(mod, d.name) for mod, tree in sorted(trees.items())
+            for d in _public_definitions(tree)
+            if not any(d.name in _referenced_names(t, d if m == mod else None)
+                       for m, t in trees.items())]
+
+
+def test_public_definitions_have_callers():
+    """A public definition that only tests reach is code the lab carries for
+    nothing: it goes, or it joins UNREFERENCED_PUBLIC with its reason. An
+    exception that gains a caller leaves the list."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in MODULES if p.name != "__init__.py"}
+    found = _unreferenced_public(trees)
+    assert sorted(name for _, name in found) == sorted(UNREFERENCED_PUBLIC)
+
+
+def test_unreferenced_public_rule():
+    trees = {"a.py": ast.parse("from .b import imported_only, used\n"
+                               "def orphan(x):\n    return orphan(x - 1)\n"
+                               "class Kept:\n    pass\n"
+                               "def uses():\n    return Kept, used\n"),
+             "b.py": ast.parse("import a\n"
+                               "def used():\n    return a.uses()\n"
+                               "def imported_only():\n    pass\n")}
+    assert _unreferenced_public(trees) == [("a.py", "orphan"),
+                                           ("b.py", "imported_only")]
+
+
 # defaulted parameters of module-level functions and methods at the last count
-DEFAULTED_PARAMETERS_PIN = 95
+DEFAULTED_PARAMETERS_PIN = 92
 
 
 def _defaulted_parameters(tree) -> int:

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from furstlab.errors import ChartError, LogBranchError, PoleError
-from furstlab.sl2 import (E1, E2, INFINITY, GroupElement, ProjPoint, RPoint,
+from furstlab.sl2 import (E1, E2, INFINITY, GroupElement, ProjPoint,
                           boundary_direction, chart_g, chart_g_inverse,
-                          dist_cp1, dist_g_proxy, dist_rp1, exact_matrix,
-                          exact_mul, mobius_apply, mobius_derivative,
-                          proj_act, proj_line, psi, psi_inv, random_element,
+                          dist_cp1, dist_g_proxy, exact_matrix, exact_mul,
+                          mobius_derivative, proj_act, psi, random_element,
                           random_su2, svd2)
 
 RNG = np.random.default_rng(20240811)
@@ -29,22 +28,15 @@ def close(a, b, tol=1e-12):
     return abs(a - b) <= tol
 
 
-# -- Moebius action ----------------------------------------------------------
-
-def test_mobius_identity():
-    assert mobius_apply(IDENT, 5 + 2j) == 5 + 2j
-
-
-def test_mobius_shear():
-    assert close(mobius_apply(SHEAR, 2 + 0j), 3 + 0j)
+def mobius(g, z):
+    """(az + b)/(cz + d), the Moebius map of g in the ratio chart; INFINITY
+    at infinity and at the pole, where the equivariance checks skip."""
+    if z is INFINITY or g.c * z + g.d == 0:
+        return INFINITY
+    return (g.a * z + g.b) / (g.c * z + g.d)
 
 
-def test_mobius_infinity_conventions():
-    assert mobius_apply(SWAP, INFINITY) == 0
-    assert mobius_apply(SHEAR, INFINITY) is INFINITY
-    # pole goes to infinity
-    assert mobius_apply(SWAP, 0j) is INFINITY
-
+# -- Moebius derivative --------------------------------------------------------
 
 def test_mobius_derivative_cases():
     assert close(mobius_derivative(IDENT, 3 + 1j), 1)
@@ -82,9 +74,9 @@ def test_dist_cp1_values():
 def test_psi_roundtrip():
     assert psi(E1) is INFINITY
     assert close(psi(ProjPoint.from_vector(3 + 1j, 1)), 3 + 1j)
-    assert close(dist_cp1(psi_inv(0j), E2), 0)
+    assert close(dist_cp1(ProjPoint.from_vector(0j, 1), E2), 0)
     z = 0.7 - 0.2j
-    assert close(psi(psi_inv(z)), z)
+    assert close(psi(ProjPoint.from_vector(z, 1)), z)
 
 
 def test_psi_equivariance_sampled():
@@ -93,39 +85,12 @@ def test_psi_equivariance_sampled():
         p = ProjPoint.from_vector(complex(RNG.standard_normal(), RNG.standard_normal()),
                                   complex(RNG.standard_normal(), RNG.standard_normal()))
         img = psi(proj_act(g, p))
-        via = mobius_apply(g, psi(p))
+        via = mobius(g, psi(p))
         if img is INFINITY or via is INFINITY:
             continue
         if abs(via) > 1e8:      # too near the pole for a relative check
             continue
         assert abs(img - via) <= 1e-9 * max(1.0, abs(via))
-
-
-# -- RP^1 ---------------------------------------------------------------------
-
-def test_dist_rp1_values():
-    assert close(dist_rp1(RPoint(0.0), RPoint(math.pi / 2)), 1)
-    x = RPoint.from_angle(1.2)
-    assert close(dist_rp1(x, x), 0)
-    assert close(dist_rp1(RPoint(0.0), RPoint(math.pi / 4)),
-                 math.sqrt(2) / 2)
-
-
-def test_rp1_group_law():
-    x = RPoint.from_angle(2.0)
-    y = RPoint.from_angle(1.8)
-    assert close((x * y).theta, math.fmod(3.8, math.pi))
-    assert close((x * x.inverse_el()).theta, 0.0)
-
-
-def test_proj_line_values():
-    assert close(proj_line(RPoint(0.0), 3 + 4j), 3)
-    assert close(proj_line(RPoint(math.pi / 2), 3 + 4j), 4j)
-    diag = RPoint.from_complex(1 + 1j)
-    assert close(proj_line(diag, 2 + 0j), 1 + 1j)
-    # idempotent
-    w = 0.3 - 1.7j
-    assert close(proj_line(diag, proj_line(diag, w)), proj_line(diag, w))
 
 
 # -- SVD and the direction map ------------------------------------------------
@@ -244,15 +209,6 @@ def test_cp1_triangle_inequality(a, b, c):
     assert dist_cp1(p, q) <= 1.0 + 1e-15
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(0, math.pi, exclude_max=True),
-       st.floats(0, math.pi, exclude_max=True),
-       st.floats(0, math.pi, exclude_max=True))
-def test_rp1_triangle_inequality(a, b, c):
-    x, y, z = RPoint(a), RPoint(b), RPoint(c)
-    assert dist_rp1(x, z) <= dist_rp1(x, y) + dist_rp1(y, z) + 1e-12
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_su2_isometry(seed):
@@ -274,7 +230,7 @@ def test_psi_inverse_sandwich(radius):
         w = complex(*rng.uniform(-radius, radius, 2))
         if abs(z) >= radius or abs(w) >= radius:
             continue
-        d = dist_cp1(psi_inv(z), psi_inv(w))
+        d = dist_cp1(ProjPoint.from_vector(z, 1), ProjPoint.from_vector(w, 1))
         assert d <= abs(z - w) + 1e-12
         assert d >= abs(z - w) / (1 + radius ** 2) - 1e-12
 
@@ -319,11 +275,6 @@ def test_metric_axioms_bulk():
     dac = np.abs(a1 * c2 - a2 * c1)
     assert np.all(dac <= dab + dbc + 1e-12)
     assert np.all(dab <= 1 + 1e-15)
-    th = rng.random((3, 10_000)) * math.pi
-    rab = np.abs(np.sin(th[0] - th[1]))
-    rbc = np.abs(np.sin(th[1] - th[2]))
-    rac = np.abs(np.sin(th[0] - th[2]))
-    assert np.all(rac <= rab + rbc + 1e-12)
 
 
 def test_equivariance_bulk():
@@ -336,7 +287,7 @@ def test_equivariance_bulk():
         for v in block:
             p = ProjPoint.from_vector(complex(v[0], v[1]), complex(v[2], v[3]))
             img = psi(proj_act(g, p))
-            via = mobius_apply(g, psi(p))
+            via = mobius(g, psi(p))
             checked += 1
             if img is INFINITY or via is INFINITY or abs(via) > 1e8:
                 continue

@@ -19,7 +19,7 @@ from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
 from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
                             doubling_word_sets, draw_letters,
                             enumerate_first_passage, exact_product,
-                            is_doubling_word, product_of_word, sample_word)
+                            product_of_word, sample_word, scaled_product)
 
 
 def _exact_diag(top):
@@ -401,6 +401,18 @@ def test_doubling_empty_at_zero():
     assert v.words == []
 
 
+def _is_doubling_word(sys, word, j, l):
+    """The full product more than doubles the squared norm of every block
+    prefix: ||g_v||^2 > 2 ||g_{u_0...u_i}||^2, i.e. a log2 gap above 1/2."""
+    acc = scaled_product(sys, word[:j])
+    prefixes = [acc.log2_op_norm()]
+    for s in range(j, len(word), l):
+        acc = scaled_product(sys, word[s:s + l], acc)
+        prefixes.append(acc.log2_op_norm())
+    full = prefixes.pop()
+    return all(full > q + 0.5 for q in prefixes)
+
+
 def test_doubling_mass_on_twist():
     # sampled block words are norm-doubling with high probability
     tw = fl.get_preset("twist")
@@ -411,7 +423,7 @@ def test_doubling_mass_on_twist():
     for _ in range(trials):
         k = int(rng.integers(1, n + 1))
         w = sample_word(tw, rng, length=j + l * k)
-        hits += is_doubling_word(tw, w, j, l)
+        hits += _is_doubling_word(tw, w, j, l)
     assert hits / trials >= 0.9
 
 
