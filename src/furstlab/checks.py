@@ -131,7 +131,7 @@ def find_common_fixed_points(sys: System) -> List[ProjPoint]:
             out = [p for p in candidates
                    if all(dist_cp1(proj_act(g, p), p) <= 1e-6
                           for g in sys.generators)]
-        elif not exact_hit and out and base is sys.generators[0]:
+        elif not exact_hit and out:
             out = []
     return out
 
@@ -294,9 +294,6 @@ class HermitianClass:
     h22: float
     h12: complex
     det_sign: str                 # "negative" | "zero" | "positive"
-
-    def vec4(self) -> np.ndarray:
-        return np.array([self.h11, self.h22, self.h12.real, self.h12.imag])
 
     def det(self) -> float:
         return self.h11 * self.h22 - abs(self.h12) ** 2
@@ -660,12 +657,6 @@ class EntropyTable:
     letter_entropy: float                  # H(p)
     ambiguity_warning: bool = False
     tau_eq: float = TAU_EQ                 # serialised results record it
-
-    def h_at(self, n: int) -> float:
-        for r in self.rows:
-            if r[0] == n:
-                return r[1]
-        raise KeyError(n)
 
 
 def random_walk_entropy(sys: System, n_max: int,

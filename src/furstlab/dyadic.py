@@ -75,12 +75,6 @@ class EmpiricalMeasure:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def on_sphere(cls, rows: np.ndarray,
-                  weights: Optional[np.ndarray] = None) -> "EmpiricalMeasure":
-        rows = np.asarray(rows, dtype=complex)
-        return cls(CP1, canonicalize_rows(rows), _norm_weights(weights, len(rows)))
-
-    @classmethod
     def on_plane(cls, zs: np.ndarray,
                  weights: Optional[np.ndarray] = None) -> "EmpiricalMeasure":
         zs = np.asarray(zs, dtype=complex)

@@ -19,10 +19,14 @@ from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
 from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
                      cell_entropy, shannon_entropy, sphere_embedding)
 from .errors import ConfigError, StallError, UndersampledError
+from .sl2 import TAU_SVD
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
                     draw_letters)
 
 DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
+MAX_BOUNDARY_LETTERS = 4096      # sample_boundary stalls past this many
+CONSISTENT_FACTOR = 2.0          # Lyapunov estimators agree within this many
+                                 # summed standard errors
 MIN_BIN_COUNT = 20.0             # Delta level undersampled below this median
 LOCAL_DIM_RADII = tuple(2.0 ** -k for k in range(4, 13))   # decreasing
 MIN_BALL_COUNT = 8               # local_dimension drops balls holding fewer
@@ -137,13 +141,14 @@ class Walk:
 
     def sig2(self, s: Optional[np.ndarray] = None) -> np.ndarray:
         """Squared top singular value of [[a, b], [s c, s d]] (s = 1 if
-        not given)."""
+        not given); |det| at norm one, by the rule of `sl2.sigma2`."""
         a, b, c, d = self.entries()
         if s is not None:
             c, d = c * s, d * s
         f2 = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
-        adet2 = np.abs(a * d - b * c) ** 2
-        return 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * adet2, 0.0)))
+        adet = np.abs(a * d - b * c)
+        sig2 = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * adet ** 2, 0.0)))
+        return np.where(f2 - 2.0 * adet < TAU_SVD * adet, adet, sig2)
 
     def log2_opnorm(self, s: Optional[np.ndarray] = None) -> np.ndarray:
         """log2 ||diag(1, s) g|| (s = 1 if not given)."""
@@ -194,14 +199,18 @@ class BoundaryCloud:
 
 
 def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
-                    count: int = 100_000, seed: int = 0, workers: int = 1,
-                    max_len: int = 4096) -> BoundaryCloud:
+                    count: int = 100_000, seed: int = 0,
+                    workers: int = 1) -> BoundaryCloud:
     """Draw `count` boundary directions L(g_{w|T}) where T is the first time
     chi exceeds 2*target_bits (adaptive stopping keyed to the norm cocycle).
 
     The truncation error is exponentially small in target_bits; raises
-    StallError when the norm cocycle fails to grow (non-proximal input).
+    ConfigError when target_bits is not positive and finite, and StallError
+    when the norm cocycle fails to grow (non-proximal input).
     """
+    if not 0.0 < target_bits < math.inf:     # NaN fails as well
+        raise ConfigError(f"target_bits must be positive and finite, "
+                          f"got {target_bits}")
     probs = sys.probs_array()
     chi_goal = 2.0 * target_bits
 
@@ -213,7 +222,7 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
         first = np.full(n, -1, dtype=np.int64)
         chi_stop = np.zeros(n)
         steps = np.zeros(n, dtype=np.int64)
-        for step in range(max_len):
+        for step in range(MAX_BOUNDARY_LETTERS):
             # one draw per row, retired rows included, keeps the streams
             letters = draw_letters(rng, probs, n)
             if step == 0:
@@ -246,7 +255,7 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
                                      "system looks non-proximal")
         if len(live):
             raise StallError(f"chi failed to pass {chi_goal:.1f} "
-                             f"within {max_len} letters")
+                             f"within {MAX_BOUNDARY_LETTERS} letters")
         rows = np.stack(_top_directions(*out), axis=1)
         return (canonicalize_rows(rows), first, chi_stop, steps)
 
@@ -272,9 +281,10 @@ class LyapunovEstimate:
     def value(self) -> float:
         return self.op_norm.value
 
-    def consistent(self, factor: float = 2.0) -> bool:
+    def consistent(self) -> bool:
         gap = abs(self.op_norm.value - self.telescoped.value)
-        return gap <= factor * (self.op_norm.stderr + self.telescoped.stderr)
+        return gap <= CONSISTENT_FACTOR * (self.op_norm.stderr
+                                           + self.telescoped.stderr)
 
 
 def _jackknife_mean(x: np.ndarray) -> Tuple[float, float]:

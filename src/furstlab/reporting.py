@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 VERDICT_CONSISTENT = "consistent"
 VERDICT_INCONSISTENT = "inconsistent"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -31,18 +33,14 @@ def _encode(value):
         return {str(k): _encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode(v) for v in value]
-    try:
-        import numpy as np
-        if isinstance(value, np.integer):
-            return int(value)
-        if isinstance(value, np.floating):
-            return f"{float(value):.17g}"
-        if isinstance(value, np.bool_):
-            return bool(value)
-        if isinstance(value, np.ndarray):
-            return [_encode(v) for v in value.tolist()]
-    except ImportError:
-        pass
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return f"{float(value):.17g}"
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.ndarray):
+        return [_encode(v) for v in value.tolist()]
     return str(value)
 
 

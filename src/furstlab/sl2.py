@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 from .errors import ChartError, LogBranchError, PoleError
 
-TAU_SVD = 1e-12          # degeneracy threshold on frob^2 - 2 for the SVD branch
+TAU_SVD = 1e-12          # norm-one threshold on (frob^2 - 2|det|) / |det|
 TAU_PHASE = 1e-14        # pivot tie tolerance for canonical phase
 NEG_AXIS_TOL = 1e-14    # relative tolerance for "eigenvalue on (-inf, 0]"
 
@@ -89,11 +89,6 @@ class GroupElement:
     def identity(cls) -> "GroupElement":
         return cls(1.0 + 0j, 0j, 0j, 1.0 + 0j)
 
-    @classmethod
-    def from_rows(cls, row1, row2) -> "GroupElement":
-        return cls(complex(row1[0]), complex(row1[1]),
-                   complex(row2[0]), complex(row2[1]))
-
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
 
@@ -123,22 +118,26 @@ class GroupElement:
         return GroupElement(self.a.conjugate(), self.c.conjugate(),
                             self.b.conjugate(), self.d.conjugate())
 
-    def _sigma2(self) -> Optional[float]:
-        """||g||_op^2 = (F^2 + sqrt(F^4 - 4)) / 2 (det 1); None at norm 1."""
-        f2 = self.frobenius2()
-        if f2 - 2.0 < TAU_SVD:
-            return None
-        return 0.5 * (f2 + math.sqrt(f2 * f2 - 4.0))
-
     def op_norm(self) -> float:
         """Operator norm; 1 when F^2 is within TAU_SVD of 2."""
-        return math.sqrt(self._sigma2() or 1.0)
+        return math.sqrt(sigma2(self.frobenius2(), 1.0) or 1.0)
 
     def entries(self) -> Tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
     def det_defect(self) -> float:
         return abs(self.det() - 1.0)
+
+
+def sigma2(f2: float, adet2: float) -> Optional[float]:
+    """Squared top singular value (F^2 + sqrt(F^4 - 4|det|^2)) / 2 of a 2x2
+    matrix with squared Frobenius norm f2 and |det|^2 = adet2; None at norm
+    one, where f2 - 2|det| < TAU_SVD |det| and the root is all rounding.
+    Elements of determinant one pass adet2 = 1.0."""
+    adet = math.sqrt(adet2)
+    if f2 - 2.0 * adet < TAU_SVD * adet:
+        return None
+    return 0.5 * (f2 + math.sqrt(f2 * f2 - 4.0 * adet2))
 
 
 def su2_from_pair(alpha: complex, beta: complex) -> GroupElement:
@@ -272,14 +271,13 @@ def svd2(g: GroupElement) -> SvdDecomposition:
     In the degenerate branch (operator norm 1 within TAU_SVD) returns
     U = g, sigma = 1, V = identity.
     """
-    sigma2 = g._sigma2()
-    if sigma2 is None:
+    s2 = sigma2(g.frobenius2(), 1.0)
+    if s2 is None:
         return SvdDecomposition(g, 1.0, GroupElement.identity())
-    sigma = math.sqrt(sigma2)
+    sigma = math.sqrt(s2)
 
     gs = g.adjoint() @ g  # Hermitian, eigenvalues sigma^2 and sigma^-2
-    alpha, beta = _top_eigvec_hermitian(gs.a.real, gs.b, gs.d.real,
-                                        1.0 / sigma2)
+    alpha, beta = _top_eigvec_hermitian(gs.a.real, gs.b, gs.d.real, 1.0 / s2)
     n = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
     alpha, beta = alpha / n, beta / n
     # V in SU(2) with V (alpha,beta)^T = e1
@@ -295,11 +293,11 @@ def svd2(g: GroupElement) -> SvdDecomposition:
 
 def boundary_direction(g: GroupElement) -> ProjPoint:
     """Top left-singular direction L(g) = U e1*C; e1*C when ||g||_op = 1."""
-    sigma2 = g._sigma2()
-    if sigma2 is None:
+    s2 = sigma2(g.frobenius2(), 1.0)
+    if s2 is None:
         return E1
     h = g @ g.adjoint()  # eigenvector for sigma^2 spans L(g)
-    v1, v2 = _top_eigvec_hermitian(h.a.real, h.b, h.d.real, 1.0 / sigma2)
+    v1, v2 = _top_eigvec_hermitian(h.a.real, h.b, h.d.real, 1.0 / s2)
     return ProjPoint.from_vector(v1, v2)
 
 

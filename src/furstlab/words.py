@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapExceededError, ExactOverflowError, StallError
 from .sl2 import (EXACT_IDENTITY, ExactMatrix, GroupElement, exact_det_is_one,
-                  exact_mul)
+                  exact_mul, sigma2)
 
 Word = Tuple[int, ...]
 
@@ -148,9 +148,6 @@ class WordSet:
     block_norm_const: Optional[float] = None   # C with ||g_u||_op <= C 2^(n/2)
     exact_ties: int = 0
 
-    def total_weight(self) -> float:
-        return math.fsum(self.weights)
-
     def __len__(self) -> int:
         return len(self.words)
 
@@ -181,10 +178,10 @@ class ScaledMatrix:
         return ScaledMatrix(scaled, self.log2_scale + e)
 
     def log2_op_norm(self) -> float:
-        f2 = self.g.frobenius2()
-        adet2 = abs(self.g.det()) ** 2
-        sig2 = 0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0 * adet2, 0.0)))
-        return self.log2_scale + 0.5 * math.log2(sig2)
+        """log2 of the product's operator norm; 0.0 at norm one (see
+        `sl2.sigma2`), since the product has determinant one."""
+        s2 = sigma2(self.g.frobenius2(), abs(self.g.det()) ** 2)
+        return 0.0 if s2 is None else self.log2_scale + 0.5 * math.log2(s2)
 
     def chi(self) -> float:
         return 2.0 * self.log2_op_norm()

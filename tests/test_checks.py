@@ -199,7 +199,7 @@ def test_circles_sanov_real_line():
     c = fam.classes[0]
     assert c.det_sign == "negative"
     target = np.array([0.0, 0.0, 0.0, 1.0])
-    v = c.vec4()
+    v = np.array([c.h11, c.h22, c.h12.real, c.h12.imag])
     assert min(np.abs(v - target).max(), np.abs(v + target).max()) <= 1e-10
 
 
@@ -564,7 +564,9 @@ def test_certify_report_serializes():
 def test_hrw_equality_iff_distinct():
     free = random_walk_entropy(SANOV, 8)
     assert free.free
-    assert abs(free.h_at(8) - 8 * free.letter_entropy) <= 1e-12
+    h_n = dict(r[:2] for r in free.rows)          # n -> H_n
+    assert abs(h_n[8] - 8 * free.letter_entropy) <= 1e-12
     collided = random_walk_entropy(TWIST, 9, cap=2_000_000)
     assert not collided.free
-    assert collided.h_at(9) < 9 * collided.letter_entropy - 1e-6
+    h_n = dict(r[:2] for r in collided.rows)
+    assert h_n[9] < 9 * collided.letter_entropy - 1e-6

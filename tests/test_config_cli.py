@@ -531,6 +531,12 @@ BAD_INPUTS = {
     "dio-overflowing-ratio": (
         lambda: diophantine_probe(parse_config(OVERFLOWING_RATIO).system, 1),
         FloatOverflowError, ["dio", "--param", "nmax=1"], OVERFLOWING_RATIO),
+    # a non-positive target stops every walk after one letter, and the
+    # dimension of that cloud is about 0
+    "non-positive-target-bits": (
+        lambda: sample_boundary(get_preset("twist"), -5.0, 64, 0),
+        ConfigError, ["dim", "--preset", "twist", "--param", "bits=-5"],
+        None),
     "unknown-dim-scheme": (
         lambda: dim_estimate(uniform_square(100, seed=1), "box"),
         ConfigError, ["dim", "--preset", "sanov", "--param", "scheme=box"],

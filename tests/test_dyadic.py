@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from furstlab.dyadic import (C_INF, CP1, G_CHART, PROJECTION_BLOCK,
-                             EmpiricalMeasure, cell_entropy,
+                             EmpiricalMeasure, canonicalize_rows, cell_entropy,
                              dyadic_grid_square, project_component,
                              projection_entropies, shannon_entropy,
                              sphere_embedding, uniform_square, uniform_segment)
@@ -18,12 +18,19 @@ from furstlab.sl2 import dist_cp1, ProjPoint
 RNG = np.random.default_rng(99)
 
 
+def _on_sphere(rows, weights=None):
+    """The cp1 measure on the canonical forms of `rows`, uniform by default."""
+    n = len(rows)
+    w = np.full(n, 1.0 / n) if weights is None else weights / weights.sum()
+    return EmpiricalMeasure(CP1, canonicalize_rows(rows), w)
+
+
 def _random_sphere_cloud(n, seed=0):
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, 4))
     z = rows[:, 0] + 1j * rows[:, 1]
     w = rows[:, 2] + 1j * rows[:, 3]
-    return EmpiricalMeasure.on_sphere(np.stack([z, w], axis=1))
+    return _on_sphere(np.stack([z, w], axis=1))
 
 
 # -- cells ---------------------------------------------------------------------
@@ -97,7 +104,7 @@ def _random_measure(space, n, seed):
                           rows[:, 2] + 1j * rows[:, 3]], axis=1)
         pairs[::5, 1] = pairs[::5, 0]                 # |z1| = |z2|
         pairs[::13, 0] = 0.0                          # e2
-        return EmpiricalMeasure.on_sphere(pairs, w)
+        return _on_sphere(pairs, w)
     return EmpiricalMeasure.on_group_chart(rng.standard_normal((n, 6)) * scale,
                                            w)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import furstlab as fl
-from furstlab._parallel import run_blocks
+from furstlab._parallel import TAG_LYAPUNOV, block_rng, run_blocks
 from furstlab.cli import main
 from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
                              shannon_entropy, sphere_to_plane, uniform_square,
@@ -18,8 +18,9 @@ from furstlab.engine import (MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
 from furstlab.errors import StallError, UndersampledError
 from furstlab.experiments import ThetaSpec, apply_atoms_to_sphere
 from furstlab.presets import PRESETS
-from furstlab.sl2 import E1, GroupElement, dist_cp1, ProjPoint
-from furstlab.words import System
+from furstlab.sl2 import (E1, GroupElement, ProjPoint, dist_cp1,
+                          random_element)
+from furstlab.words import System, draw_letters
 
 SANOV = fl.get_preset("sanov")
 TWIST = fl.get_preset("twist")
@@ -75,6 +76,20 @@ def test_walk_matches_direct_product(name, transpose, length, rows, every,
         assert _rel_gap(left, i, tail) <= 1e-12
 
 
+def test_walk_sig2_keeps_its_bits_away_from_norm_one():
+    # away from norm one, sig2 is the closed form bit for bit
+    rng = np.random.default_rng(21)
+    mats = [random_element(rng, 30.0) for _ in range(2000)]
+    a, b, c, d = (np.array(x) for x in zip(*(g.entries() for g in mats)))
+    walk = Walk((), (a, b, c, d))
+    walk.renorm()
+    a, b, c, d = walk.entries()
+    f2 = np.abs(a) ** 2 + np.abs(b) ** 2 + np.abs(c) ** 2 + np.abs(d) ** 2
+    adet2 = np.abs(a * d - b * c) ** 2
+    old = 0.5 * (f2 + np.sqrt(np.maximum(f2 * f2 - 4.0 * adet2, 0.0)))
+    assert walk.sig2().tobytes() == old.tobytes()
+
+
 # -- boundary sampling ---------------------------------------------------------
 
 def test_boundary_sanov_stays_real():
@@ -93,8 +108,7 @@ def test_boundary_single_matrix_attractor():
 
 def test_boundary_stalls_on_su2():
     with pytest.raises(StallError):
-        sample_boundary(fl.get_preset("su2-control"), 40, 512, seed=0,
-                        max_len=512)
+        sample_boundary(fl.get_preset("su2-control"), 40, 512, seed=0)
 
 
 def test_boundary_worker_invariance():
@@ -153,15 +167,47 @@ def test_lyapunov_single_diag_exact():
 
 
 def test_lyapunov_su2_zero():
+    # 1.3e-16: the generators' rounded |det| is a little above one
     est = lyapunov_estimate(fl.get_preset("su2-control"), n=500, trials=64,
                             seed=0)
-    assert abs(est.op_norm.value) <= 1e-9
+    assert abs(est.op_norm.value) <= 1e-15
+
+
+def test_lyapunov_su2_rates_match_mpmath():
+    # replay the estimator's paths; each product is a scalar multiple of a
+    # unitary matrix, so its sigma^2 root is all rounding in floats, and a
+    # 40-digit product gives the exact per-path rate
+    mpmath = pytest.importorskip("mpmath")
+    su2, n, trials, checked = fl.get_preset("su2-control"), 500, 64, 16
+    est = lyapunov_estimate(su2, n=n, trials=trials, seed=0)
+    rng = block_rng(0, TAG_LYAPUNOV, 0)
+    walk = Walk.identity(su2, trials)
+    words = []
+    for step in range(n):
+        words.append(draw_letters(rng, su2.probs_array(), trials))
+        walk.left(words[-1])
+        if step % 8 == 7 or step == n - 1:
+            walk.renorm()
+    rates = walk.log2_opnorm() / n
+    assert float(np.mean(rates)) == est.op_norm.value
+    mpmath.mp.dps = 40
+    gens = [mpmath.matrix([[g.a, g.b], [g.c, g.d]]) for g in su2.generators]
+    for i in range(checked):
+        acc = mpmath.eye(2)
+        for letters in words:
+            acc = gens[letters[i]] * acc
+        f2 = sum(abs(x) ** 2 for x in acc)
+        adet = abs(mpmath.det(acc))
+        sig2 = (f2 + mpmath.sqrt(max(f2 * f2 - 4 * adet ** 2, 0))) / 2
+        exact = mpmath.log(sig2, 2) / (2 * n)
+        # the sigma^2 root alone reads up to 2e-8 in log2 ||g||
+        assert abs(rates[i] - float(exact)) * n <= 1e-13
 
 
 def test_lyapunov_estimators_agree():
     for sys_ in (SANOV, TWIST):
         est = lyapunov_estimate(sys_, n=3000, trials=256, seed=2)
-        assert est.consistent(factor=2.0)
+        assert est.consistent()
         assert est.op_norm.value > 0.3
 
 

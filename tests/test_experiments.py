@@ -208,7 +208,7 @@ def test_boundary_convergence_single_matrix():
     rot = np.array([[math.cos(0.7), -math.sin(0.7)],
                     [math.sin(0.7), math.cos(0.7)]]) @ np.diag([1, np.exp(0.3j)])
     g = rot @ np.array([[2, 1], [0, 0.5]]) @ rot.conj().T
-    shear = System((GroupElement.from_rows(g[0], g[1]),), (1.0,), name="shear")
+    shear = System((GroupElement(*map(complex, g.ravel())),), (1.0,), name="shear")
     rep = exp_boundary_convergence(shear, n_values=(20, 30, 40), eta=0.2,
                                    trials=64, seed=1)
     assert len(rep.rows) == 3

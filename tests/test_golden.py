@@ -174,7 +174,7 @@ DIGESTS = {
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
     "main-theorem-sanov": "284741258cd8ff5b8660efe53332967d64df1320a74130c9b832e827828c4be1",
     "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
-    "proximality": "0b2644e5616229eeabdf50df6210837e8eb4da07afae85e355934d3d92949504",
+    "proximality": "19efc2923b1fba2babda2bf303c38024c65071d2f3e8f8162306a9932e86aef3",
     "proximality-exact": "f9577404db6df1da5aebf19d62f0b8619b36182c0c4721665b845460f453ab60",
     "uniform-entropy-dim": "2bb47b24ad39d7366ee84515617465315fb3876368d21cb35473c72885146b9d",
 }

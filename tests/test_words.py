@@ -87,6 +87,32 @@ def test_chi_word_values():
     assert abs(chi_word(SANOV, (0, 1)) - expected) <= 1e-10
 
 
+def test_rotation_powers_read_chi_zero():
+    # g_2 of twist is the pi/7 rotation, so every power has norm one and
+    # chi is 0, where sqrt(f2^2 - 4|det|^2) alone reads 2.1e-8 at k = 4
+    assert [chi_word(TWIST, (2,) * k) for k in range(1, 15)] == [0.0] * 14
+
+
+def test_first_passage_with_norm_one_generator_hits_cap():
+    # (2,) * k never passes chi = 0, so the family is infinite
+    with pytest.raises(CapExceededError):
+        enumerate_first_passage(TWIST, 0, 1, 0)
+
+
+def test_norms_keep_their_bits_away_from_norm_one():
+    # away from norm one, both norms are the closed forms bit for bit
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        g = random_element(rng, 30.0)
+        f2 = g.frobenius2()
+        assert f2 - 2.0 > 1e-9
+        assert g.op_norm() == math.sqrt(0.5 * (f2 + math.sqrt(f2 * f2 - 4.0)))
+        acc = ScaledMatrix.identity().times(g).times(g)
+        f2, adet2 = acc.g.frobenius2(), abs(acc.g.det()) ** 2
+        sig2 = 0.5 * (f2 + math.sqrt(max(f2 * f2 - 4.0 * adet2, 0.0)))
+        assert acc.log2_op_norm() == acc.log2_scale + 0.5 * math.log2(sig2)
+
+
 def test_chi_word_long_no_overflow():
     # 400 letters of the sanov pair: far beyond float range for raw products
     word = tuple([0, 1] * 200)
@@ -141,7 +167,7 @@ def test_exact_chi_tie_matches_fractions():
 def test_first_passage_single_matrix():
     ws = enumerate_first_passage(SINGLE, 0, 1, 3, cap=100)
     assert ws.words == [(0, 0)]
-    assert abs(ws.total_weight() - 1.0) <= 1e-12
+    assert abs(math.fsum(ws.weights) - 1.0) <= 1e-12
 
 
 def test_first_passage_sanov_level0():
@@ -151,7 +177,7 @@ def test_first_passage_sanov_level0():
 
 def test_first_passage_weights_and_bounds():
     ws = enumerate_first_passage(SANOV, 1, 2, 12, cap=200_000)
-    assert abs(ws.total_weight() - 1.0) <= 1e-10
+    assert abs(math.fsum(ws.weights) - 1.0) <= 1e-10
     # norm bounds: 2^(n/2) < ||g_u|| <= C_l 2^(n/2)
     for u in ws.words:
         nrm = 2.0 ** (0.5 * chi_word(SANOV, u))
