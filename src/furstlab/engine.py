@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,10 +21,11 @@ from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
 from .errors import ConfigError, StallError, UndersampledError
 from .sl2 import TAU_SVD
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
-                    draw_letters)
+                    draw_letters, letter_steps)
 
 DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
 MAX_BOUNDARY_LETTERS = 4096      # sample_boundary stalls past this many
+RENORM_EVERY = 8                 # steps between a lazy walk's renorms
 CONSISTENT_FACTOR = 2.0          # Lyapunov estimators agree within this many
                                  # summed standard errors
 MIN_BIN_COUNT = 20.0             # Delta level undersampled below this median
@@ -87,8 +88,11 @@ class Walk:
     elementwise products with the generators' entries: numpy's matmul on a
     stack of complex 2x2 matrices makes one BLAS call per matrix, which
     costs tens of times more than the arithmetic.
-    `renorm` divides by a power of two, which is exact, so how often it runs
-    changes no bit of the product."""
+    `renorm` divides by a power of two, which is exact: a lazy schedule,
+    one renorm per RENORM_EVERY steps, gives the bits of a renorm after
+    every step, as long as no entry overflows or turns subnormal within the
+    cadence, and the walk is renormalised before any test reads its
+    entries (sig2 and the other reads are not scale-free to the bit)."""
 
     def __init__(self, gens: Tuple[np.ndarray, ...],
                  entries: Tuple[np.ndarray, ...],
@@ -112,6 +116,15 @@ class Walk:
         a, b, c, d = self.entries()
         self.a, self.b = _dot(a, e, b, g), _dot(a, f, b, h)
         self.c, self.d = _dot(c, e, d, g), _dot(c, f, d, h)
+
+    def right_steps(self, steps: Iterator[np.ndarray], count: int) -> None:
+        """g <- g gens[w_1] ... gens[w_count] for the next `count` letter
+        rows w_t of `steps`, renormalised every RENORM_EVERY steps and at
+        the end."""
+        for t in range(1, count + 1):
+            self.right(next(steps))
+            if t % RENORM_EVERY == 0 or t == count:
+                self.renorm()
 
     def left(self, letters: np.ndarray) -> Tuple[np.ndarray, ...]:
         """g <- gens[letters] g; returns the letters' entries (e, f, g, h)."""
@@ -313,11 +326,11 @@ def lyapunov_estimate(sys: System, n: int = 10_000, trials: int = 1000,
         v0 = np.ones(m, dtype=complex)     # the orbit of e1
         v1 = np.zeros(m, dtype=complex)
         vlog = np.zeros(m)
-        for step in range(n):
+        for step, letters in zip(range(n), letter_steps(rng, probs, m)):
             # reversed composition order: g_{w|n} = w_n ... w_1
-            e, f, g, h = walk.left(draw_letters(rng, probs, m))
+            e, f, g, h = walk.left(letters)
             v0, v1 = _dot(e, v0, f, v1), _dot(g, v0, h, v1)
-            if step % 8 == 7 or step == n - 1:
+            if step % RENORM_EVERY == RENORM_EVERY - 1 or step == n - 1:
                 walk.renorm()
                 vn = np.sqrt(np.abs(v0) ** 2 + np.abs(v1) ** 2)
                 vlog += np.log2(vn)

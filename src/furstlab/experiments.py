@@ -19,19 +19,22 @@ from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
 from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
                      projection_entropies, sphere_embedding, sphere_to_plane)
-from .engine import (DEFAULT_TARGET_BITS, BoundaryCloud, Walk, delta_ladder,
-                     entropy_slope_dimension, local_dimension,
+from .engine import (DEFAULT_TARGET_BITS, RENORM_EVERY, BoundaryCloud, Walk,
+                     delta_ladder, entropy_slope_dimension, local_dimension,
                      lyapunov_estimate, sample_boundary)
-from .errors import LogBranchError, StallError, UndersampledError
+from .errors import (ConfigError, LogBranchError, StallError,
+                     UndersampledError)
 from .reporting import (ExperimentReport, VERDICT_CONSISTENT,
                         VERDICT_INCONCLUSIVE, VERDICT_INCONSISTENT)
-from .sl2 import (GroupElement, boundary_direction, chart_g, chart_g_inverse,
-                  dist_g_proxy, mobius_derivative, proj_act, psi, INFINITY)
-from .words import (ScaledMatrix, System, draw_letters, product_of_word,
+from .sl2 import (TAU_PHASE, GroupElement, ProjPoint, boundary_direction,
+                  chart_g, chart_g_inverse, dist_g_proxy, mobius_derivative,
+                  psi, INFINITY)
+from .words import (System, draw_letters, letter_steps, product_of_word,
                     sample_word, scaled_product)
 
 UNIFORM_MIN_FRACTION = 0.8     # uniform-entropy-dim: consistent at or above
 CHAIN_CHECK_STRIDE = 16        # cocycle steps between chain-rule checks
+MAX_COCYCLE_NET = 1 << 24      # direction-cocycle: most delta/2-net points
 MIN_THETA_ENTROPY = 0.01       # entropy-increase: theta below is degenerate
 TRANSFER_Z_SAMPLES = 48        # base points of action-entropy-transfer
 LINEARIZATION_EPS_BITS = 0.1   # linearization: consistent below this gap
@@ -290,36 +293,50 @@ class CocycleTrace:
 
 
 def _build_trace(sys: System, n: int, q_bits: float, rng,
-                 fixed_point: Optional[object] = None) -> CocycleTrace:
+                 fixed_point: Optional[ProjPoint] = None) -> CocycleTrace:
+    """The cocycle along one path of n letters. The points, the angles and
+    the chain-rule product are plain complex numbers, formed by the float
+    operations of `proj_act` (with `ProjPoint.from_vector`), `psi` and
+    `ScaledMatrix.times`, in their order."""
     letters = draw_letters(rng, sys.probs_array(), n).tolist()
-    pole_events = 0
-
     if fixed_point is None:
         # tail boundary point: the first-passage word past chi = 2*q_bits
         tail = sample_word(sys, rng, first_passage=(0, 1, 2 * q_bits))
-        p_next = boundary_direction(scaled_product(sys, tail).g)
-    else:
-        p_next = fixed_point
+        fixed_point = boundary_direction(scaled_product(sys, tail).g)
+    entries = [g.entries() for g in sys.generators]
+    path = [entries[i] for i in letters]
 
-    # backward pass: boundary points p_k = phi_{w_k}(p_{k+1}) seen from index
-    # k, then cumulative derivative angles going forward
-    points = [None] * (n + 1)
-    points[n] = p_next
-    for k in range(n - 1, -1, -1):
-        points[k] = proj_act(sys.generators[letters[k]], points[k + 1])
+    # backward pass: boundary points p_k = phi_{w_k}(p_{k+1}), kept as
+    # charts[k] = psi(p_k) for k = 1..n
+    z1, z2 = fixed_point.z1, fixed_point.z2
+    charts = [None] * (n + 1)
+    charts[n] = psi(fixed_point)
+    for k in range(n - 1, 0, -1):
+        a, b, c, d = path[k]
+        x1, x2 = a * z1 + b * z2, c * z1 + d * z2
+        norm = math.sqrt(abs(x1) ** 2 + abs(x2) ** 2)
+        x1, x2 = x1 / norm, x2 / norm
+        if abs(x1) > TAU_PHASE:
+            z1, z2 = complex(abs(x1), 0.0), x2 * (x1.conjugate() / abs(x1))
+        else:
+            z1, z2 = 0j, complex(abs(x2), 0.0)
+        charts[k] = INFINITY if z2 == 0 else z1 / z2
 
-    angles = np.zeros(n)
+    # forward pass: cumulative derivative angles, checked every
+    # CHAIN_CHECK_STRIDE steps against the renormalised product's own
+    angles = []
     cum = 0.0
-    direct = ScaledMatrix.identity()
+    pa, pb, pc, pd = 1.0 + 0j, 0j, 0j, 1.0 + 0j
     max_defect = 0.0
+    pole_events = 0
     for k in range(n):
-        g = sys.generators[letters[k]]
-        z = psi(points[k + 1])
+        a, b, c, d = path[k]
+        z = charts[k + 1]
         if z is INFINITY:
             step = 0.0          # convention: derivative direction is real
             pole_events += 1
         else:
-            den = g.c * z + g.d
+            den = c * z + d
             if abs(den) < 1e-12:
                 step = 0.0
                 pole_events += 1
@@ -328,30 +345,61 @@ def _build_trace(sys: System, n: int, q_bits: float, rng,
         cum = math.fmod(cum + step, math.pi)
         if cum < 0:
             cum += math.pi
-        angles[k] = cum
-        direct = direct.times(g)
-        if (k + 1) % CHAIN_CHECK_STRIDE == 0:
-            zk = psi(points[k + 1])
-            if zk is not INFINITY:
-                dden = direct.g.c * zk + direct.g.d
-                if abs(dden) > 1e-12:
-                    ref = math.fmod(cmath.phase(1.0 / (dden * dden)), math.pi)
-                    if ref < 0:
-                        ref += math.pi
-                    gap = abs(ref - angles[k])
-                    gap = min(gap, math.pi - gap)
-                    max_defect = max(max_defect, gap)
+        angles.append(cum)
+        pa, pb, pc, pd = (pa * a + pb * c, pa * b + pb * d,
+                          pc * a + pd * c, pc * b + pd * d)
+        f = math.ldexp(1.0, -math.frexp(max(abs(pa), abs(pb), abs(pc),
+                                            abs(pd)))[1])
+        pa, pb, pc, pd = pa * f, pb * f, pc * f, pd * f
+        if (k + 1) % CHAIN_CHECK_STRIDE == 0 and z is not INFINITY:
+            dden = pc * z + pd
+            if abs(dden) > 1e-12:
+                ref = math.fmod(cmath.phase(1.0 / (dden * dden)), math.pi)
+                if ref < 0:
+                    ref += math.pi
+                gap = abs(ref - cum)
+                max_defect = max(max_defect, min(gap, math.pi - gap))
     if max_defect > 1e-6:
         raise RuntimeError(
             f"cocycle chain-rule defect {max_defect:.2e} exceeds 1e-6")
-    return CocycleTrace(n, angles, q_bits, max_defect, pole_events)
+    return CocycleTrace(n, np.array(angles), q_bits, max_defect, pole_events)
+
+
+def _ball_counts(angles: np.ndarray, delta: float) -> np.ndarray:
+    """For each point c of a delta/2-net of [0, pi), the number of angles
+    in the metric ball {a : |sin(a - c)| <= delta}; angles in [0, pi) and
+    0 < delta < 1.
+
+    A ball is three arcs, with alpha = asin(delta): |a - c| <= alpha, and
+    a - c within alpha of pi or of -pi. They are counted on the sorted
+    angles; an angle within `slack` of an arc end takes the sine test
+    itself, so every count is that of the test on all the angles."""
+    net = np.arange(0.0, math.pi, delta / 2.0)
+    alpha = math.asin(delta)
+    # rounding moves the sine test's edge by about an ulp / cos(alpha)
+    slack = 1e-9 + 1e-14 / math.cos(alpha)
+    s = np.sort(angles)
+    ends = np.stack([net - alpha, net + alpha,
+                     net + (math.pi - alpha), net + math.pi,
+                     net - math.pi, net - (math.pi - alpha)], axis=1)
+    # open arc cores, clear of every end by more than the slack
+    counts = np.maximum(
+        np.searchsorted(s, ends[:, 1::2] - slack, "left")
+        - np.searchsorted(s, ends[:, 0::2] + slack, "right"), 0).sum(axis=1)
+    # closed windows around the ends; near ends may share angles
+    first = np.searchsorted(s, ends - slack, "left")
+    last = np.searchsorted(s, ends + slack, "right")
+    for j in np.flatnonzero((last > first).any(axis=1)):
+        near = np.unique(np.concatenate(
+            [np.arange(lo, hi) for lo, hi in zip(first[j], last[j])]))
+        counts[j] += np.count_nonzero(np.abs(np.sin(s[near] - net[j]))
+                                      <= delta)
+    return counts
 
 
 def _concentration_score(angles: np.ndarray, delta: float) -> float:
     """Max over a delta/2-net of the empirical mass of metric delta-balls."""
-    net = np.arange(0.0, math.pi, delta / 2.0)
-    diffs = np.abs(np.sin(angles[:, None] - net[None, :]))
-    return float((diffs <= delta).mean(axis=0).max())
+    return float(_ball_counts(angles, delta).max() / len(angles))
 
 
 def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
@@ -363,6 +411,13 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
     if n < 1 or trials < 1:
         raise UndersampledError("direction-cocycle needs n >= 1 and "
                                 f"trials >= 1, got n={n}, trials={trials}")
+    # asin needs delta <= 1 and the verdict 1 - delta > 0; NaN fails too
+    if not 0.0 < delta < 1.0:
+        raise ConfigError(f"direction-cocycle needs delta in (0, 1), "
+                          f"got delta={delta}")
+    if math.ceil(math.pi / (delta / 2.0)) > MAX_COCYCLE_NET:
+        raise ConfigError(f"direction-cocycle delta={delta} makes a "
+                          f"delta/2-net of more than {MAX_COCYCLE_NET} points")
     fixed_point = None
     if sys.size == 1:
         g = sys.generators[0]
@@ -537,6 +592,9 @@ def exp_linearization_check(k: int = 8, delta: float = 2.0 ** -10,
     (orbit of the center convolved with the scaled fiber measure), both at
     the scale where the Taylor remainder should be subdyadic; centered at
     the identity of the group and at z = 0."""
+    if not 0.0 < delta <= 1.0:          # NaN fails as well
+        raise ConfigError(f"linearization needs delta in (0, 1], "
+                          f"got delta={delta}")
     g = GroupElement.identity()
     z_center = 0j
     rng = block_rng(seed, TAG_EXPERIMENT, 5)
@@ -585,6 +643,42 @@ def exp_linearization_check(k: int = 8, delta: float = 2.0 ** -10,
 # boundary convergence rate
 # ---------------------------------------------------------------------------
 
+def _walk_until(tail: Walk, steps, s: np.ndarray,
+                log2_inv_norm2: np.ndarray, target_chi: float, top: float,
+                step: int) -> int:
+    """Extend `tail` = h by rows of `steps` until every row has
+    2 log2 ||diag(1, s) h|| - log2_inv_norm2 > target_chi, raising
+    StallError at path length 100 000; returns the path length, counted on
+    from `step`. `top` is the largest log2 ||g_i||, and s = sigma^-2 <= 1.
+
+    The walk renormalises every RENORM_EVERY steps and before each test.
+    Its entries are below 1 after a renorm, so k steps later a row's test
+    value is at most 2 (log2s + k top) + 2 - log2_inv_norm2; while that
+    bound, plus a bit of slack, leaves some row at or below target_chi, the
+    test would not stop the walk and is skipped. The tests that are made
+    read the entries of a renorm after every step (see `Walk`)."""
+    k = 0                       # steps since the last renorm
+    low = np.min(2.0 * tail.log2s - log2_inv_norm2)
+    while True:
+        if low + 2.0 * k * top + 3.0 > target_chi:
+            if k:
+                tail.renorm()
+                k = 0
+                low = np.min(2.0 * tail.log2s - log2_inv_norm2)
+            if not (2.0 * tail.log2_opnorm(s) - log2_inv_norm2
+                    <= target_chi).any():
+                return step
+        if step >= 100_000:
+            raise StallError("path norm growth stalled")
+        tail.right(next(steps))
+        step += 1
+        k += 1
+        if k == RENORM_EVERY:
+            tail.renorm()
+            k = 0
+            low = np.min(2.0 * tail.log2s - log2_inv_norm2)
+
+
 def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100),
                              eta: float = 0.2, trials: int = 1024,
                              seed: int = 0, workers: int = 1) -> ExperimentReport:
@@ -616,6 +710,7 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
             VERDICT_INCONCLUSIVE)
 
     probs = sys.probs_array()
+    top = max(math.log2(g.op_norm()) for g in sys.generators)
     rows = []
     all_pass = True
     for n in n_values:
@@ -624,26 +719,16 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
 
         def block(start, m, index, n=n, target_chi=target_chi):
             rng = block_rng(seed, TAG_EXPERIMENT, 100_000 + 1000 * n + index)
+            steps = letter_steps(rng, probs, m)
             head = Walk.identity(sys, m)
-            for _ in range(n):
-                head.right(draw_letters(rng, probs, m))
-                head.renorm()
+            head.right_steps(steps, n)
             # g_n = 2^log2s head, so sigma^-2 = 2^exps / sig2 to rounding
             sig2 = head.sig2()
             exps = (-2.0 * head.log2s).astype(np.int64)
             s = np.ldexp(1.0 / sig2, exps)
             log2_inv_norm2 = exps - np.log2(sig2)
             tail = Walk(head.gens, head.right_frame())
-            step = n
-            # ||g_N|| = sigma ||diag(1, sigma^-2) V* h||; every row walks
-            # until the last one passes target_chi
-            while (2.0 * tail.log2_opnorm(s) - log2_inv_norm2
-                   <= target_chi).any():
-                if step >= 100_000:
-                    raise StallError("path norm growth stalled")
-                tail.right(draw_letters(rng, probs, m))
-                tail.renorm()
-                step += 1
+            _walk_until(tail, steps, s, log2_inv_norm2, target_chi, top, n)
             d_mant = tail.frame_distance_ratio(s) / sig2  # d = 2^exps d_mant
             with np.errstate(divide="ignore"):
                 log2_d = exps + np.log2(d_mant)

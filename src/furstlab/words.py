@@ -8,6 +8,7 @@ one, plus a separate log2 scale), so chi values never overflow.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ EXACT_BITS_CAP = 1 << 20     # bit-size cap for exact-mode integer entries
 DEFAULT_ENUM_CAP = 10_000_000
 MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
 COMPARE_LETTERS_MAX = 4        # draw_letters compares up to this alphabet
+LETTER_CHUNK = 32              # letter_steps draws this many steps at once
 # the stall rule of the stopping-rule samplers: after STALL_CHECK_STEPS
 # letters or blocks, a chi below STALL_CHI_FRACTION of the goal means the
 # norm cocycle is not growing
@@ -117,6 +119,17 @@ def draw_letters(rng: np.random.Generator, probs: np.ndarray,
     `Generator.choice(len(probs), size, p=probs)` when the cumulative sum
     ends at exactly 1.0, without its per-call checks of probs."""
     return _letters(_cdf(probs), rng.random(size))
+
+
+def letter_steps(rng: np.random.Generator, probs: np.ndarray,
+                 size: int) -> Iterator[np.ndarray]:
+    """Endless letter rows of `size` letters, one per walk step: the rows
+    that successive `draw_letters(rng, probs, size)` calls return, from one
+    `rng.random` call per LETTER_CHUNK steps. The stream runs ahead of the
+    rows taken, so `rng` serves only these rows."""
+    cdf = _cdf(probs)
+    while True:
+        yield from _letters(cdf, rng.random((LETTER_CHUNK, size)))
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -335,14 +348,20 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
     chi exceeds the passage level (the first-passage stopping rule)."""
     if (length is None) == (first_passage is None):
         raise ValueError("specify exactly one of length / first_passage")
-    cdf = _cdf(sys.probs_array())
+    # the letters of `_letters`, one binary search per uniform
+    cdf = _cdf(sys.probs_array()).tolist()
+
+    def letters(k: int) -> Word:
+        return tuple(bisect.bisect_right(cdf, u)
+                     for u in rng.random(k).tolist())
+
     if length is not None:
-        return tuple(_letters(cdf, rng.random(length)).tolist())
+        return letters(length)
 
     j, l, n = first_passage
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
-    block = tuple(_letters(cdf, rng.random(j)).tolist())
+    block = letters(j)
     blocks, acc = [block], scaled_product(sys, block)
     while not (chi := acc.chi()) > n:
         if len(blocks) == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
@@ -351,7 +370,7 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
         if len(blocks) > MAX_PASSAGE_BLOCKS:
             raise StallError(
                 f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")
-        block = tuple(_letters(cdf, rng.random(l)).tolist())
+        block = letters(l)
         blocks.append(block)
         acc = scaled_product(sys, block, acc)
     return tuple(itertools.chain.from_iterable(blocks))

@@ -18,6 +18,8 @@ from furstlab.checks import diophantine_probe
 from furstlab.errors import (CapExceededError, ConfigError, ExactOverflowError,
                              FloatOverflowError, StallError,
                              UndersampledError)
+from furstlab.experiments import (exp_direction_cocycle,
+                                  exp_linearization_check)
 from furstlab.presets import PRESETS, get_preset
 from furstlab.words import enumerate_first_passage, exact_product, sample_word
 
@@ -543,6 +545,28 @@ BAD_INPUTS = {
         None),
 }
 
+
+
+def _bad_delta(name, value):
+    # refused before any work: the cocycle's asin and verdict need delta in
+    # (0, 1) and its delta/2-net at most 2^24 points; linearization needs a
+    # scale in (0, 1], or its rejection loop never accepts an atom
+    if name == "direction-cocycle":
+        def call():
+            return exp_direction_cocycle(get_preset("twist"), n=10, trials=1,
+                                         delta=float(value))
+    else:
+        def call():
+            return exp_linearization_check(delta=float(value))
+    return call, ConfigError, ["exp", name, "--param", f"delta={value}"], None
+
+
+BAD_DELTAS = {"direction-cocycle": ("0", "-1", "nan", "inf", "1", "1e-300"),
+              "linearization": ("0", "-1", "nan", "inf")}
+BAD_INPUTS.update({f"{name}-delta={value}": _bad_delta(name, value)
+                   for name, values in BAD_DELTAS.items()
+                   for value in values})
+
 # what the CLI's error line says, where a case pins it
 BAD_INPUT_MESSAGES = {
     # the sampler's stall test at step 255, not its 4096-letter cap
@@ -550,6 +574,7 @@ BAD_INPUT_MESSAGES = {
     # the first passage's stall test at block 256, not its block cap
     "stalled-first-passage": "system looks non-proximal",
     "dio-overflowing-ratio": "length 1",
+    **{case: "delta" for case in BAD_INPUTS if "-delta=" in case},
 }
 
 

@@ -6,10 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import furstlab as fl
+from furstlab.engine import RENORM_EVERY, Walk
 from furstlab.dyadic import dyadic_grid_square, uniform_segment, uniform_square, EmpiricalMeasure
+from furstlab.errors import StallError
 from furstlab.experiments import (PipelineBudget, ThetaSpec,
+                                  _ball_counts, _concentration_score,
+                                  _walk_until,
                                   exp_action_entropy_transfer,
                                   exp_boundary_convergence,
                                   exp_direction_cocycle, exp_entropy_increase,
@@ -19,7 +25,7 @@ from furstlab.experiments import (PipelineBudget, ThetaSpec,
 from furstlab.reporting import (VERDICT_CONSISTENT, VERDICT_INCONCLUSIVE,
                                 VERDICT_INCONSISTENT)
 from furstlab.sl2 import GroupElement
-from furstlab.words import System
+from furstlab.words import System, letter_steps
 
 TWIST = fl.get_preset("twist")
 SANOV = fl.get_preset("sanov")
@@ -106,6 +112,67 @@ def test_cocycle_rotation_equidistributes():
                                 seed=7)
     # rigid rotation orbit: ball mass on the 2*delta/pi scale
     assert rep.summary["score"] <= 3 * (2 * 0.1 / math.pi)
+
+
+def _dense_ball_hits(angles, delta):
+    # the n x net formula: every angle against every net point
+    net = np.arange(0.0, math.pi, delta / 2.0)
+    return np.abs(np.sin(angles[:, None] - net[None, :])) <= delta
+
+
+_BELOW_PI = math.nextafter(math.pi, 0.0)
+
+
+# offsets from an arc end: ulps, and the band where the sine's rounding
+# moves its edge as delta nears 1 (sin flattens near pi/2)
+_END_OFFSETS = (0.0, 4.4e-16, -4.4e-16, 1e-12, -1e-12, 2e-9, -2e-9,
+                5e-9, -5e-9, 1.2e-8, -1.2e-8)
+
+
+@st.composite
+def _ball_count_cases(draw):
+    delta = draw(st.one_of(
+        st.floats(1e-3, 1.0, exclude_max=True),
+        st.sampled_from([0.1, 0.5, 1.0 - 1e-12, math.nextafter(1.0, 0.0)])))
+    net = np.arange(0.0, math.pi, delta / 2.0)
+    alpha = math.asin(delta)
+    # angles on and near the arc ends of the balls at 0, just below pi and
+    # at drawn net points
+    centers = [0.0, _BELOW_PI] + draw(st.lists(
+        st.sampled_from(net.tolist()), max_size=3))
+    ends = [c + sgn * alpha + shift for c in centers
+            for sgn in (-1.0, 1.0) for shift in (0.0, -math.pi, math.pi)]
+    near = [e + t for e in ends for t in _END_OFFSETS]
+    pool = [a for a in near if 0.0 <= a < math.pi] + [0.0, _BELOW_PI]
+    anywhere = st.floats(0.0, math.pi, exclude_max=True)
+    angles = draw(st.one_of(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=80),
+        st.lists(anywhere | st.sampled_from(pool), min_size=1, max_size=80),
+        st.builds(lambda a, k: [a] * k, st.sampled_from(pool),
+                  st.integers(1, 40)),
+        st.builds(lambda a: [a], anywhere)))
+    return np.array(angles, dtype=float), delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ball_count_cases())
+def test_ball_counts_match_dense_formula(case):
+    angles, delta = case
+    hits = _dense_ball_hits(angles, delta)
+    assert np.array_equal(_ball_counts(angles, delta), hits.sum(axis=0))
+    assert (_concentration_score(angles, delta)
+            == float(hits.mean(axis=0).max()))
+
+
+def test_ball_counts_on_spread_and_clustered_angles():
+    rng = np.random.default_rng(5)
+    angles = np.concatenate([rng.random(5000) * math.pi,
+                             rng.normal(1.0, 0.01, 3000) % math.pi])
+    for delta in (0.1, 0.03, 0.7):
+        hits = _dense_ball_hits(angles, delta)
+        assert np.array_equal(_ball_counts(angles, delta), hits.sum(axis=0))
+        assert (_concentration_score(angles, delta)
+                == float(hits.mean(axis=0).max()))
 
 
 # -- entropy increase --------------------------------------------------------------------
@@ -222,6 +289,53 @@ def test_boundary_convergence_single_matrix():
         assert abs(sin / approx - 1.0) < 1e-4
         assert abs(row["median_dist"] / sin - 1.0) < 1e-9
         assert row["fraction"] == 1.0
+
+
+def _every_step_tail(tail, steps, s, log2_inv_norm2, target_chi, step):
+    # the tail loop with a renorm and a test after every step
+    while (2.0 * tail.log2_opnorm(s) - log2_inv_norm2
+           <= target_chi).any():
+        if step >= 100_000:
+            raise StallError("path norm growth stalled")
+        tail.right(next(steps))
+        tail.renorm()
+        step += 1
+    return step
+
+
+def _walk_bits(walk):
+    return [x.tobytes() for x in (*walk.entries(), walk.log2s)]
+
+
+@pytest.mark.parametrize("name", ["twist", "sanov", "discrete-gaussian"])
+@pytest.mark.parametrize("n", [RENORM_EVERY, RENORM_EVERY + 1, 30])
+def test_lazy_walks_match_every_step_walks(name, n):
+    # the boundary-convergence walks: head and tail, lazily renormalised
+    # and tested, against the same walks renormalised and tested every step
+    sys_ = fl.get_preset(name)
+    probs = sys_.probs_array()
+    top = max(math.log2(g.op_norm()) for g in sys_.generators)
+    chi = fl.lyapunov_estimate(sys_, n=2000, trials=256, seed=2).value
+    target_chi = 2.0 * n * chi + 80.0
+    lazy_steps = letter_steps(np.random.default_rng(n), probs, 256)
+    ref_steps = letter_steps(np.random.default_rng(n), probs, 256)
+    lazy = Walk.identity(sys_, 256)
+    lazy.right_steps(lazy_steps, n)
+    ref = Walk.identity(sys_, 256)
+    for _ in range(n):
+        ref.right(next(ref_steps))
+        ref.renorm()
+    assert _walk_bits(lazy) == _walk_bits(ref)
+    sig2 = ref.sig2()
+    exps = (-2.0 * ref.log2s).astype(np.int64)
+    s = np.ldexp(1.0 / sig2, exps)
+    log2_inv_norm2 = exps - np.log2(sig2)
+    lazy = Walk(ref.gens, ref.right_frame())
+    ref = Walk(ref.gens, ref.right_frame())
+    got = _walk_until(lazy, lazy_steps, s, log2_inv_norm2, target_chi, top, n)
+    want = _every_step_tail(ref, ref_steps, s, log2_inv_norm2, target_chi, n)
+    assert got == want > n + RENORM_EVERY
+    assert _walk_bits(lazy) == _walk_bits(ref)
 
 
 def test_boundary_convergence_twist_tracks_bound():

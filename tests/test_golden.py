@@ -17,11 +17,12 @@ import pytest
 
 from furstlab import (PipelineBudget, System, certify, check_proximality,
                       delta_estimate, diophantine_probe, doubling_word_sets,
-                      enumerate_first_passage, exp_direction_cocycle,
-                      exp_linearization_check, exp_main_theorem,
-                      exp_projection_entropy, exp_uniform_entropy_dim,
-                      get_preset, random_walk_entropy, sample_boundary,
-                      sample_word)
+                      enumerate_first_passage, exp_boundary_convergence,
+                      exp_direction_cocycle, exp_linearization_check,
+                      exp_main_theorem, exp_projection_entropy,
+                      exp_uniform_entropy_dim, get_preset,
+                      lyapunov_estimate, random_walk_entropy,
+                      sample_boundary, sample_word)
 from furstlab.dyadic import uniform_square
 from furstlab.sl2 import exact_matrix
 
@@ -101,6 +102,18 @@ def _direction_cocycle():
                                  seed=4).to_json()
 
 
+def _boundary_convergence():
+    # n = 8 and 9 end on and just past a renormalisation of the walks
+    return exp_boundary_convergence(get_preset("twist"), n_values=(8, 9, 30),
+                                    trials=1024, seed=7).to_json()
+
+
+def _lyapunov():
+    ly = lyapunov_estimate(get_preset("twist"), n=700, trials=300, seed=7)
+    return _plain([[e.value, e.stderr, e.trials, e.method]
+                   for e in (ly.op_norm, ly.telescoped)])
+
+
 def _proximality(*names):
     def run():
         out = []
@@ -136,6 +149,7 @@ CASES = {
     "boundary-cloud-sanov": _boundary_cloud("sanov"),
     "boundary-cloud-discrete-gaussian": _boundary_cloud("discrete-gaussian"),
     "delta-ladder": _delta_ladder,
+    "boundary-convergence": _boundary_convergence,
     "direction-cocycle": _direction_cocycle,
     "first-passage-words": _first_passage_words,
     "proximality": _proximality("twist", "su2-control"),
@@ -143,6 +157,7 @@ CASES = {
     "hrw-sanov": _hrw("sanov", 8),
     "hrw-twist": _hrw("twist", 6),
     "hrw-twist-8": _hrw("twist", 8),
+    "lyapunov": _lyapunov,
     "hrw-inverse-pair-9": _hrw("inverse-pair", 9),
     "dio-sanov": _dio("sanov", 6),
     "dio-twist": _dio("twist", 4),
@@ -158,6 +173,7 @@ DIGESTS = {
     "boundary-cloud-sanov": "a63af36e3ada0b754876ce89f5fff4016997b60f536adabf442cdb0d964d3694",
     "boundary-cloud-twist": "23d4abeeaceb94103c3f3662c85fba82d4e31eea11627eb95122bb90cdda362e",
     "boundary-cloud-twist-transpose": "c59893e561a4ce9453de82ae6ef9faad8deab8993e419e31e1bd422febbd1f98",
+    "boundary-convergence": "b706784530c40750274ac938eb9c4791c9775775a3d4b7a3e218f14a5de5cc4e",
     "certify-exact": "868cfd099444f4f7c496e28cb5cdfcc5dcafc3597daba35e3cc7dc91591a86ac",
     "delta-ladder": "615004025ed190c86f48e7ac806587791eec49d080c0388667ff05b87ceb4a83",
     "direction-cocycle": "16a4c08344bdc3a18fac2a6ccb0a70be32ad0fa883b625ccaa3000d280dd632e",
@@ -170,6 +186,7 @@ DIGESTS = {
     "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
     "hrw-inverse-pair-9": "9b819f0ef9c62ffd3daaec2129d3bad1f247801820de9593a386e76a2a2b5693",
     "hrw-twist-8": "52c1895f565301e611a9d5773f7e659e412c788ad4a35842b4b27c8413b03697",
+    "lyapunov": "a203e3d3dbbb640831885742196599c8c95f780db8f41d38d4e05144abae73bb",
     "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
     "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
     "main-theorem-sanov": "284741258cd8ff5b8660efe53332967d64df1320a74130c9b832e827828c4be1",

@@ -3,6 +3,7 @@ norm-doubling words."""
 
 import hashlib
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -13,13 +14,15 @@ import numpy as np
 import pytest
 
 import furstlab as fl
-from furstlab.errors import CapExceededError, ExactOverflowError
+from furstlab.errors import CapExceededError, ExactOverflowError, StallError
+from furstlab.presets import PRESETS
 from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
                           exact_matrix, exact_mul, random_element)
 from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
                             doubling_word_sets, draw_letters,
                             enumerate_first_passage, exact_product,
-                            product_of_word, sample_word, scaled_product)
+                            letter_steps, product_of_word, sample_word,
+                            scaled_product)
 
 
 def _exact_diag(top):
@@ -351,6 +354,47 @@ def test_draw_letters_matches_searchsorted(k, size):
         u = np.resize(u[u < 1.0], size)
         assert np.array_equal(draw_letters(_FixedUniforms(u), probs, size),
                               _searchsorted_letters(probs, u))
+
+
+@pytest.mark.parametrize("size", [1, 3, 1024])
+def test_letter_steps_match_draw_letters(size):
+    # 70 steps cross two chunk boundaries of letter_steps
+    for probs in (TWIST.probs_array(), np.full(6, 1.0 / 6.0)):
+        steps = letter_steps(np.random.default_rng(size), probs, size)
+        rng = np.random.default_rng(size)
+        for _ in range(70):
+            got = next(steps)
+            want = draw_letters(rng, probs, size)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+# sha256 of 200 first-passage words at (1, 2, 12), None for a stall, then
+# 200 words of length 12, from default_rng(13); recorded before sample_word
+# drew its letters by binary search
+SAMPLE_WORD_DIGESTS = {
+    "discrete-gaussian": "4a7a4f05233304b44b7669535966a27b2ccb56e8f5d5467006802ad0921426a1",
+    "inverse-pair": "445a51db1d7385c04308598698b370890b1bacfe63e685703493d449df067135",
+    "sanov": "255d42ee8b60cc517f73d9f5c18ac1bd1b6849bff83c4520e4762630b851ab0e",
+    "su2-control": "0094a59e9112b5ce12b246865c3f3d0d0c41750d1fdfbbda8bf4d3db09fad1b2",
+    "twist": "a811ca14f19d8746b12a62a5aea1c4a50f24a6b42cee2cbd501faca3ec65c08d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_sample_word_keeps_its_words(name):
+    sys_ = fl.get_preset(name)
+    rng = np.random.default_rng(13)
+    passage = []
+    for _ in range(200):
+        try:
+            passage.append(sample_word(sys_, rng, first_passage=(1, 2, 12)))
+        except StallError:
+            passage.append(None)
+    fixed = [sample_word(sys_, rng, length=12) for _ in range(200)]
+    text = json.dumps([passage, fixed], sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == SAMPLE_WORD_DIGESTS[name]
 
 
 def test_sample_word_degenerate():
