@@ -7,8 +7,7 @@ formula dim = min{2, h / (2 chi)} at desk scale.
 from .sl2 import (GroupElement, ProjPoint, SvdDecomposition, INFINITY, E1,
                   E2, boundary_direction, chart_g, chart_g_inverse, dist_cp1,
                   dist_g_proxy, mobius_derivative, proj_act, psi, svd2)
-from .words import (System, Word, WordSet, chi_word, doubling_word_sets,
-                    enumerate_first_passage, product_of_word, sample_word)
+from .words import System, Word, product_of_word, sample_word
 from .checks import (AssumptionReport, EntropyTable, HermitianClass,
                      certify, check_proximality, check_strong_irreducibility,
                      diophantine_probe, find_common_fixed_points,

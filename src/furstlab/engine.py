@@ -18,7 +18,8 @@ from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
                         run_blocks)
 from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
                      cell_entropy, shannon_entropy, sphere_embedding)
-from .errors import ConfigError, StallError, UndersampledError
+from .errors import (ConfigError, FloatOverflowError, StallError,
+                     UndersampledError)
 from .sl2 import TAU_SVD
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
                     draw_letters, letter_steps)
@@ -90,9 +91,10 @@ class Walk:
     costs tens of times more than the arithmetic.
     `renorm` divides by a power of two, which is exact: a lazy schedule,
     one renorm per RENORM_EVERY steps, gives the bits of a renorm after
-    every step, as long as no entry overflows or turns subnormal within the
-    cadence, and the walk is renormalised before any test reads its
-    entries (sig2 and the other reads are not scale-free to the bit)."""
+    every step, as long as no entry overflows (`lazy_walk_top` checks this)
+    or turns subnormal within the cadence, and the walk is renormalised
+    before any test reads its entries (sig2 and the other reads are not
+    scale-free to the bit)."""
 
     def __init__(self, gens: Tuple[np.ndarray, ...],
                  entries: Tuple[np.ndarray, ...],
@@ -196,6 +198,23 @@ class Walk:
         with np.errstate(divide="ignore", invalid="ignore"):
             lead = np.where(half >= 0, half + root, q2 / (root - half))
             return np.where(c > 0, c / np.sqrt(lead * lead + q2), 0.0)
+
+
+def lazy_walk_top(sys: System) -> float:
+    """top = max_i log2 ||g_i||, after checking that a walk renormalised
+    every RENORM_EVERY steps stays in the float range.
+
+    After a renorm every entry is below 1, so a product's norm is below 2
+    and a vector carried along has norm 1; RENORM_EVERY steps multiply
+    either by at most 2^(RENORM_EVERY top). Squared entries then stay below
+    2^(2 (RENORM_EVERY top + 1)), which must stay below 2^1024, past the
+    largest float."""
+    top = max(math.log2(g.op_norm()) for g in sys.generators)
+    if not 2.0 * (RENORM_EVERY * top + 1.0) < 1024.0:
+        raise FloatOverflowError(
+            f"generators of log2 norm up to {top:.6g} overflow a walk "
+            f"renormalised every {RENORM_EVERY} steps")
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +337,7 @@ def lyapunov_estimate(sys: System, n: int = 10_000, trials: int = 1000,
     of e1 (recorded for cross-checking). Jackknife standard errors."""
     if n < 1:
         raise UndersampledError(f"lyapunov_estimate needs n >= 1, got {n}")
+    lazy_walk_top(sys)
     probs = sys.probs_array()
 
     def block(start: int, m: int, index: int):
@@ -467,25 +487,21 @@ def local_dimension(m: EmpiricalMeasure, centers: int = 1000,
         pts = np.stack([m.points.real, m.points.imag], axis=1)
     else:
         raise ValueError("local dimension requires a sphere or plane measure")
+    # a ball's mass is its count times the one weight of a sampled cloud
+    w = m.weights
+    if not np.ptp(w) <= 1e-15 * w.max():
+        raise ConfigError("local dimension needs a measure of equal weights")
 
     rng = block_rng(seed, TAG_DIM, 0)
     idx = rng.choice(len(pts), size=min(centers, len(pts)), replace=False,
                      p=m.weights / m.weights.sum())
     tree = cKDTree(pts)
     logr = np.log2(LOCAL_DIM_RADII)
-    w = m.weights
-    uniform = bool(np.ptp(w) <= 1e-15 * w.max())
-    mass_table = np.zeros((len(idx), len(LOCAL_DIM_RADII)))
     count_table = np.zeros((len(idx), len(LOCAL_DIM_RADII)))
     for j, r in enumerate(LOCAL_DIM_RADII):
-        counts = tree.query_ball_point(pts[idx], r, return_length=True)
-        count_table[:, j] = counts
-        if uniform:
-            mass_table[:, j] = counts * w[0]
-        else:
-            for a, i in enumerate(idx):
-                nb = tree.query_ball_point(pts[i], r)
-                mass_table[a, j] = float(np.sum(w[nb]))
+        count_table[:, j] = tree.query_ball_point(pts[idx], r,
+                                                  return_length=True)
+    mass_table = count_table * w[0]
     slopes = []
     for a in range(len(idx)):
         masses = mass_table[a]

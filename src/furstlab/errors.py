@@ -21,10 +21,6 @@ class CapExceededError(FurstlabError, RuntimeError):
     """An exponential enumeration passed its configured word cap."""
 
 
-class ExactOverflowError(FurstlabError, OverflowError):
-    """Exact-mode integers exceeded the configured bit-size cap."""
-
-
 class FloatOverflowError(FurstlabError, OverflowError):
     """Float matrix products left the range of finite floats."""
 

@@ -20,8 +20,8 @@ from .checks import certify, eig_directions, random_walk_entropy
 from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
                      projection_entropies, sphere_embedding, sphere_to_plane)
 from .engine import (DEFAULT_TARGET_BITS, RENORM_EVERY, BoundaryCloud, Walk,
-                     delta_ladder, entropy_slope_dimension, local_dimension,
-                     lyapunov_estimate, sample_boundary)
+                     delta_ladder, entropy_slope_dimension, lazy_walk_top,
+                     local_dimension, lyapunov_estimate, sample_boundary)
 from .errors import (ConfigError, LogBranchError, StallError,
                      UndersampledError)
 from .reporting import (ExperimentReport, VERDICT_CONSISTENT,
@@ -474,8 +474,9 @@ def exp_entropy_increase(cloud: BoundaryCloud, theta: ThetaSpec,
     """Gap between the dyadic entropy of the convolved cloud theta.nu and the
     matched-level entropy of nu itself (both at level n, on the sphere)."""
     reach = theta.max_dist_to_identity()
-    if reach > r + 1e-9:
-        raise ValueError(f"theta atoms reach {reach:.4f} > r = {r}")
+    if not reach <= r + 1e-9:          # NaN fails as well
+        raise ConfigError(f"entropy-increase needs theta atoms within r, "
+                          f"but they reach {reach:.4f} > r = {r}")
 
     nu_plane = sphere_to_plane(cloud.measure).drop_infinity()
     dim_est = entropy_slope_dimension(nu_plane, (2, max(10, n - 2)))
@@ -514,6 +515,8 @@ def exp_action_entropy_transfer(xi, theta: ThetaSpec, k: int = 8, n: int = 6,
     points, components of theta give orbit clouds of normalized entropy
     above eps0 with probability above eps0. `xi` is a BoundaryCloud, whose
     finite plane part is used, or a plane measure."""
+    if k < 1:           # the orbit entropies are normalised by k
+        raise ConfigError(f"action-entropy-transfer needs k >= 1, got k={k}")
     if isinstance(xi, BoundaryCloud):
         tag = xi.system.tag()
         xi = sphere_to_plane(xi.measure).drop_infinity()
@@ -710,7 +713,7 @@ def exp_boundary_convergence(sys: System, n_values: Sequence[int] = (30, 60, 100
             VERDICT_INCONCLUSIVE)
 
     probs = sys.probs_array()
-    top = max(math.log2(g.op_norm()) for g in sys.generators)
+    top = lazy_walk_top(sys)
     rows = []
     all_pass = True
     for n in n_values:

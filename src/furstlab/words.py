@@ -1,6 +1,6 @@
-"""Words over the generator alphabet: matrix products, the norm cocycle,
-first-passage word families, random word samplers, and the norm-doubling
-word construction.
+"""Words over the generator alphabet: the generating system, letter draws,
+matrix products, the norm cocycle, and the random word sampler of fixed
+lengths and of the first-passage stopping rule.
 
 Long products are tracked in a renormalized form (matrix with max-entry near
 one, plus a separate log2 scale), so chi values never overflow.
@@ -12,18 +12,15 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CapExceededError, ExactOverflowError, StallError
-from .sl2 import (EXACT_IDENTITY, ExactMatrix, GroupElement, exact_det_is_one,
-                  exact_mul, sigma2)
+from .errors import StallError
+from .sl2 import ExactMatrix, GroupElement, exact_det_is_one, sigma2
 
 Word = Tuple[int, ...]
 
-EXACT_BITS_CAP = 1 << 20     # bit-size cap for exact-mode integer entries
-DEFAULT_ENUM_CAP = 10_000_000
 MAX_PASSAGE_BLOCKS = 100_000   # sample_word stalls past this many blocks
 COMPARE_LETTERS_MAX = 4        # draw_letters compares up to this alphabet
 LETTER_CHUNK = 32              # letter_steps draws this many steps at once
@@ -152,19 +149,6 @@ def _letters(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return letters
 
 
-@dataclass
-class WordSet:
-    """Finite word family with its cylinder weights p_u."""
-
-    words: List[Word]
-    weights: List[float]
-    block_norm_const: Optional[float] = None   # C with ||g_u||_op <= C 2^(n/2)
-    exact_ties: int = 0
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
 # ---------------------------------------------------------------------------
 # renormalized products
 # ---------------------------------------------------------------------------
@@ -209,25 +193,6 @@ def product_of_word(sys: System, u: Sequence[int]) -> GroupElement:
     return acc
 
 
-def exact_product(sys: System, u: Sequence[int],
-                  bits_cap: int = EXACT_BITS_CAP) -> ExactMatrix:
-    """Exact left-to-right product of u over `sys.exact` (see exact_mul);
-    raises ExactOverflowError when one of its ints passes `bits_cap` bits."""
-    if sys.exact is None:
-        raise ValueError(f"system {sys.name!r} has no exact entries")
-    acc = EXACT_IDENTITY
-    for i in u:
-        acc = _capped(exact_mul(acc, sys.exact[i]), bits_cap, len(u))
-    return acc
-
-
-def _capped(x: ExactMatrix, bits_cap: int, length: int) -> ExactMatrix:
-    if max(v.bit_length() for v in x) > bits_cap:
-        raise ExactOverflowError(
-            f"exact entries exceeded {bits_cap} bits at length {length}")
-    return x
-
-
 def scaled_product(sys: System, u: Sequence[int],
                    acc: Optional[ScaledMatrix] = None) -> ScaledMatrix:
     """acc g_{u_0} ... g_{u_{n-1}} in renormalized form; acc defaults to
@@ -239,108 +204,9 @@ def scaled_product(sys: System, u: Sequence[int],
     return acc
 
 
-def chi_word(sys: System, u: Sequence[int]) -> float:
-    """chi_u = 2 log2 ||g_u||_op, via a renormalized product (no overflow)."""
-    return scaled_product(sys, u).chi()
-
-
-def word_weight(sys: System, u: Sequence[int]) -> float:
-    w = 1.0
-    for i in u:
-        w *= sys.probs[i]
-    return w
-
-
-def _exact_chi_tie(g: ExactMatrix, n: int) -> bool:
-    """Exact check for chi_g == n: frobenius^2 == 2^n + 2^-n, that is
-    sum(x^2) 2^n == (4^n + 1) D^2 over the integers of g = x / D."""
-    if n < 0:
-        return False
-    den, *parts = g
-    return sum(x * x for x in parts) << n == ((1 << 2 * n) + 1) * den * den
-
-
 # ---------------------------------------------------------------------------
-# first-passage enumeration and sampling
+# random words
 # ---------------------------------------------------------------------------
-
-def _blocks(sys: System, l: int) -> List[Word]:
-    return [tuple(b) for b in itertools.product(range(sys.size), repeat=l)]
-
-
-def block_norm_constant(sys: System, l: int) -> float:
-    """max_{v in Lambda^l} ||g_v||_op: one extra block can exceed the passage
-    level by at most this factor."""
-    best = 1.0
-    for v in _blocks(sys, l):
-        best = max(best, 2.0 ** (0.5 * chi_word(sys, v)))
-    return best
-
-
-# open words of one length: (word, scaled product, weight, extra)
-_Frontier = List[Tuple[Word, ScaledMatrix, float, object]]
-
-
-def _grow(sys: System, frontier: _Frontier, length: int, letters: int,
-          cap: float, what: str) -> Tuple[int, Iterator[tuple]]:
-    """Extend every open word by every block of `length` letters, through
-    `scaled_product` as the samplers do. Returns the stored-letter count
-    with this level's children added, checked against `cap` once before any
-    child is made, and an iterator over the children as (word, scaled
-    product, weight, parent's extra, block)."""
-    blocks = _blocks(sys, length)
-    letters += len(frontier) * len(blocks) * (len(frontier[0][0]) + length)
-    if letters > cap:
-        raise CapExceededError(f"{what} passed cap={cap} letters")
-    weights = [word_weight(sys, b) for b in blocks]
-    return letters, ((word + b, scaled_product(sys, b, acc), w * bw, extra, b)
-                     for word, acc, w, extra in frontier
-                     for b, bw in zip(blocks, weights))
-
-
-def enumerate_first_passage(sys: System, j: int, l: int, n: int,
-                            cap: int = DEFAULT_ENUM_CAP) -> WordSet:
-    """All words u_0...u_s with u_0 of length j, blocks of length l, whose
-    chi exceeds n at the final block only.
-
-    The family is block-prefix-free and carries total weight 1; enumeration
-    fails loudly when the words it has stored pass `cap` letters, so memory
-    stays bounded even where the family is infinite (a norm-one generator).
-    The words grow from the empty word, by one level of j letters and then
-    levels of l letters; the j-letter level counts toward `cap` from the
-    first block level on.
-    """
-    if not (0 <= j < l):
-        raise ValueError("need 0 <= j < l")
-    out_words: List[Word] = []
-    out_weights: List[float] = []
-    ties = 0
-
-    # open words carry their exact products, which decide chi ties
-    exact = sys.exact is not None
-    block_ex = {b: exact_product(sys, b) for k in (j, l)
-                for b in _blocks(sys, k)} if exact else {}
-    frontier: _Frontier = [((), ScaledMatrix.identity(), 1.0, EXACT_IDENTITY)]
-    letters, length, level_cap = 0, j, math.inf
-    while frontier:
-        letters, children = _grow(sys, frontier, length, letters, level_cap,
-                                  "first-passage enumeration")
-        frontier = []
-        for word, acc, w, ex, b in children:
-            if acc.chi() > n:
-                out_words.append(word)
-                out_weights.append(w)
-            else:
-                nx = _capped(exact_mul(ex, block_ex[b]), EXACT_BITS_CAP,
-                             len(word)) if exact else None
-                ties += exact and _exact_chi_tie(nx, n)
-                frontier.append((word, acc, w, nx))
-        length, level_cap = l, cap
-
-    const = block_norm_constant(sys, l)
-    return WordSet(out_words, out_weights, block_norm_const=const,
-                   exact_ties=ties)
-
 
 def sample_word(sys: System, rng, *, length: Optional[int] = None,
                 first_passage: Optional[Tuple[int, int, int]] = None) -> Word:
@@ -374,49 +240,3 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
         blocks.append(block)
         acc = scaled_product(sys, block, acc)
     return tuple(itertools.chain.from_iterable(blocks))
-
-
-# ---------------------------------------------------------------------------
-# norm-doubling words
-# ---------------------------------------------------------------------------
-
-def doubling_word_sets(sys: System, j: int, l: int, n: int,
-                       cap: int = DEFAULT_ENUM_CAP) -> Tuple[WordSet, int]:
-    """Enumerate the norm-doubling words of up to n blocks, together with the
-    density bound M = ceil(2 l log2 R), R = max_i ||g_i||_op^2.
-
-    Each returned word is verified to lie in some first-passage family at a
-    level <= n*M (the containment the bound rests on). Enumeration fails
-    loudly when the words it has stored pass `cap` letters.
-    """
-    if not (0 <= j < l):
-        raise ValueError("need 0 <= j < l")
-    r_const = max(2.0 ** chi_word(sys, (i,)) for i in range(sys.size))
-    m_bound = max(1, math.ceil(2.0 * l * math.log2(r_const))) if r_const > 1.0 else 1
-
-    out_words: List[Word] = []
-    out_weights: List[float] = []
-
-    # frontier keeps every block word (a failure now can extend to a doubling
-    # word later), so this is exponential and guarded by the stored letters;
-    # each word carries the largest log2 norm among its block prefixes
-    frontier: _Frontier = [((), ScaledMatrix.identity(), 1.0, -math.inf)]
-    letters, length, level_cap = 0, j, math.inf
-    for level in range(n + 1):
-        letters, children = _grow(sys, frontier, length, letters, level_cap,
-                                  "doubling-word enumeration")
-        frontier = []
-        for word, acc, w, top, _ in children:
-            lg = acc.log2_op_norm()
-            if level and lg > top + 0.5:
-                out_words.append(word)
-                out_weights.append(w)
-                chi_full = 2.0 * lg
-                k_pass = max(0, math.ceil(2.0 * top))
-                if not (chi_full > k_pass and k_pass <= n * m_bound):
-                    raise RuntimeError(
-                        "doubling word escaped the first-passage envelope")
-            frontier.append((word, acc, w, max(top, lg)))
-        length, level_cap = l, cap
-
-    return WordSet(out_words, out_weights), m_bound

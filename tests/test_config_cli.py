@@ -13,15 +13,15 @@ from furstlab.cli import main
 from furstlab.config import parse_config
 from furstlab.dyadic import uniform_square
 from furstlab.engine import (dim_estimate, entropy_slope_dimension,
-                             sample_boundary)
+                             lyapunov_estimate, sample_boundary)
 from furstlab.checks import diophantine_probe
-from furstlab.errors import (CapExceededError, ConfigError, ExactOverflowError,
-                             FloatOverflowError, StallError,
+from furstlab.errors import (ConfigError, FloatOverflowError, StallError,
                              UndersampledError)
-from furstlab.experiments import (exp_direction_cocycle,
+from furstlab.experiments import (ThetaSpec, exp_action_entropy_transfer,
+                                  exp_direction_cocycle, exp_entropy_increase,
                                   exp_linearization_check)
 from furstlab.presets import PRESETS, get_preset
-from furstlab.words import enumerate_first_passage, exact_product, sample_word
+from furstlab.words import sample_word
 
 MINIMAL = """
 [system]
@@ -493,6 +493,10 @@ OVERFLOWING_RATIO = (
     "g = 1,0,1e-3,0,0,0,1,0\np = 0.3,0.3,0.4\n")
 HUGE_EXACT = (f"[system]\ng = {10 ** 400},0,0,0,0,0,1/{10 ** 400},0\n"
               "exact = true\n")
+# generators of norm about 2^64: 8 steps between renorms would square
+# entries past the float range
+HUGE_NORM = (f"[system]\ng = {2 ** 64},0,0,0,0,0,1/{2 ** 64},0\n"
+             f"g = {2 ** 64},0,1,0,0,0,1/{2 ** 64},0\n")
 
 
 BAD_INPUTS = {
@@ -506,11 +510,9 @@ BAD_INPUTS = {
         lambda: parse_config(NAN_ENTRY), ConfigError, ["check"], NAN_ENTRY),
     "inf-entry": (
         lambda: parse_config(INF_ENTRY), ConfigError, ["check"], INF_ENTRY),
-    # the CLI reads exact entries from a config, where an entry past the
-    # float range is refused as it is parsed
+    # an exact entry past the float range is refused as it is parsed
     "exact-overflow": (
-        lambda: exact_product(get_preset("sanov"), (0, 1) * 200, bits_cap=64),
-        ExactOverflowError, ["check"], HUGE_EXACT),
+        lambda: parse_config(HUGE_EXACT), ConfigError, ["check"], HUGE_EXACT),
     # 300 samples occupy more than 30 cells at levels 4 and 5
     "empty-entropy-window": (
         lambda: entropy_slope_dimension(
@@ -518,12 +520,21 @@ BAD_INPUTS = {
         UndersampledError,
         ["dim", "--param", "count=300", "--param", "window_lo=4",
          "--param", "window_hi=5", "--preset", "twist"], None),
-    # the CLI meets a norm-one family in the stopping-rule sampler
+    # a norm-one system never passes the stopping rule's goal
     "norm-one-first-passage": (
-        lambda: enumerate_first_passage(parse_config(NORM_ONE).system,
-                                        0, 1, 4, cap=10_000),
-        CapExceededError, ["sample", "--out", "@cloud.csv",
-                           "--param", "count=64"], NORM_ONE),
+        lambda: sample_boundary(parse_config(NORM_ONE).system, 40.0, 64, 0),
+        StallError, ["sample", "--out", "@cloud.csv",
+                     "--param", "count=64"], NORM_ONE),
+    "chi-overflowing-renorm-cadence": (
+        lambda: lyapunov_estimate(parse_config(HUGE_NORM).system, 100, 10),
+        FloatOverflowError,
+        ["chi", "--param", "n=100", "--param", "trials=10"], HUGE_NORM),
+    # the orbit entropies are normalised by k
+    "action-entropy-transfer-k=0": (
+        lambda: exp_action_entropy_transfer(
+            uniform_square(100, seed=1), ThetaSpec.four_ball_atoms(0.08), k=0),
+        ConfigError, ["exp", "action-entropy-transfer", "--param", "k=0",
+                      "--param", "count=512"], None),
     # a first passage on a norm-one system stops at the block cap
     "stalled-first-passage": (
         lambda: sample_word(get_preset("su2-control"),
@@ -567,6 +578,20 @@ BAD_INPUTS.update({f"{name}-delta={value}": _bad_delta(name, value)
                    for name, values in BAD_DELTAS.items()
                    for value in values})
 
+
+def _bad_radius(value):
+    # the default theta atoms reach 0.118 from the identity, beyond r
+    def call():
+        cloud = sample_boundary(get_preset("twist"), 40.0, 64, 0)
+        return exp_entropy_increase(cloud, ThetaSpec.four_ball_atoms(0.08),
+                                    r=float(value))
+    return call, ConfigError, ["exp", "entropy-increase", "--param",
+                               f"r={value}", "--param", "count=512"], None
+
+
+BAD_INPUTS.update({f"entropy-increase-r={value}": _bad_radius(value)
+                   for value in ("0", "-1", "1e-300")})
+
 # what the CLI's error line says, where a case pins it
 BAD_INPUT_MESSAGES = {
     # the sampler's stall test at step 255, not its 4096-letter cap
@@ -574,6 +599,9 @@ BAD_INPUT_MESSAGES = {
     # the first passage's stall test at block 256, not its block cap
     "stalled-first-passage": "system looks non-proximal",
     "dio-overflowing-ratio": "length 1",
+    "chi-overflowing-renorm-cadence": "renormalised every 8 steps",
+    "action-entropy-transfer-k=0": "k >= 1",
+    **{case: "> r = " for case in BAD_INPUTS if "-r=" in case},
     **{case: "delta" for case in BAD_INPUTS if "-delta=" in case},
 }
 

@@ -15,7 +15,8 @@ from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
 from furstlab.engine import (MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
                              delta_estimate, delta_ladder, dim_estimate,
                              lyapunov_estimate, sample_boundary)
-from furstlab.errors import StallError, UndersampledError
+from furstlab.errors import (ConfigError, FloatOverflowError, StallError,
+                             UndersampledError)
 from furstlab.experiments import ThetaSpec, apply_atoms_to_sphere
 from furstlab.presets import PRESETS
 from furstlab.sl2 import (E1, GroupElement, ProjPoint, dist_cp1,
@@ -217,6 +218,28 @@ def test_lyapunov_worker_invariance():
     assert a.op_norm == b.op_norm and a.telescoped == b.telescoped
 
 
+def _steep_pair(k):
+    """diag(2^k, 2^-k) and [[2^k, 1], [0, 2^-k]], whose walk grows by k
+    bits a step."""
+    return System((GroupElement(2.0 ** k, 0j, 0j, 2.0 ** -k),
+                   GroupElement(2.0 ** k, 1 + 0j, 0j, 2.0 ** -k)),
+                  (0.5, 0.5), name=f"steep-{k}")
+
+
+def test_lazy_walks_refuse_an_overflowing_cadence():
+    # 8 steps of norm 2^63 keep squared entries below 2^1024, of 2^64 not;
+    # at 64 the telescoped estimate read nan, at 130 both did
+    est = lyapunov_estimate(_steep_pair(63), n=100, trials=10)
+    assert abs(est.op_norm.value - 63.0) <= 1e-9
+    assert abs(est.telescoped.value - 63.0) <= 1e-9
+    for k in (64, 130):
+        with pytest.raises(FloatOverflowError):
+            lyapunov_estimate(_steep_pair(k), n=100, trials=10)
+        with pytest.raises(FloatOverflowError):
+            fl.exp_boundary_convergence(_steep_pair(k), n_values=(8,),
+                                        trials=8)
+
+
 @pytest.mark.parametrize("call", [
     lambda: run_blocks(lambda start, n, index: n, 0),
     lambda: sample_boundary(SANOV, count=0),
@@ -313,6 +336,14 @@ def test_dim_square_and_segment():
     assert abs(loc.value - 2.0) <= 0.1
     loc2 = dim_estimate(seg, "local-dimension", centers=300, seed=4)
     assert abs(loc2.value - 1.0) <= 0.1
+
+
+def test_local_dimension_refuses_unequal_weights():
+    sq = uniform_square(2000, seed=3)
+    weighted = EmpiricalMeasure.on_plane(sq.points,
+                                         np.linspace(1.0, 2.0, sq.size))
+    with pytest.raises(ConfigError, match="equal weights"):
+        dim_estimate(weighted, "local-dimension", centers=50)
 
 
 def test_dim_window_guard():

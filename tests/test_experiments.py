@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import furstlab as fl
 from furstlab.engine import RENORM_EVERY, Walk
 from furstlab.dyadic import dyadic_grid_square, uniform_segment, uniform_square, EmpiricalMeasure
-from furstlab.errors import StallError
+from furstlab.errors import ConfigError, StallError
 from furstlab.experiments import (PipelineBudget, ThetaSpec,
                                   _ball_counts, _concentration_score,
                                   _walk_until,
@@ -205,7 +205,7 @@ def test_entropy_increase_sanov_larger_margin(clouds):
 
 
 def test_entropy_increase_rejects_far_atoms(clouds):
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="r = 0.2"):
         exp_entropy_increase(clouds["twist"], ThetaSpec.four_ball_atoms(0.5),
                              r=0.2, n=10, seed=0)
 

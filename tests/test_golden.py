@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from furstlab import (PipelineBudget, System, certify, check_proximality,
-                      delta_estimate, diophantine_probe, doubling_word_sets,
-                      enumerate_first_passage, exp_boundary_convergence,
-                      exp_direction_cocycle, exp_linearization_check,
+                      delta_estimate, diophantine_probe,
+                      exp_boundary_convergence, exp_direction_cocycle,
+                      exp_linearization_check,
                       exp_main_theorem, exp_projection_entropy,
                       exp_uniform_entropy_dim, get_preset,
                       lyapunov_estimate, random_walk_entropy,
@@ -128,16 +128,13 @@ def _proximality(*names):
     return run
 
 
-def _first_passage_words():
-    fp = enumerate_first_passage(get_preset("sanov"), 1, 2, 8)
-    dw, m_bound = doubling_word_sets(get_preset("discrete-gaussian"), 0, 1, 4)
+def _sampled_words():
     twist = get_preset("twist")
     rng = np.random.default_rng(9)
     passage = [sample_word(twist, rng, first_passage=(1, 2, 12))
                for _ in range(200)]
     fixed = [sample_word(twist, rng, length=12) for _ in range(50)]
-    return _plain([fp.words, fp.weights, fp.block_norm_const, fp.exact_ties,
-                   dw.words, dw.weights, m_bound, passage, fixed])
+    return _plain([passage, fixed])
 
 
 CASES = {
@@ -151,8 +148,8 @@ CASES = {
     "delta-ladder": _delta_ladder,
     "boundary-convergence": _boundary_convergence,
     "direction-cocycle": _direction_cocycle,
-    "first-passage-words": _first_passage_words,
     "proximality": _proximality("twist", "su2-control"),
+    "sampled-words": _sampled_words,
     "proximality-exact": _proximality("sanov", "discrete-gaussian"),
     "hrw-sanov": _hrw("sanov", 8),
     "hrw-twist": _hrw("twist", 6),
@@ -181,7 +178,6 @@ DIGESTS = {
     "dio-discrete-gaussian": "f95ad50731dc5d2532fe913a322bd1d5fd5c108fb631ba84b125824c467318f7",
     "dio-inverse-pair-6": "7bec8cbbd236779ced50b825ba2ed44b91a40d9e11d0058f3fb65b4e383f5ede",
     "dio-twist": "75bc2e94f2251df13a128ff6c67e116ab37e5ca07c53b7dd002bc59b792d6490",
-    "first-passage-words": "2193289d4ea1d9064a79aa1263d88bb8b80cfc063e2250f1ff1fbfeee1fee1c0",
     "hrw-sanov": "cd788fa4102562fe176a4dc12cdf8ec05d7a7dc176d0d3f6b9ba3bed58fc1db5",
     "hrw-twist": "87ed36aaadbb70adf516a2c6282632618f4c933aa7d0e73c88acb317bd539a02",
     "hrw-inverse-pair-9": "9b819f0ef9c62ffd3daaec2129d3bad1f247801820de9593a386e76a2a2b5693",
@@ -193,6 +189,7 @@ DIGESTS = {
     "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
     "proximality": "19efc2923b1fba2babda2bf303c38024c65071d2f3e8f8162306a9932e86aef3",
     "proximality-exact": "f9577404db6df1da5aebf19d62f0b8619b36182c0c4721665b845460f453ab60",
+    "sampled-words": "c4be251e2b9499ddd3a00488352cd11bb3905d47accee48fe074c6a001574237",
     "uniform-entropy-dim": "2bb47b24ad39d7366ee84515617465315fb3876368d21cb35473c72885146b9d",
 }
 

@@ -1,28 +1,24 @@
-"""Word products, the norm cocycle, first-passage families, samplers, and
-norm-doubling words."""
+"""Word products, the norm cocycle, letter draws and the word sampler,
+whose first-passage words are checked against the family's definition."""
 
+import functools
 import hashlib
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import furstlab as fl
-from furstlab.errors import CapExceededError, ExactOverflowError, StallError
+from furstlab.errors import StallError
 from furstlab.presets import PRESETS
 from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
                           exact_matrix, exact_mul, random_element)
-from furstlab.words import (ScaledMatrix, System, _exact_chi_tie, chi_word,
-                            doubling_word_sets, draw_letters,
-                            enumerate_first_passage, exact_product,
-                            letter_steps, product_of_word, sample_word,
-                            scaled_product)
+from furstlab.words import (ScaledMatrix, System, draw_letters, letter_steps,
+                            product_of_word, sample_word, scaled_product)
 
 
 def _exact_diag(top):
@@ -31,25 +27,29 @@ def _exact_diag(top):
 
 SINGLE = System.from_exact((_exact_diag(2),), (1.0,), "single")
 SANOV = fl.get_preset("sanov")
-INV = fl.get_preset("inverse-pair")
 TWIST = fl.get_preset("twist")
-# float generators whose first-passage families at the levels below are
-# finite: 806 words at (j, l, n) = (1, 2, 8)
+# float generators, for the first passage through blocks of several letters
 _PAIR_RNG = np.random.default_rng(2)
 RANDOM_PAIR = System(tuple(random_element(_PAIR_RNG, 2.0) for _ in range(2)),
                      (0.5, 0.5), name="random-pair")
 
 
+def _exact_fold(sys_, u):
+    """Exact left-to-right product of u over `sys_.exact`."""
+    return functools.reduce(exact_mul, (sys_.exact[i] for i in u),
+                            EXACT_IDENTITY)
+
+
 def test_product_empty_word():
     g = product_of_word(SANOV, ())
     assert g.entries() == (1, 0, 0, 1)
-    assert exact_product(SANOV, ()) == EXACT_IDENTITY
+    assert _exact_fold(SANOV, ()) == EXACT_IDENTITY
 
 
 def test_product_sanov_hand():
     g = product_of_word(SANOV, (0, 1))
     assert g.entries() == (5, 2, 2, 1)
-    assert exact_product(SANOV, (0, 1)) == (1, 5, 0, 2, 0, 2, 0, 1, 0)
+    assert _exact_fold(SANOV, (0, 1)) == (1, 5, 0, 2, 0, 2, 0, 1, 0)
 
 
 def test_product_associativity_sampled():
@@ -57,8 +57,8 @@ def test_product_associativity_sampled():
     for _ in range(50):
         u = tuple(rng.integers(0, 2, size=rng.integers(0, 6)))
         v = tuple(rng.integers(0, 2, size=rng.integers(1, 6)))
-        lhs = exact_product(SANOV, u + v)
-        rhs = exact_mul(exact_product(SANOV, u), exact_product(SANOV, v))
+        lhs = _exact_fold(SANOV, u + v)
+        rhs = exact_mul(_exact_fold(SANOV, u), _exact_fold(SANOV, v))
         assert lhs == rhs
 
 
@@ -83,23 +83,21 @@ def test_system_rejects_bad_exact_tuple(x, message):
         System.from_exact((x,), (1.0,), "bad")
 
 
-def test_chi_word_values():
-    assert chi_word(SANOV, ()) == 0.0
-    assert abs(chi_word(SINGLE, (0,)) - 2.0) <= 1e-12
+def _chi(sys_, u):
+    return scaled_product(sys_, u).chi()
+
+
+def test_chi_values():
+    assert _chi(SANOV, ()) == 0.0
+    assert abs(_chi(SINGLE, (0,)) - 2.0) <= 1e-12
     expected = math.log2(17 + 12 * math.sqrt(2))
-    assert abs(chi_word(SANOV, (0, 1)) - expected) <= 1e-10
+    assert abs(_chi(SANOV, (0, 1)) - expected) <= 1e-10
 
 
 def test_rotation_powers_read_chi_zero():
     # g_2 of twist is the pi/7 rotation, so every power has norm one and
     # chi is 0, where sqrt(f2^2 - 4|det|^2) alone reads 2.1e-8 at k = 4
-    assert [chi_word(TWIST, (2,) * k) for k in range(1, 15)] == [0.0] * 14
-
-
-def test_first_passage_with_norm_one_generator_hits_cap():
-    # (2,) * k never passes chi = 0, so the family is infinite
-    with pytest.raises(CapExceededError):
-        enumerate_first_passage(TWIST, 0, 1, 0)
+    assert [_chi(TWIST, (2,) * k) for k in range(1, 15)] == [0.0] * 14
 
 
 def test_norms_keep_their_bits_away_from_norm_one():
@@ -116,205 +114,11 @@ def test_norms_keep_their_bits_away_from_norm_one():
         assert acc.log2_op_norm() == acc.log2_scale + 0.5 * math.log2(sig2)
 
 
-def test_chi_word_long_no_overflow():
+def test_chi_long_no_overflow():
     # 400 letters of the sanov pair: far beyond float range for raw products
     word = tuple([0, 1] * 200)
-    val = chi_word(SANOV, word)
+    val = _chi(SANOV, word)
     assert np.isfinite(val) and val > 400
-
-
-def test_exact_overflow_cap():
-    with pytest.raises(ExactOverflowError):
-        exact_product(SANOV, tuple([0, 1] * 200), bits_cap=64)
-
-
-def _mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def test_exact_chi_tie_matches_fractions():
-    # reference: frobenius^2 == 2^n + 2^-n on a product of Fraction pairs
-    def tie(sys_, u, n):
-        one, zero = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))
-        acc = (one, zero, zero, one)
-        for i in u:
-            den, *parts = sys_.exact[i]
-            ya, yb, yc, yd = ((Fraction(re, den), Fraction(im, den))
-                              for re, im in zip(parts[::2], parts[1::2]))
-            xa, xb, xc, xd = acc
-            acc = (_add(_mul(xa, ya), _mul(xb, yc)),
-                   _add(_mul(xa, yb), _mul(xb, yd)),
-                   _add(_mul(xc, ya), _mul(xd, yc)),
-                   _add(_mul(xc, yb), _mul(xd, yd)))
-        f2 = sum(re * re + im * im for re, im in acc)
-        return f2 == Fraction(2) ** n + Fraction(1, 2 ** n)
-
-    rng = np.random.default_rng(5)
-    hits = 0
-    for sys_ in (SINGLE, SANOV, INV):
-        for _ in range(60):
-            u = tuple(rng.integers(0, sys_.size, size=rng.integers(0, 7)))
-            g = exact_product(sys_, u)
-            for n in range(0, 13):
-                hits += _exact_chi_tie(g, n)
-                assert _exact_chi_tie(g, n) == tie(sys_, u, n)
-    assert hits > 0
-    assert _exact_chi_tie(exact_product(SINGLE, (0, 0, 0)), 6)
-    assert not _exact_chi_tie(exact_product(SINGLE, (0, 0, 0)), 5)
-
-
-def test_first_passage_single_matrix():
-    ws = enumerate_first_passage(SINGLE, 0, 1, 3, cap=100)
-    assert ws.words == [(0, 0)]
-    assert abs(math.fsum(ws.weights) - 1.0) <= 1e-12
-
-
-def test_first_passage_sanov_level0():
-    ws = enumerate_first_passage(SANOV, 0, 1, 0, cap=100)
-    assert sorted(ws.words) == [(0,), (1,)]
-
-
-def test_first_passage_weights_and_bounds():
-    ws = enumerate_first_passage(SANOV, 1, 2, 12, cap=200_000)
-    assert abs(math.fsum(ws.weights) - 1.0) <= 1e-10
-    # norm bounds: 2^(n/2) < ||g_u|| <= C_l 2^(n/2)
-    for u in ws.words:
-        nrm = 2.0 ** (0.5 * chi_word(SANOV, u))
-        assert nrm > 2.0 ** 6
-        assert nrm <= ws.block_norm_const * 2.0 ** 6 * (1 + 1e-12)
-
-
-def test_first_passage_block_prefix_free():
-    ws = enumerate_first_passage(SANOV, 0, 2, 10, cap=200_000)
-    words = set(ws.words)
-    for u in ws.words:
-        for cut in range(0, len(u), 2):
-            if cut and tuple(u[:cut]) in words:
-                pytest.fail(f"{u[:cut]} is a block prefix of {u}")
-
-
-PAIR = System.from_exact((_exact_diag(2), _exact_diag(4)), (0.5, 0.5), "pair")
-
-
-@pytest.mark.parametrize("sys_, jln, digest", [
-    (SANOV, (1, 2, 12),
-     "ad2fa5ff533a3dbee445237dfcaceb62cebf2fb4b9ea81976755290d51ea1d74"),
-    (SANOV, (1, 2, 16),
-     "acf25be1c502e94562828ddeb57e7c0447582e493e854da6f9f227e16bbe23f3"),
-    (PAIR, (1, 2, 12),
-     "96e5559d0ab6b7912de616c45a9ec09e398ff1de02205f7bcddac11d9a142b55"),
-], ids=["sanov-12", "sanov-16", "diag-pair-12"])
-def test_first_passage_carried_exact_ties(sys_, jln, digest):
-    # digests of (words, weights, exact_ties) when every frontier word's
-    # exact product was formed from scratch
-    j, l, n = jln
-    ws = enumerate_first_passage(sys_, j, l, n)
-    text = repr((ws.words, ws.weights, ws.exact_ties)).encode()
-    assert hashlib.sha256(text).hexdigest() == digest
-    # the frontier words are the proper block prefixes of the family
-    prefixes = {u[:k] for u in ws.words for k in range(j, len(u), l)}
-    assert ws.exact_ties == sum(_exact_chi_tie(exact_product(sys_, u), n)
-                                for u in prefixes)
-
-
-def test_first_passage_cap_error():
-    with pytest.raises(CapExceededError):
-        enumerate_first_passage(SANOV, 0, 1, 40, cap=50)
-
-
-@pytest.mark.parametrize("sys_, jln", [
-    (SANOV, (1, 2, 6)), (SANOV, (0, 1, 5)),
-    (fl.get_preset("discrete-gaussian"), (0, 2, 4)), (PAIR, (1, 2, 12)),
-    (RANDOM_PAIR, (2, 3, 10)),
-], ids=["sanov-1-2-6", "sanov-0-1-5", "dgauss-0-2-4", "diag-pair-1-2-12",
-        "random-pair-2-3-10"])
-def test_first_passage_cap_boundary(sys_, jln):
-    # the stored words are the family and its proper block prefixes
-    j, l, _ = jln
-    ws = enumerate_first_passage(sys_, *jln)
-    opened = {u[:k] for u in ws.words for k in range(j, len(u), l)}
-    stored = sum(map(len, ws.words)) + sum(map(len, opened))
-    assert enumerate_first_passage(sys_, *jln, cap=stored).words == ws.words
-    with pytest.raises(CapExceededError):
-        enumerate_first_passage(sys_, *jln, cap=stored - 1)
-
-
-@pytest.mark.parametrize("sys_, jln", [
-    (TWIST, (0, 1, 4)), (SANOV, (1, 2, 3)), (INV, (2, 3, 2)),
-    (RANDOM_PAIR, (1, 2, 3)),
-], ids=["twist-0-1-4", "sanov-1-2-3", "inverse-pair-2-3-2",
-        "random-pair-1-2-3"])
-def test_doubling_cap_boundary(sys_, jln):
-    # every block word of up to n blocks is stored
-    j, l, n = jln
-    stored = sum(sys_.size ** (j + k * l) * (j + k * l) for k in range(n + 1))
-    words = doubling_word_sets(sys_, *jln)[0].words
-    assert doubling_word_sets(sys_, *jln, cap=stored)[0].words == words
-    with pytest.raises(CapExceededError):
-        doubling_word_sets(sys_, *jln, cap=stored - 1)
-
-
-def test_cap_counts_prefix_level_from_first_block_level():
-    # at n = 0 every sanov prefix of two letters passes, so no block level
-    # follows and the four prefixes (8 letters) are returned whatever the cap
-    ws = enumerate_first_passage(SANOV, 2, 3, 0, cap=0)
-    assert ws.words == list(itertools.product(range(2), repeat=2))
-    assert doubling_word_sets(SANOV, 2, 3, 0, cap=0)[0].words == []
-    # with one block level: 8 prefix letters and 32 words of 5 letters
-    with pytest.raises(CapExceededError):
-        doubling_word_sets(SANOV, 2, 3, 1, cap=8 + 32 * 5 - 1)
-
-
-# Child process: cap its own address space at `headroom` MiB above what it
-# has mapped after the imports, then run one enumeration at its default cap.
-# It must stop with CapExceededError, not run out of memory.
-_CAPPED_CHILD = """
-import resource
-import furstlab as fl
-from furstlab.errors import CapExceededError
-with open("/proc/self/status") as fh:
-    vm = next(int(line.split()[1]) for line in fh if line.startswith("VmSize:"))
-limit = vm * 1024 + ({headroom} << 20)
-resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-try:
-    {call}
-except CapExceededError:
-    print("cap")
-except MemoryError:
-    print("memory")
-"""
-
-
-def _run_capped(call: str, headroom: int) -> None:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    child = _CAPPED_CHILD.format(call=call, headroom=headroom)
-    proc = subprocess.run([sys.executable, "-c", child], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.stdout.strip() == "cap", proc.stderr
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads VmSize from /proc")
-def test_first_passage_cap_bounds_memory_on_norm_one_generator():
-    # twist's rotation generator has norm one, so its powers never pass the
-    # level and the family at (j, l, n) = (0, 1, 1) is infinite
-    _run_capped('fl.enumerate_first_passage(fl.get_preset("twist"), 0, 1, 1)',
-                512)
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads VmSize from /proc")
-def test_doubling_cap_bounds_memory():
-    # the frontier keeps every block word, about 3^k words of k letters at
-    # depth k on twist; counting examined words would let it reach about
-    # 7.6 GB before the default cap
-    _run_capped('fl.doubling_word_sets(fl.get_preset("twist"), 0, 1, 40)',
-                768)
 
 
 class _FixedUniforms:
@@ -415,22 +219,80 @@ def test_sample_word_letter_frequencies():
     assert abs(p_hat - 0.5) <= 4 * sigma
 
 
+def _in_first_passage(sys_, word, j, l, n):
+    """The family's definition: j letters, then whole blocks of l letters,
+    with chi above n at the full word and at or below n at every earlier
+    block prefix; each block applied by the samplers' `scaled_product`."""
+    if len(word) < j or (len(word) - j) % l:
+        return False
+    acc = scaled_product(sys_, word[:j])
+    for s in range(j, len(word), l):
+        if acc.chi() > n:
+            return False
+        acc = scaled_product(sys_, word[s:s + l], acc)
+    return acc.chi() > n
+
+
 def test_sample_word_first_passage_membership():
-    ws = enumerate_first_passage(SANOV, 0, 1, 8, cap=100_000)
-    words = set(ws.words)
     rng = np.random.default_rng(2)
     for _ in range(200):
-        assert sample_word(SANOV, rng, first_passage=(0, 1, 8)) in words
+        u = sample_word(SANOV, rng, first_passage=(0, 1, 8))
+        assert _in_first_passage(SANOV, u, 0, 1, 8)
 
 
 @pytest.mark.parametrize("jln", [(1, 2, 8), (0, 3, 8), (2, 3, 10)])
 def test_sample_word_first_passage_membership_float_blocks(jln):
-    # float generators and blocks of several letters: the sampler and the
-    # enumeration apply a block by the same scaled product
-    words = set(enumerate_first_passage(RANDOM_PAIR, *jln).words)
+    # float generators and blocks of several letters
     rng = np.random.default_rng(4)
     for _ in range(200):
-        assert sample_word(RANDOM_PAIR, rng, first_passage=jln) in words
+        u = sample_word(RANDOM_PAIR, rng, first_passage=jln)
+        assert _in_first_passage(RANDOM_PAIR, u, *jln)
+
+
+def test_first_passage_single_matrix():
+    # diag(2, 1/2) adds 2 to chi per letter, so the family at level 3 is
+    # the one word 00
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        assert sample_word(SINGLE, rng, first_passage=(0, 1, 3)) == (0, 0)
+
+
+def test_first_passage_sanov_level0():
+    # both sanov letters have chi > 0, so the family at level 0 is the
+    # alphabet
+    rng = np.random.default_rng(1)
+    words = {sample_word(SANOV, rng, first_passage=(0, 1, 0))
+             for _ in range(100)}
+    assert words == {(0,), (1,)}
+
+
+def test_first_passage_weights_and_bounds():
+    # each family word u is drawn with its weight p_u, and its norm lies in
+    # 2^(n/2) < ||g_u|| <= C 2^(n/2), C the largest norm of a block
+    j, l, n = 1, 2, 12
+    const = max(2.0 ** (0.5 * _chi(SANOV, b))
+                for b in itertools.product(range(SANOV.size), repeat=l))
+    rng = np.random.default_rng(3)
+    draws = 4000
+    counts = Counter(sample_word(SANOV, rng, first_passage=(j, l, n))
+                     for _ in range(draws))
+    for u, k in counts.items():
+        nrm = 2.0 ** (0.5 * _chi(SANOV, u))
+        assert 2.0 ** (n / 2) < nrm <= const * 2.0 ** (n / 2) * (1 + 1e-12)
+        # 5 sigma band for Binomial(draws, p_u), plus one draw of slack for
+        # words too rare to expect once
+        p_u = 0.5 ** len(u)
+        assert abs(k - draws * p_u) <= 5 * math.sqrt(draws * p_u) + 1
+    assert max(counts.values()) >= 100     # the band checks common words
+
+
+def test_first_passage_block_prefix_free():
+    rng = np.random.default_rng(5)
+    words = {sample_word(SANOV, rng, first_passage=(0, 2, 10))
+             for _ in range(500)}
+    for u in words:
+        for cut in range(2, len(u), 2):
+            assert u[:cut] not in words, f"{u[:cut]} is a block prefix of {u}"
 
 
 def test_norm_lower_bound_outside_repelling_ball():
@@ -451,24 +313,6 @@ def test_norm_lower_bound_outside_repelling_ball():
             continue
         img = np.array([g.a * z[0] + g.b * z[1], g.c * z[0] + g.d * z[1]])
         assert np.linalg.norm(img) >= eta * g.op_norm() - 1e-9
-
-
-def test_doubling_single_matrix_all_words():
-    v, m = doubling_word_sets(SINGLE, 0, 1, 4, cap=100)
-    assert sorted(len(w) for w in v.words) == [1, 2, 3, 4]
-    assert m >= 1
-
-
-def test_doubling_excludes_cancellation():
-    v, _ = doubling_word_sets(INV, 0, 1, 2, cap=100)
-    assert (0, 1) not in v.words
-    assert (1, 0) not in v.words
-    assert (0, 0) in v.words
-
-
-def test_doubling_empty_at_zero():
-    v, _ = doubling_word_sets(SINGLE, 0, 1, 0, cap=100)
-    assert v.words == []
 
 
 def _is_doubling_word(sys, word, j, l):
