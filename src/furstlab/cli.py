@@ -19,7 +19,9 @@ from .engine import (DEFAULT_TARGET_BITS, DIM_SCHEMES, delta_estimate,
                      dim_estimate, lyapunov_estimate, sample_boundary)
 from .dyadic import C_INF, CP1, sphere_to_plane
 from .errors import ConfigError, FurstlabError
-from .experiments import EXPERIMENTS, PipelineBudget, ThetaSpec, exp_main_theorem
+from .experiments import (EXPERIMENTS, PipelineBudget, ThetaSpec,
+                          check_theta_reach, check_transfer_k,
+                          exp_main_theorem)
 from .presets import get_preset, list_presets
 from .reporting import ExperimentReport, VERDICT_CONSISTENT, rows_to_csv
 
@@ -199,7 +201,7 @@ def cmd_exp(cfg: RunConfig, name: str) -> int:
                          trials=cfg.param("trials", 1024, int),
                          seed=seed, workers=workers), cfg)
     # the other four measure one boundary cloud, sampled once their
-    # parameters have been read
+    # parameters have been read and checked
     if name == "uniform-entropy-dim":
         kw = {"m": cfg.param("m", 8, int),
               "eps": cfg.param("eps", 0.25, float)}
@@ -209,9 +211,11 @@ def cmd_exp(cfg: RunConfig, name: str) -> int:
     elif name == "entropy-increase":
         kw = {"theta": _theta_from_params(cfg),
               "r": cfg.param("r", 0.25, float), "n": cfg.param("n", 14, int)}
+        check_theta_reach(kw["theta"], kw["r"])
     else:
         kw = {"theta": _theta_from_params(cfg), "k": cfg.param("k", 8, int),
               "n": cfg.param("n", 6, int)}
+        check_transfer_k(kw["k"])
     cloud = sample_boundary(cfg.system, DEFAULT_TARGET_BITS, count, seed,
                             workers)
     return _emit(exp(cloud, **kw, seed=seed), cfg)

@@ -12,7 +12,9 @@ Partition schemes by space:
 * g_chart: dyadic boxes of side 2^-n in the six chart coordinates.
 
 Level-(n+1) cells refine level-n cells by floor-halving of indices in every
-scheme.
+scheme. On cp1 that halving is exact in floats, so `DyadicLevels` takes all
+levels up to q_max from one sort of Z-order keys at q_max; elsewhere, and
+past MORTON_MAX_LEVEL, each level is keyed on its own.
 """
 
 from __future__ import annotations
@@ -131,9 +133,7 @@ class EmpiricalMeasure:
             raise ValueError("conditioning level must be coarser")
         h, occ = self._cell_entropy(level)
         if cond is None:
-            norm = h / level if level > 0 else h
-            note = _bias_note(occ, self.size)
-            return EntropyReport(level, None, h, norm, self.size, occ, note)
+            return _entropy_report(level, h, occ, self.size)
         hc, _ = self._cell_entropy(cond)
         gap = level - cond
         hcond = max(0.0, h - hc)
@@ -184,6 +184,75 @@ def _bias_note(occupied: int, samples: int) -> Optional[str]:
         return (f"occupied cells ({occupied}) exceed N/10; plug-in entropy "
                 f"is biased low at this depth")
     return None
+
+
+def _entropy_report(level: int, h: float, occupied: int,
+                    samples: int) -> EntropyReport:
+    """The unconditional report of an entropy of h bits at `level`."""
+    norm = h / level if level > 0 else h
+    return EntropyReport(level, None, h, norm, samples, occupied,
+                         _bias_note(occupied, samples))
+
+
+class DyadicLevels:
+    """The cells of levels 0..q_max of one measure: per-point labels and
+    unconditional entropies, level by level.
+
+    On cp1 with q_max <= MORTON_MAX_LEVEL, every level comes from one stable
+    sort of one int64 key per point at q_max (see _morton_keys): level q's
+    cells are the runs of the sorted keys shifted right by 2 (q_max - q).
+    Labels then number the cells in that Z order, and entropies with equal
+    weights are taken from the run lengths. Other spaces, and deeper q_max,
+    key each level on its own (EmpiricalMeasure.cell_labels and .entropy).
+    Either way the partitions, and so the entropy bits, are those of
+    cell_keys."""
+
+    def __init__(self, m: EmpiricalMeasure, q_max: int):
+        self.measure = m
+        self.q_max = q_max
+        self._order = self._keys = None
+        if m.space == CP1 and 0 <= q_max <= MORTON_MAX_LEVEL:
+            keys = _morton_keys(m.points, q_max)
+            self._order = np.argsort(keys, kind="stable")
+            self._keys = keys[self._order]
+
+    @property
+    def size(self) -> int:
+        return self.measure.size
+
+    def labels(self, level: int) -> np.ndarray:
+        """Per-point integer cell labels at `level`, numbered 0, 1, ... in
+        key order."""
+        if self._keys is None:
+            return self._checked(level).cell_labels(level)
+        sorted_labels = np.cumsum(self._run_starts(level))
+        sorted_labels -= 1
+        labels = np.empty_like(sorted_labels)
+        labels[self._order] = sorted_labels
+        return labels
+
+    def entropy(self, level: int) -> EntropyReport:
+        """The unconditional report of EmpiricalMeasure.entropy(level)."""
+        if self._keys is None:
+            return self._checked(level).entropy(level)
+        w = _equal_weight(self.measure.weights)
+        if not w:
+            h, occ = cell_entropy(self.labels(level), self.measure.weights)
+        else:
+            starts = np.flatnonzero(self._run_starts(level))
+            h, occ = _counts_entropy(np.diff(starts, append=self.size), w)
+        return _entropy_report(level, h, occ, self.size)
+
+    def _checked(self, level: int) -> EmpiricalMeasure:
+        if not 0 <= level <= self.q_max:
+            raise ValueError(f"level {level} outside 0..{self.q_max}")
+        return self.measure
+
+    def _run_starts(self, level: int) -> np.ndarray:
+        """Mask of the sorted points that open a level cell."""
+        self._checked(level)
+        k = self._keys >> (2 * (self.q_max - level))
+        return np.r_[True, k[1:] != k[:-1]]
 
 
 class Components(Sequence):
@@ -343,6 +412,36 @@ def _cell_axes(space: str, points: np.ndarray, level: int) -> List[np.ndarray]:
     return list(np.floor(points * 2.0 ** level).T)
 
 
+# Z-order keys (Morton 1966): the chart bit, then the bits of the two axis
+# indices interleaved, real axis first. Floor-halving the indices
+# floor((w + 1) 2^(q - 1)) is exact in floats and commutes with the clip to
+# [0, 2^q - 1], so shifting a level-q_max key right by 2 (q_max - q) gives
+# the level-q key, and every level's cells are runs of one sorted array.
+MORTON_MAX_LEVEL = 30        # 1 + 2 q_max bits fit the 62-bit key span
+_SPREAD = tuple((np.uint64(s), np.uint64(m)) for s, m in (
+    (16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F), (2, 0x3333333333333333),
+    (1, 0x5555555555555555)))
+
+
+def _spread_bits(axis: np.ndarray) -> np.ndarray:
+    """Bit b of each index (below 2^32) moved to bit 2b."""
+    x = axis.astype(np.uint64)
+    for shift, mask in _SPREAD:
+        x = (x | (x << shift)) & mask
+    return x
+
+
+def _morton_keys(rows: np.ndarray, level: int) -> np.ndarray:
+    """Per-point int64 Z-order keys of the cp1 cells at `level`
+    (level <= MORTON_MAX_LEVEL)."""
+    chart, re, im = _cell_axes(CP1, rows, level)
+    keys = chart.astype(np.uint64) << np.uint64(2 * level)
+    keys |= _spread_bits(re) << np.uint64(1)
+    keys |= _spread_bits(im)
+    return keys.view(np.int64)
+
+
 def _cell_keys(space: str, points: np.ndarray, level: int) -> np.ndarray:
     axes = _cell_axes(space, points, level)
     if space != C_INF:
@@ -379,10 +478,15 @@ def cell_entropy(labels: np.ndarray, weights: np.ndarray) -> Tuple[float, int]:
     take the masses path."""
     w = _equal_weight(weights)
     if w:
-        mult = np.bincount(np.bincount(labels))
-        return _count_entropies(mult[None], w)[0], int(mult[1:].sum())
+        return _counts_entropy(np.bincount(labels), w)
     masses = np.bincount(labels, weights=weights)
     return shannon_entropy(masses), int(np.count_nonzero(masses > 0))
+
+
+def _counts_entropy(counts: np.ndarray, w: float) -> Tuple[float, int]:
+    """cell_entropy of cells holding `counts` points of weight w each."""
+    mult = np.bincount(counts)
+    return _count_entropies(mult[None], w)[0], int(mult[1:].sum())
 
 
 def _equal_weight(weights: np.ndarray) -> float:

@@ -16,15 +16,19 @@ import numpy as np
 
 from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
                         run_blocks)
-from .dyadic import (C_INF, CP1, EmpiricalMeasure, canonicalize_rows,
-                     cell_entropy, shannon_entropy, sphere_embedding)
+from .dyadic import (C_INF, CP1, DyadicLevels, EmpiricalMeasure,
+                     canonicalize_rows, cell_entropy, shannon_entropy,
+                     sphere_embedding)
 from .errors import (ConfigError, FloatOverflowError, StallError,
                      UndersampledError)
 from .sl2 import TAU_SVD
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
                     draw_letters, letter_steps)
 
-DEFAULT_TARGET_BITS = 40.0       # sample_boundary stops once chi_u > 2 * this
+# sample_boundary stops once chi_u > 2 * DEFAULT_TARGET_BITS = 60, where
+# ||g||^-2 < 2^-60: against a stop at 80 the points move by at most 1.1e-13
+# (twist, 10^6 points) and no cell label moves at levels 2 to 16
+DEFAULT_TARGET_BITS = 30.0
 MAX_BOUNDARY_LETTERS = 4096      # sample_boundary stalls past this many
 RENORM_EVERY = 8                 # steps between a lazy walk's renorms
 CONSISTENT_FACTOR = 2.0          # Lyapunov estimators agree within this many
@@ -392,32 +396,35 @@ class DeltaLadder:
 
 
 def _conditional_letter_entropy(labels: np.ndarray, letters: np.ndarray,
-                                k: int) -> Tuple[float, int, float]:
-    """H(letter | cell) = H(joint) - H(cell) from integer cell labels;
-    returns (value, bins, median per-sample bin count). The median is
-    sample-weighted: the bin count seen by the median sample, so stray
-    singleton bins do not dominate."""
+                                k: int) -> float:
+    """H(letter | cell) = H(joint) - H(cell) in bits, from integer cell
+    labels."""
     w = np.full(len(letters), 1.0 / len(letters))
-    h_cell, bins = cell_entropy(labels, w)
-    h = cell_entropy(labels * k + letters, w)[0] - h_cell
-    return max(0.0, h), bins, float(np.median(np.bincount(labels)[labels]))
+    h = cell_entropy(labels * k + letters, w)[0] - cell_entropy(labels, w)[0]
+    return max(0.0, h)
 
 
-def delta_ladder(cloud: BoundaryCloud, q_max: int) -> DeltaLadder:
+def delta_ladder(cloud: BoundaryCloud, q_max: int,
+                 levels: DyadicLevels) -> DeltaLadder:
     """Ladder of conditional entropies of the first letter given the level-q
     cell of the boundary direction, q = 2..q_max, with standard errors over
-    16 chunks of the cloud. Levels whose median bin count falls below
-    MIN_BIN_COUNT are flagged undersampled."""
+    16 chunks of the cloud; `levels` holds the cloud's cells up to q_max.
+    Levels whose median bin count falls below MIN_BIN_COUNT are flagged
+    undersampled. The median is sample-weighted: the bin count seen by the
+    median sample, so stray singleton bins do not dominate."""
     sys = cloud.system
     letters = cloud.first_letters
     n = len(letters)
     step = max(1, n // 16)
     rows = []
     for q in range(2, q_max + 1):
-        labels = cloud.measure.cell_labels(q)
-        val, bins, med = _conditional_letter_entropy(labels, letters, sys.size)
+        labels = levels.labels(q)
+        counts = np.bincount(labels)
+        val = _conditional_letter_entropy(labels, letters, sys.size)
+        bins = int(np.count_nonzero(counts))
+        med = float(np.median(counts[labels]))
         sub = [_conditional_letter_entropy(labels[a:a + step],
-                                           letters[a:a + step], sys.size)[0]
+                                           letters[a:a + step], sys.size)
                for a in range(0, n, step)]
         stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
         rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
@@ -435,21 +442,24 @@ def delta_estimate(sys: System, q_max: int = 14, count: int = 200_000,
     if target_bits is None:
         target_bits = max(DEFAULT_TARGET_BITS, float(2 * q_max))
     cloud = sample_boundary(sys, target_bits, count, seed, workers)
-    return delta_ladder(cloud, q_max)
+    return delta_ladder(cloud, q_max, DyadicLevels(cloud.measure, q_max))
 
 
 # ---------------------------------------------------------------------------
 # dimension estimators
 # ---------------------------------------------------------------------------
 
-def entropy_slope_dimension(m: EmpiricalMeasure,
+def entropy_slope_dimension(m: EmpiricalMeasure | DyadicLevels,
                             window: Tuple[int, int]) -> EstimateWithCI:
     """Least-squares slope of H(m, D_n) against n over the window, dropping
-    undersampled levels (occupied cells > N/10)."""
+    undersampled levels (occupied cells > N/10). `m` is an EmpiricalMeasure,
+    whose levels are then sorted once (DyadicLevels), or the DyadicLevels of
+    one that reach window[1]."""
+    cells = m if isinstance(m, DyadicLevels) else DyadicLevels(m, window[1])
     levels = []
     ents = []
     for lev in range(window[0], window[1] + 1):
-        rep = m.entropy(lev)
+        rep = cells.entropy(lev)
         if rep.bias_note is not None:
             continue
         levels.append(lev)
@@ -466,7 +476,7 @@ def entropy_slope_dimension(m: EmpiricalMeasure,
     else:
         slope = float(np.polyfit(x, y, 1)[0])
         stderr = 0.0
-    return EstimateWithCI(slope, stderr, m.size,
+    return EstimateWithCI(slope, stderr, cells.size,
                           f"entropy-slope@[{levels[0]},{levels[-1]}]")
 
 

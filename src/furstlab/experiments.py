@@ -17,7 +17,7 @@ import numpy as np
 
 from ._parallel import TAG_COCYCLE, TAG_EXPERIMENT, block_rng, run_blocks
 from .checks import certify, eig_directions, random_walk_entropy
-from .dyadic import (CP1, EmpiricalMeasure, canonicalize_rows,
+from .dyadic import (CP1, DyadicLevels, EmpiricalMeasure, canonicalize_rows,
                      projection_entropies, sphere_embedding, sphere_to_plane)
 from .engine import (DEFAULT_TARGET_BITS, RENORM_EVERY, BoundaryCloud, Walk,
                      delta_ladder, entropy_slope_dimension, lazy_walk_top,
@@ -30,7 +30,7 @@ from .sl2 import (TAU_PHASE, GroupElement, ProjPoint, boundary_direction,
                   chart_g, chart_g_inverse, dist_g_proxy, mobius_derivative,
                   psi, INFINITY)
 from .words import (System, draw_letters, letter_steps, product_of_word,
-                    sample_word, scaled_product)
+                    sample_word, scaled_product, scaled_step)
 
 UNIFORM_MIN_FRACTION = 0.8     # uniform-entropy-dim: consistent at or above
 CHAIN_CHECK_STRIDE = 16        # cocycle steps between chain-rule checks
@@ -297,7 +297,7 @@ def _build_trace(sys: System, n: int, q_bits: float, rng,
     """The cocycle along one path of n letters. The points, the angles and
     the chain-rule product are plain complex numbers, formed by the float
     operations of `proj_act` (with `ProjPoint.from_vector`), `psi` and
-    `ScaledMatrix.times`, in their order."""
+    `scaled_step`, in their order."""
     letters = draw_letters(rng, sys.probs_array(), n).tolist()
     if fixed_point is None:
         # tail boundary point: the first-passage word past chi = 2*q_bits
@@ -346,11 +346,7 @@ def _build_trace(sys: System, n: int, q_bits: float, rng,
         if cum < 0:
             cum += math.pi
         angles.append(cum)
-        pa, pb, pc, pd = (pa * a + pb * c, pa * b + pb * d,
-                          pc * a + pd * c, pc * b + pd * d)
-        f = math.ldexp(1.0, -math.frexp(max(abs(pa), abs(pb), abs(pc),
-                                            abs(pd)))[1])
-        pa, pb, pc, pd = pa * f, pb * f, pc * f, pd * f
+        (pa, pb, pc, pd), _ = scaled_step((pa, pb, pc, pd), path[k])
         if (k + 1) % CHAIN_CHECK_STRIDE == 0 and z is not INFINITY:
             dden = pc * z + pd
             if abs(dden) > 1e-12:
@@ -468,16 +464,22 @@ def exp_direction_cocycle(sys: System, n: int = 10_000, q: int = 30,
 # entropy increase under convolution
 # ---------------------------------------------------------------------------
 
+def check_theta_reach(theta: ThetaSpec, r: float) -> float:
+    """theta's largest distance to the identity, after checking that
+    entropy-increase may use it: ConfigError when it passes r."""
+    reach = theta.max_dist_to_identity()
+    if not reach <= r + 1e-9:          # NaN fails as well
+        raise ConfigError(f"entropy-increase needs theta atoms within r, "
+                          f"but they reach {reach:.4f} > r = {r}")
+    return reach
+
+
 def exp_entropy_increase(cloud: BoundaryCloud, theta: ThetaSpec,
                          r: float = 0.25, n: int = 14,
                          seed: int = 0) -> ExperimentReport:
     """Gap between the dyadic entropy of the convolved cloud theta.nu and the
     matched-level entropy of nu itself (both at level n, on the sphere)."""
-    reach = theta.max_dist_to_identity()
-    if not reach <= r + 1e-9:          # NaN fails as well
-        raise ConfigError(f"entropy-increase needs theta atoms within r, "
-                          f"but they reach {reach:.4f} > r = {r}")
-
+    reach = check_theta_reach(theta, r)
     nu_plane = sphere_to_plane(cloud.measure).drop_infinity()
     dim_est = entropy_slope_dimension(nu_plane, (2, max(10, n - 2)))
 
@@ -509,14 +511,20 @@ def exp_entropy_increase(cloud: BoundaryCloud, theta: ThetaSpec,
 # group entropy transfers to orbit entropy
 # ---------------------------------------------------------------------------
 
+def check_transfer_k(k: int) -> None:
+    """ConfigError unless k >= 1: action-entropy-transfer normalises its
+    orbit entropies by k."""
+    if k < 1:
+        raise ConfigError(f"action-entropy-transfer needs k >= 1, got k={k}")
+
+
 def exp_action_entropy_transfer(xi, theta: ThetaSpec, k: int = 8, n: int = 6,
                                 seed: int = 0) -> ExperimentReport:
     """Largest eps0 such that, averaging over scales and xi-sampled base
     points, components of theta give orbit clouds of normalized entropy
     above eps0 with probability above eps0. `xi` is a BoundaryCloud, whose
     finite plane part is used, or a plane measure."""
-    if k < 1:           # the orbit entropies are normalised by k
-        raise ConfigError(f"action-entropy-transfer needs k >= 1, got k={k}")
+    check_transfer_k(k)
     if isinstance(xi, BoundaryCloud):
         tag = xi.system.tag()
         xi = sphere_to_plane(xi.measure).drop_infinity()
@@ -912,8 +920,11 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
 
     cloud = sample_boundary(sys, budget.target_bits, budget.boundary_samples,
                             seed, workers)
+    # one sort of the cloud serves the slope's levels and the ladder's
+    levels = DyadicLevels(cloud.measure,
+                          max(budget.dim_window[1], budget.delta_qmax))
     try:
-        dim_slope = entropy_slope_dimension(cloud.measure, budget.dim_window)
+        dim_slope = entropy_slope_dimension(levels, budget.dim_window)
     except UndersampledError:
         dim_slope = None
         undersampled = True
@@ -925,7 +936,7 @@ def exp_main_theorem(sys: System, budget: Optional[PipelineBudget] = None,
         "local": dim_local.value, "local_stderr": dim_local.stderr,
         "inf_mass": sphere_to_plane(cloud.measure).inf_mass()}
 
-    ladder = delta_ladder(cloud, budget.delta_qmax)
+    ladder = delta_ladder(cloud, budget.delta_qmax, levels)
     for r in ladder.rows:
         rows.append({"kind": "delta", **r})
     try:

@@ -3,16 +3,18 @@ matrix products, the norm cocycle, and the random word sampler of fixed
 lengths and of the first-passage stopping rule.
 
 Long products are tracked in a renormalized form (matrix with max-entry near
-one, plus a separate log2 scale), so chi values never overflow.
+one, plus a separate log2 scale), so chi values never overflow. One step,
+`scaled_step`, forms every such product on plain complex entries; the
+`ScaledMatrix` objects wrap it, and the first-passage sampler runs it
+without building an object per letter.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,6 +155,37 @@ def _letters(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 # renormalized products
 # ---------------------------------------------------------------------------
 
+Entries = Tuple[complex, complex, complex, complex]   # row-major a, b, c, d
+
+
+def scaled_step(m: Entries, h: Entries) -> Tuple[Entries, int]:
+    """The product m h of two matrices given by their entries, divided by
+    2^e, with e the binary exponent of its largest entry modulus; returns
+    (entries, e). The division is by a power of two, so it is exact. These
+    are the float operations of `GroupElement.__matmul__` and then the
+    renormalisation, in their order: the one step of every renormalised
+    product on plain complex numbers."""
+    a, b, c, d = m
+    e, f, g, k = h
+    pa, pb, pc, pd = a * e + b * g, a * f + b * k, c * e + d * g, c * f + d * k
+    top = max(abs(pa), abs(pb), abs(pc), abs(pd))
+    if top == 0.0:
+        raise ZeroDivisionError("zero matrix in scaled product")
+    exp = math.frexp(top)[1]
+    s = math.ldexp(1.0, -exp)
+    return (pa * s, pb * s, pc * s, pd * s), exp
+
+
+def scaled_log2_norm(m: Entries, log2_scale: float) -> float:
+    """log2 of the operator norm of 2^log2_scale m, for a product of
+    determinant one; 0.0 at norm one (see `sl2.sigma2`). The float
+    operations of `GroupElement.frobenius2` and `.det`."""
+    a, b, c, d = m
+    f2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    s2 = sigma2(f2, abs(a * d - b * c) ** 2)
+    return 0.0 if s2 is None else log2_scale + 0.5 * math.log2(s2)
+
+
 @dataclass(slots=True)
 class ScaledMatrix:
     """Product matrix stored as (entries / 2^log2_scale) to avoid overflow."""
@@ -165,20 +198,12 @@ class ScaledMatrix:
         return cls(GroupElement.identity(), 0.0)
 
     def times(self, h: GroupElement) -> "ScaledMatrix":
-        prod = self.g @ h
-        m = max(abs(prod.a), abs(prod.b), abs(prod.c), abs(prod.d))
-        if m == 0.0:
-            raise ZeroDivisionError("zero matrix in scaled product")
-        e = math.frexp(m)[1]  # renormalize by a power of two (exact in floats)
-        f = math.ldexp(1.0, -e)
-        scaled = GroupElement(prod.a * f, prod.b * f, prod.c * f, prod.d * f)
-        return ScaledMatrix(scaled, self.log2_scale + e)
+        entries, e = scaled_step(self.g.entries(), h.entries())
+        return ScaledMatrix(GroupElement(*entries), self.log2_scale + e)
 
     def log2_op_norm(self) -> float:
-        """log2 of the product's operator norm; 0.0 at norm one (see
-        `sl2.sigma2`), since the product has determinant one."""
-        s2 = sigma2(self.g.frobenius2(), abs(self.g.det()) ** 2)
-        return 0.0 if s2 is None else self.log2_scale + 0.5 * math.log2(s2)
+        """log2 of the product's operator norm (see scaled_log2_norm)."""
+        return scaled_log2_norm(self.g.entries(), self.log2_scale)
 
     def chi(self) -> float:
         return 2.0 * self.log2_op_norm()
@@ -217,26 +242,32 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
     # the letters of `_letters`, one binary search per uniform
     cdf = _cdf(sys.probs_array()).tolist()
 
-    def letters(k: int) -> Word:
-        return tuple(bisect.bisect_right(cdf, u)
-                     for u in rng.random(k).tolist())
+    def letters(k: int) -> List[int]:
+        return [bisect.bisect_right(cdf, u) for u in rng.random(k).tolist()]
 
     if length is not None:
-        return letters(length)
+        return tuple(letters(length))
 
     j, l, n = first_passage
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
-    block = letters(j)
-    blocks, acc = [block], scaled_product(sys, block)
-    while not (chi := acc.chi()) > n:
-        if len(blocks) == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
+    # the product runs on plain entries, with the steps of scaled_product
+    gens = [g.entries() for g in sys.generators]
+    acc, log2_scale = GroupElement.identity().entries(), 0.0
+    word, block, blocks = [], letters(j), 0
+    while True:
+        word += block
+        blocks += 1
+        for i in block:
+            acc, e = scaled_step(acc, gens[i])
+            log2_scale += e
+        chi = 2.0 * scaled_log2_norm(acc, log2_scale)
+        if chi > n:
+            return tuple(word)
+        if blocks == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
             raise StallError("norm cocycle is not growing; "
                              "system looks non-proximal")
-        if len(blocks) > MAX_PASSAGE_BLOCKS:
+        if blocks > MAX_PASSAGE_BLOCKS:
             raise StallError(
                 f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")
         block = letters(l)
-        blocks.append(block)
-        acc = scaled_product(sys, block, acc)
-    return tuple(itertools.chain.from_iterable(blocks))

@@ -626,6 +626,24 @@ def test_bad_input_cli_exits_1(tmp_path, capsys, case):
     assert BAD_INPUT_MESSAGES.get(case, "") in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["exp", "entropy-increase", "--param", "r=0"], "> r = 0.0"),
+    (["exp", "entropy-increase", "--param", "theta_spread=0.5"],
+     "> r = 0.25"),
+    (["exp", "action-entropy-transfer", "--param", "k=0"], "k >= 1"),
+], ids=["entropy-increase-r=0", "entropy-increase-theta_spread=0.5",
+        "action-entropy-transfer-k=0"])
+def test_cloud_experiments_check_params_before_sampling(monkeypatch, capsys,
+                                                         args, message):
+    # the default count would sample 200 000 points before the refusal
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sampled the cloud before checking parameters")
+    monkeypatch.setattr("furstlab.cli.sample_boundary", refuse)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_report_su2_control_is_inconclusive(capsys):
     # the report skips sampling when norm growth fails: exit 3, not an error
     assert main(["report", "--preset", "su2-control"]) == 3

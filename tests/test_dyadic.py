@@ -8,11 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from furstlab.dyadic import (C_INF, CP1, G_CHART, PROJECTION_BLOCK,
-                             EmpiricalMeasure, canonicalize_rows, cell_entropy,
+from furstlab.dyadic import (C_INF, CP1, G_CHART, MORTON_MAX_LEVEL,
+                             PROJECTION_BLOCK, DyadicLevels, EmpiricalMeasure,
+                             canonicalize_rows, cell_entropy,
                              dyadic_grid_square, project_component,
                              projection_entropies, shannon_entropy,
                              sphere_embedding, uniform_square, uniform_segment)
+from furstlab.engine import sample_boundary
+from furstlab.presets import get_preset
 from furstlab.sl2 import dist_cp1, ProjPoint
 
 RNG = np.random.default_rng(99)
@@ -284,6 +287,61 @@ def test_wide_plane_cloud_labels(scale):
     _, ref = _ref_unique(_ref_keys(C_INF, m.points, 40))
     assert np.array_equal(m.cell_labels(40), ref)
     assert m.cell_keys(40)[13] > m.cell_keys(40)[~np.isinf(zs)].max()
+
+
+# -- every level from one sort ---------------------------------------------------
+# DyadicLevels against the per-level cell_keys path: the same reports
+# (entropy bits, occupied counts, bias notes) and the same partitions.
+
+def _same_partition(a, b):
+    """Two labellings put the same points together."""
+    joint = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return joint == len(np.unique(a)) == len(np.unique(b))
+
+
+def _check_levels(m, q_max):
+    levels = DyadicLevels(m, q_max)
+    assert (levels._keys is None) == (m.space != CP1
+                                      or q_max > MORTON_MAX_LEVEL)
+    for q in range(q_max + 1):
+        assert levels.entropy(q) == m.entropy(q)
+        labels = levels.labels(q)
+        assert _same_partition(labels, m.cell_labels(q))
+        assert np.array_equal(np.unique(labels), np.arange(labels.max() + 1))
+    with pytest.raises(ValueError):
+        levels.labels(q_max + 1)
+
+
+def _crafted_sphere_rows():
+    """Chart coordinates w = +-1, +-i and 0, the chart tie |z1| = |z2|
+    (chart 0 by rule) just on and off it, and z1 = 0."""
+    eps = 2.0 ** -52
+    rows = [(1, 0), (1, 1), (1, -1), (1, 1j), (1, -1j), (0, 1), (1, 1 + eps),
+            (1 + eps, 1), (1, (1 + 1j) / math.sqrt(2)), (1, -1 - eps),
+            (1e-300, 1), (1, 1e-300), (1, 0.5 - 0.5j)]
+    return np.array(rows, dtype=complex)
+
+
+@pytest.mark.parametrize("q_max", [1, 2, 12, 30, 31])
+@pytest.mark.parametrize("name", ["twist", "sanov", "discrete-gaussian"])
+def test_one_sort_levels_match_cell_keys_on_clouds(name, q_max):
+    cloud = sample_boundary(get_preset(name), 30.0, 3000, seed=5)
+    _check_levels(cloud.measure, q_max)
+
+
+@pytest.mark.parametrize("q_max", [1, 2, 12, 30, 31])
+def test_one_sort_levels_match_cell_keys_on_crafted_points(q_max):
+    rows = _crafted_sphere_rows()
+    m = _on_sphere(np.concatenate([rows, rows[::2]]))   # repeated points
+    _check_levels(m, q_max)
+    # unequal weights take the masses path
+    _check_levels(_on_sphere(m.points, np.linspace(1.0, 3.0, m.size)), q_max)
+
+
+def test_one_sort_levels_fall_back_off_the_sphere():
+    for m in (uniform_square(2000, seed=3),
+              EmpiricalMeasure.on_group_chart(RNG.standard_normal((500, 6)))):
+        _check_levels(m, 12)
 
 
 @pytest.mark.parametrize("space", [C_INF, CP1, G_CHART])

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import furstlab as fl
 from furstlab._parallel import TAG_LYAPUNOV, block_rng, run_blocks
 from furstlab.cli import main
-from furstlab.dyadic import (EmpiricalMeasure, dyadic_grid_square,
-                             shannon_entropy, sphere_to_plane, uniform_square,
-                             uniform_segment)
-from furstlab.engine import (MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
-                             delta_estimate, delta_ladder, dim_estimate,
-                             lyapunov_estimate, sample_boundary)
+from furstlab.dyadic import (DyadicLevels, EmpiricalMeasure,
+                             dyadic_grid_square, shannon_entropy,
+                             sphere_to_plane, uniform_square, uniform_segment)
+from furstlab.engine import (DEFAULT_TARGET_BITS, MIN_BIN_COUNT, Walk,
+                             _conditional_letter_entropy, delta_estimate,
+                             delta_ladder, dim_estimate, lyapunov_estimate,
+                             sample_boundary)
 from furstlab.errors import (ConfigError, FloatOverflowError, StallError,
                              UndersampledError)
 from furstlab.experiments import ThetaSpec, apply_atoms_to_sphere
@@ -119,6 +120,19 @@ def test_boundary_worker_invariance():
     assert a.measure.points.tobytes() == b.measure.points.tobytes()
     assert b.measure.points.tobytes() == c.measure.points.tobytes()
     assert np.array_equal(a.first_letters, c.first_letters)
+
+
+def test_default_stop_keeps_the_cells_of_a_deeper_stop():
+    # the walks stop at chi > 60 by default; stopping at chi > 80 moves the
+    # points by about 1e-13 at most, and no cell at levels 2 to 16
+    assert DEFAULT_TARGET_BITS == 30.0
+    a = sample_boundary(TWIST, count=8192, seed=4)
+    b = sample_boundary(TWIST, 40.0, 8192, seed=4)
+    assert np.array_equal(a.first_letters, b.first_letters)
+    assert np.abs(a.measure.points - b.measure.points).max() < 1e-12
+    assert a.steps.mean() < b.steps.mean()
+    for q in range(2, 17):
+        assert np.array_equal(a.measure.cell_keys(q), b.measure.cell_keys(q))
 
 
 def _push_one_step(m, sys, seed):
@@ -289,32 +303,34 @@ def test_conditional_letter_entropy_matches_masses(n, k, p, seed):
     labels = rng.geometric(p, n) - 1
     letters = rng.integers(0, k, n)
     w = np.full(n, 1.0 / n)
-    counts = np.bincount(labels)
     h = (shannon_entropy(np.bincount(labels * k + letters, weights=w))
          - shannon_entropy(np.bincount(labels, weights=w)))
-    assert _conditional_letter_entropy(labels, letters, k) == (
-        max(0.0, h), int(np.count_nonzero(counts)),
-        float(np.median(counts[labels])))
+    assert _conditional_letter_entropy(labels, letters, k) == max(0.0, h)
 
 
 def test_delta_ladder_matches_masked_chunks():
-    # reference: sorted labels and one boolean mask per chunk; 4100 samples
-    # leave a short 17th chunk
+    # reference: per-level sorted labels of cell_keys and one boolean mask
+    # per chunk; 4100 samples leave a short 17th chunk
     cloud = sample_boundary(TWIST, 30, 4100, seed=9)
     letters, k = cloud.first_letters, TWIST.size
     chunk_ids = np.arange(len(letters)) // (len(letters) // 16)
     rows = []
     for q in range(2, 11):
         labels = np.unique(cloud.measure.cell_keys(q), return_inverse=True)[1]
-        val, bins, med = _conditional_letter_entropy(labels, letters, k)
+        counts = np.bincount(labels)
+        med = float(np.median(counts[labels]))
         sub = [_conditional_letter_entropy(labels[chunk_ids == c],
-                                           letters[chunk_ids == c], k)[0]
+                                           letters[chunk_ids == c], k)
                for c in range(chunk_ids.max() + 1)]
-        rows.append({"q": q, "delta": val,
+        rows.append({"q": q,
+                     "delta": _conditional_letter_entropy(labels, letters, k),
                      "stderr": float(np.std(sub, ddof=1) / np.sqrt(len(sub))),
-                     "bins": bins, "median_bin_count": med,
+                     "bins": int(np.count_nonzero(counts)),
+                     "median_bin_count": med,
                      "undersampled": med < MIN_BIN_COUNT})
-    assert delta_ladder(cloud, 10).rows == rows
+    for q_max in (10, 12, 31):     # one sort at 10 and 12; per level at 31
+        assert delta_ladder(cloud, 10,
+                            DyadicLevels(cloud.measure, q_max)).rows == rows
 
 
 # -- dimension estimators -----------------------------------------------------------

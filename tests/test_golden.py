@@ -166,10 +166,10 @@ CASES = {
 }
 
 DIGESTS = {
-    "boundary-cloud-discrete-gaussian": "cfce7a07e8f853c69d0834e7a570c8e6fd48e496f994a73317cb20edfbf879f2",
-    "boundary-cloud-sanov": "a63af36e3ada0b754876ce89f5fff4016997b60f536adabf442cdb0d964d3694",
-    "boundary-cloud-twist": "23d4abeeaceb94103c3f3662c85fba82d4e31eea11627eb95122bb90cdda362e",
-    "boundary-cloud-twist-transpose": "c59893e561a4ce9453de82ae6ef9faad8deab8993e419e31e1bd422febbd1f98",
+    "boundary-cloud-discrete-gaussian": "700fdb43259c51c325bdc834aa6b2618fd03ea63ee0e77c74bff6e9c68236317",
+    "boundary-cloud-sanov": "1429f68acf3c6ddd9a4ba3a2bb74f26363ab4ccc79eae245d835cdfc812fa7c9",
+    "boundary-cloud-twist": "0da8ba9f6eb94b6dbfe288664979094ecda93b6968a22c1461f6ebb9edec4f93",
+    "boundary-cloud-twist-transpose": "e87969822cc3b7127f85247974f2ce375f4d73adc081a88dac4183507ebb5f64",
     "boundary-convergence": "b706784530c40750274ac938eb9c4791c9775775a3d4b7a3e218f14a5de5cc4e",
     "certify-exact": "868cfd099444f4f7c496e28cb5cdfcc5dcafc3597daba35e3cc7dc91591a86ac",
     "delta-ladder": "615004025ed190c86f48e7ac806587791eec49d080c0388667ff05b87ceb4a83",
@@ -184,8 +184,8 @@ DIGESTS = {
     "hrw-twist-8": "52c1895f565301e611a9d5773f7e659e412c788ad4a35842b4b27c8413b03697",
     "lyapunov": "a203e3d3dbbb640831885742196599c8c95f780db8f41d38d4e05144abae73bb",
     "linearization": "bf9cac264489180398876911c16744aa8f1bc643bcec395a0c503fd20bc49cb9",
-    "main-theorem": "be8109bb48848db115993611fbccd403d1bed1dabc8bbf5ebb6785e1293bf85d",
-    "main-theorem-sanov": "284741258cd8ff5b8660efe53332967d64df1320a74130c9b832e827828c4be1",
+    "main-theorem": "886d1dc04df436d3bf94838b91d105a388ef15cb7ae8c937a5c62323a880e37e",
+    "main-theorem-sanov": "437ea16ee663b6d736590896cba2de0955b6be300faabc2a278dfad48003cb59",
     "projection-entropy": "54dac98734eb150b47136110f27e9903ff6c7ab3f319a4c71a967dd796a84410",
     "proximality": "19efc2923b1fba2babda2bf303c38024c65071d2f3e8f8162306a9932e86aef3",
     "proximality-exact": "f9577404db6df1da5aebf19d62f0b8619b36182c0c4721665b845460f453ab60",

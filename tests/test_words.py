@@ -16,8 +16,9 @@ import furstlab as fl
 from furstlab.errors import StallError
 from furstlab.presets import PRESETS
 from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
-                          exact_matrix, exact_mul, random_element)
-from furstlab.words import (ScaledMatrix, System, draw_letters, letter_steps,
+                          exact_matrix, exact_mul, random_element, sigma2)
+from furstlab.words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION,
+                            ScaledMatrix, System, draw_letters, letter_steps,
                             product_of_word, sample_word, scaled_product)
 
 
@@ -199,6 +200,63 @@ def test_sample_word_keeps_its_words(name):
     text = json.dumps([passage, fixed], sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == SAMPLE_WORD_DIGESTS[name]
+
+
+def _ref_first_passage(sys_, rng, j, l, n):
+    """sample_word's first passage through GroupElement products: each step
+    is `@`, then a division by the power of two of the largest entry, and
+    chi is read through frobenius2, det and sigma2."""
+    cdf = np.cumsum(sys_.probs_array())
+    cdf[-1] = 1.0
+
+    def letters(k):
+        return tuple(int(np.searchsorted(cdf, u, side="right"))
+                     for u in rng.random(k))
+
+    def chi(g, log2_scale):
+        s2 = sigma2(g.frobenius2(), abs(g.det()) ** 2)
+        return 0.0 if s2 is None else 2.0 * (log2_scale
+                                             + 0.5 * math.log2(s2))
+
+    word, g, log2_scale, blocks = [], GroupElement.identity(), 0.0, 0
+    block = letters(j)
+    while True:
+        blocks += 1
+        word += block
+        for i in block:
+            p = g @ sys_.generators[i]
+            e = math.frexp(max(abs(x) for x in p.entries()))[1]
+            f = math.ldexp(1.0, -e)
+            g = GroupElement(p.a * f, p.b * f, p.c * f, p.d * f)
+            log2_scale += e
+        c = chi(g, log2_scale)
+        if c > n:
+            return tuple(word)
+        if blocks == STALL_CHECK_STEPS and c < STALL_CHI_FRACTION * n:
+            raise StallError("norm cocycle is not growing; "
+                             "system looks non-proximal")
+        block = letters(l)
+
+
+@pytest.mark.parametrize("passage", [(0, 1, 8), (1, 2, 12)])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_sample_word_matches_group_element_reference(name, passage):
+    # the same words, and the same uniforms drawn, up to a stall
+    sys_ = fl.get_preset(name)
+    rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(50):
+        try:
+            got = sample_word(sys_, rng, first_passage=passage)
+        except StallError as exc:
+            got = str(exc)
+        try:
+            want = _ref_first_passage(sys_, ref_rng, *passage)
+        except StallError as exc:
+            want = str(exc)
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if name == "su2-control":
+        assert got == "norm cocycle is not growing; system looks non-proximal"
 
 
 def test_sample_word_degenerate():
