@@ -18,7 +18,7 @@ from .errors import (CapExceededError, FloatOverflowError, LogBranchError,
 from .sl2 import (EXACT_IDENTITY, ExactMatrix, GroupElement, NEG_AXIS_TOL,
                   ProjPoint, E1, E2, dist_cp1, exact_mul, principal_log_norm,
                   proj_act)
-from .words import ScaledMatrix, System, draw_letters
+from .words import ScaledMatrix, System, cdf_letters, letter_cdf
 
 TAU_EIG = 1e-9
 TAU_SCALAR = 1e-12           # entrywise tolerance for "g is scalar"
@@ -267,17 +267,32 @@ def check_proximality(sys: System, rng=None) -> ProximalityReport:
             break
         rows = _level_product(rows, g_rows)
         words = [u + (i,) for u in words for i in range(sys.size)]
-    for _ in range(PROXIMALITY_TRIALS):
-        length = int(rng.integers(2, PROXIMALITY_DEPTH // 2))
-        word = tuple(draw_letters(rng, sys.probs_array(), length).tolist())
-        g = GroupElement.identity()
-        for i in word:
-            g = g @ gens[i]
-            if g.frobenius2() > 1e100:
-                break
-        consider(word, g.trace())
+    for word, t in _random_word_traces(sys, rng):
+        consider(word, t)
 
     return ProximalityReport(status, cur_log2, steps, strict, witness, wtrace)
+
+
+def _random_word_traces(sys: System,
+                        rng) -> Iterator[Tuple[Tuple[int, ...], complex]]:
+    """(word, trace) of PROXIMALITY_TRIALS random words of 2 to
+    PROXIMALITY_DEPTH // 2 - 1 letters, each product stopped once its
+    squared Frobenius norm passes 1e100. The products run on plain entries
+    with the float operations of GroupElement's `@`, `frobenius2` and
+    `trace`, in their order."""
+    cdf = letter_cdf(sys.probs_array())
+    ents = [g.entries() for g in sys.generators]
+    for _ in range(PROXIMALITY_TRIALS):
+        length = int(rng.integers(2, PROXIMALITY_DEPTH // 2))
+        word = tuple(cdf_letters(cdf, rng.random(length)).tolist())
+        a, b, c, d = GroupElement.identity().entries()
+        for i in word:
+            e, f, g, h = ents[i]
+            a, b, c, d = (a * e + b * g, a * f + b * h,
+                          c * e + d * g, c * f + d * h)
+            if abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 > 1e100:
+                break
+        yield word, a + d
 
 
 # ---------------------------------------------------------------------------

@@ -157,18 +157,19 @@ def cmd_delta(cfg: RunConfig) -> int:
     return _emit(_wrap("delta", cfg, ladder.rows, summary), cfg)
 
 
-def _theta_from_params(cfg: RunConfig) -> ThetaSpec:
+def _theta_from_params(cfg: RunConfig, tmax: float) -> ThetaSpec:
+    """The theta measure of `cfg`; `tmax` is the arcs' default theta_tmax."""
     kind = cfg.param("theta", "four-ball")
     if kind == "identity":
         return ThetaSpec.identity_atom()
     if kind == "four-ball":
         return ThetaSpec.four_ball_atoms(cfg.param("theta_spread", 0.08, float))
     if kind == "translation-arc":
-        return ThetaSpec.translation_arc(cfg.param("theta_tmax", 0.5, float),
+        return ThetaSpec.translation_arc(cfg.param("theta_tmax", tmax, float),
                                          cfg.param("theta_count", 4096, int))
     if kind == "lower-triangular-arc":
         return ThetaSpec.lower_triangular_arc(
-            cfg.param("theta_tmax", 0.5, float),
+            cfg.param("theta_tmax", tmax, float),
             cfg.param("theta_count", 4096, int))
     raise FurstlabError(f"unknown theta kind {kind!r}")
 
@@ -209,12 +210,14 @@ def cmd_exp(cfg: RunConfig, name: str) -> int:
         kw = {"m": cfg.param("m", 8, int),
               "directions": cfg.param("directions", 180, int)}
     elif name == "entropy-increase":
-        kw = {"theta": _theta_from_params(cfg),
-              "r": cfg.param("r", 0.25, float), "n": cfg.param("n", 14, int)}
+        # the arcs reach theta_tmax, so by default they stop at r
+        r = cfg.param("r", 0.25, float)
+        kw = {"theta": _theta_from_params(cfg, r), "r": r,
+              "n": cfg.param("n", 14, int)}
         check_theta_reach(kw["theta"], kw["r"])
     else:
-        kw = {"theta": _theta_from_params(cfg), "k": cfg.param("k", 8, int),
-              "n": cfg.param("n", 6, int)}
+        kw = {"theta": _theta_from_params(cfg, 0.5),
+              "k": cfg.param("k", 8, int), "n": cfg.param("n", 6, int)}
         check_transfer_k(kw["k"])
     cloud = sample_boundary(cfg.system, DEFAULT_TARGET_BITS, count, seed,
                             workers)

@@ -489,6 +489,24 @@ def _counts_entropy(counts: np.ndarray, w: float) -> Tuple[float, int]:
     return _count_entropies(mult[None], w)[0], int(mult[1:].sum())
 
 
+def sample_entropies(samples: Sequence[np.ndarray]) -> List[float]:
+    """cell_entropy(labels, full(len(labels), 1 / len(labels)))[0] for each
+    nonempty integer label array in `samples`, with its bits: each keeps
+    its own bincount, and the histograms of counts of the samples of one
+    size go to one _count_entropies call."""
+    hists = [np.bincount(np.bincount(labels)) for labels in samples]
+    out = [0.0] * len(samples)
+    for size in sorted({len(labels) for labels in samples}):
+        rows = [i for i, labels in enumerate(samples) if len(labels) == size]
+        mult = np.zeros((len(rows), max(len(hists[i]) for i in rows)),
+                        dtype=np.int64)
+        for r, i in enumerate(rows):
+            mult[r, :len(hists[i])] = hists[i]
+        for i, h in zip(rows, _count_entropies(mult, 1.0 / size)):
+            out[i] = h
+    return out
+
+
 def _equal_weight(weights: np.ndarray) -> float:
     """The common weight when all weights are equal and positive, else 0."""
     w = float(weights[0])

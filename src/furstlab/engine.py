@@ -17,13 +17,13 @@ import numpy as np
 from ._parallel import (TAG_BOUNDARY, TAG_DIM, TAG_LYAPUNOV, block_rng,
                         run_blocks)
 from .dyadic import (C_INF, CP1, DyadicLevels, EmpiricalMeasure,
-                     canonicalize_rows, cell_entropy, shannon_entropy,
-                     sphere_embedding)
+                     canonicalize_rows, cell_entropy, sample_entropies,
+                     shannon_entropy, sphere_embedding)
 from .errors import (ConfigError, FloatOverflowError, StallError,
                      UndersampledError)
 from .sl2 import TAU_SVD
 from .words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
-                    draw_letters, letter_steps)
+                    cdf_letters, letter_cdf, letter_steps)
 
 # sample_boundary stops once chi_u > 2 * DEFAULT_TARGET_BITS = 60, where
 # ||g||^-2 < 2^-60: against a stop at 80 the points move by at most 1.1e-13
@@ -34,6 +34,7 @@ RENORM_EVERY = 8                 # steps between a lazy walk's renorms
 CONSISTENT_FACTOR = 2.0          # Lyapunov estimators agree within this many
                                  # summed standard errors
 MIN_BIN_COUNT = 20.0             # Delta level undersampled below this median
+DELTA_CHUNKS = 16                # Delta ladder's stderr chunks
 LOCAL_DIM_RADII = tuple(2.0 ** -k for k in range(4, 13))   # decreasing
 MIN_BALL_COUNT = 8               # local_dimension drops balls holding fewer
 DIM_SCHEMES = ("entropy-slope", "local-dimension")   # dim_estimate's schemes
@@ -98,7 +99,11 @@ class Walk:
     every step, as long as no entry overflows (`lazy_walk_top` checks this)
     or turns subnormal within the cadence, and the walk is renormalised
     before any test reads its entries (sig2 and the other reads are not
-    scale-free to the bit)."""
+    scale-free to the bit). All three walks run on this schedule: the
+    Lyapunov estimator, the boundary-convergence tail, and the boundary
+    sampler, which tests a row k steps after a renorm only where
+    2 log2s + 2 + 2 k max_i log2 ||g_i|| passes its chi goal, on a
+    renormalised copy of the row (`sample_boundary`)."""
 
     def __init__(self, gens: Tuple[np.ndarray, ...],
                  entries: Tuple[np.ndarray, ...],
@@ -241,55 +246,83 @@ def sample_boundary(sys: System, target_bits: float = DEFAULT_TARGET_BITS,
     chi exceeds 2*target_bits (adaptive stopping keyed to the norm cocycle).
 
     The truncation error is exponentially small in target_bits; raises
-    ConfigError when target_bits is not positive and finite, and StallError
-    when the norm cocycle fails to grow (non-proximal input).
-    """
+    ConfigError when target_bits is not positive and finite, StallError
+    when the norm cocycle fails to grow (non-proximal input), and
+    FloatOverflowError when the generators overflow the walk's cadence
+    (`lazy_walk_top`).
+
+    The walk renormalises every RENORM_EVERY steps, and early when most of
+    its rows need a test. After a renorm every entry is below 1, so k steps
+    later a row's chi is at most 2 log2s + 2 + 2 k top, with
+    top = max_i log2 ||g_i||; each step tests only the rows whose bound,
+    plus a bit of slack, passes the goal, on their entries renormalised at
+    that step. So the stopping times, chi values and stopped entries are
+    those of a renorm after every step (see `Walk`). Rows that stop leave
+    the walk at the next renorm."""
     if not 0.0 < target_bits < math.inf:     # NaN fails as well
         raise ConfigError(f"target_bits must be positive and finite, "
                           f"got {target_bits}")
-    probs = sys.probs_array()
+    top = lazy_walk_top(sys)
+    cdf = letter_cdf(sys.probs_array())
     chi_goal = 2.0 * target_bits
 
     def block(start: int, n: int, index: int):
         rng = block_rng(seed, TAG_BOUNDARY, index)
         walk = Walk.identity(sys, n)
         live = np.arange(n)                # original row of each walk row
+        stopped = np.zeros(n, dtype=bool)  # walk rows stopped, not yet gone
         out = np.empty((4, n), dtype=complex)
         first = np.full(n, -1, dtype=np.int64)
         chi_stop = np.zeros(n)
         steps = np.zeros(n, dtype=np.int64)
+        # a row needs its test once 2 k top passes lift, the goal less its
+        # bound at the last renorm and a bit of slack; inf once stopped
+        lift = np.full(n, chi_goal - 3.0)
+        k = 0                              # steps since the last renorm
         for step in range(MAX_BOUNDARY_LETTERS):
-            # one draw per row, retired rows included, keeps the streams
-            letters = draw_letters(rng, probs, n)
+            # one uniform per row, stopped rows included, keeps the streams
+            u = rng.random(n)
+            if stopped.all():
+                break
+            letters = cdf_letters(cdf, u[live])
             if step == 0:
                 first[:] = letters
-            if not len(live):
-                break
-            walk.right(letters[live])
-            walk.renorm()
-            # every entry is below 1 after renorm, so chi <= 2 log2s + 2
-            near = np.flatnonzero(2.0 * walk.log2s + 2.0 > chi_goal)
-            chi = 2.0 * walk.rows(near).log2_opnorm()
-            passed = chi > chi_goal
-            if passed.any():
-                gone = near[passed]            # walk rows that retire
-                done = walk.rows(gone)
-                fin = live[gone]
-                out[:, fin] = done.entries()
+            walk.right(letters)
+            k += 1
+            test = np.flatnonzero(lift < 2.0 * k * top)
+            if k == RENORM_EVERY or 2 * len(test) > len(live):
+                # renorm the whole walk, without its stopped rows
+                if stopped.any():
+                    keep = ~stopped
+                    walk = walk.rows(keep)
+                    live = live[keep]
+                    stopped = stopped[keep]
+                walk.renorm()
+                k = 0
+                lift = chi_goal - 3.0 - 2.0 * walk.log2s
+                test = np.flatnonzero(lift < 0.0)
+            if len(test):
+                cand = walk.rows(test)
+                if k:
+                    cand.renorm()
+                chi = 2.0 * cand.log2_opnorm()
+                passed = chi > chi_goal
+                fin = live[test[passed]]
+                out[:, fin] = [x[passed] for x in cand.entries()]
                 chi_stop[fin] = chi[passed]
                 steps[fin] = step + 1
-                keep = np.ones(len(live), dtype=bool)
-                keep[gone] = False
-                walk = walk.rows(keep)
-                live = live[keep]
+                stopped[test[passed]] = True
+                lift[test[passed]] = math.inf
             if step + 1 == STALL_CHECK_STEPS:
-                # chi of the live rows, and of the retired ones at their stop
-                chi_max = max(chi_stop.max(), 2.0 * walk.log2_opnorm().max(
+                # chi of the live rows, and of the stopped ones at their stop
+                going = walk.rows(~stopped)
+                going.renorm()
+                chi_max = max(chi_stop.max(), 2.0 * going.log2_opnorm().max(
                     initial=-math.inf))
                 if chi_max < STALL_CHI_FRACTION * chi_goal:
                     raise StallError("norm cocycle is not growing; "
                                      "system looks non-proximal")
-        if len(live):
+        if not stopped.all():
             raise StallError(f"chi failed to pass {chi_goal:.1f} "
                              f"within {MAX_BOUNDARY_LETTERS} letters")
         rows = np.stack(_top_directions(*out), axis=1)
@@ -408,14 +441,14 @@ def delta_ladder(cloud: BoundaryCloud, q_max: int,
                  levels: DyadicLevels) -> DeltaLadder:
     """Ladder of conditional entropies of the first letter given the level-q
     cell of the boundary direction, q = 2..q_max, with standard errors over
-    16 chunks of the cloud; `levels` holds the cloud's cells up to q_max.
+    min(DELTA_CHUNKS, N) consecutive chunks of the cloud whose sizes differ
+    by at most one; `levels` holds the cloud's cells up to q_max.
     Levels whose median bin count falls below MIN_BIN_COUNT are flagged
     undersampled. The median is sample-weighted: the bin count seen by the
     median sample, so stray singleton bins do not dominate."""
     sys = cloud.system
     letters = cloud.first_letters
-    n = len(letters)
-    step = max(1, n // 16)
+    chunks = min(DELTA_CHUNKS, len(letters))
     rows = []
     for q in range(2, q_max + 1):
         labels = levels.labels(q)
@@ -423,14 +456,18 @@ def delta_ladder(cloud: BoundaryCloud, q_max: int,
         val = _conditional_letter_entropy(labels, letters, sys.size)
         bins = int(np.count_nonzero(counts))
         med = float(np.median(counts[labels]))
-        sub = [_conditional_letter_entropy(labels[a:a + step],
-                                           letters[a:a + step], sys.size)
-               for a in range(0, n, step)]
-        stderr = float(np.std(sub, ddof=1) / math.sqrt(len(sub))) if len(sub) > 1 else 0.0
+        # H(letter | cell) of each chunk: its joint and cell entropies
+        ents = sample_entropies(
+            np.array_split(labels * sys.size + letters, chunks)
+            + np.array_split(labels, chunks))
+        sub = [max(0.0, hj - hc)
+               for hj, hc in zip(ents[:chunks], ents[chunks:])]
+        stderr = (float(np.std(sub, ddof=1) / math.sqrt(chunks))
+                  if chunks > 1 else 0.0)
         rows.append({"q": q, "delta": val, "stderr": stderr, "bins": bins,
                      "median_bin_count": med,
                      "undersampled": med < MIN_BIN_COUNT})
-    return DeltaLadder(rows, shannon_entropy(sys.probs), n)
+    return DeltaLadder(rows, shannon_entropy(sys.probs), len(letters))
 
 
 def delta_estimate(sys: System, q_max: int = 14, count: int = 200_000,

@@ -9,6 +9,7 @@ with the same inputs yields byte-identical reports for any worker count.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -29,8 +30,9 @@ from .reporting import (ExperimentReport, VERDICT_CONSISTENT,
 from .sl2 import (TAU_PHASE, GroupElement, ProjPoint, boundary_direction,
                   chart_g, chart_g_inverse, dist_g_proxy, mobius_derivative,
                   psi, INFINITY)
-from .words import (System, draw_letters, letter_steps, product_of_word,
-                    sample_word, scaled_product, scaled_step)
+from .words import (System, draw_letters, first_passage_product,
+                    letter_steps, product_of_word, sample_word,
+                    scaled_product, scaled_step)
 
 UNIFORM_MIN_FRACTION = 0.8     # uniform-entropy-dim: consistent at or above
 CHAIN_CHECK_STRIDE = 16        # cocycle steps between chain-rule checks
@@ -800,22 +802,41 @@ class PipelineBudget:
                               local_dim_centers=200, pair_check_words=600)
 
 
+def _first_passage_matrices(sys: System, budget: PipelineBudget,
+                            seed: int) -> List[GroupElement]:
+    """The products of the distinct words among the pair check's
+    first-passage draws, in order of first draw. The check's rng serves
+    nothing else, so its letters come from one stream of `letter_steps`
+    rows; each product is the renormalised one of the passage, times its
+    power of two (`math.ldexp` is exact)."""
+    rng = block_rng(seed, TAG_EXPERIMENT, 6)
+    stream = itertools.chain.from_iterable(
+        row.tolist() for row in letter_steps(rng, sys.probs_array(), 256))
+
+    def letters(k: int) -> List[int]:
+        return list(itertools.islice(stream, k))
+
+    seen = set()
+    mats = []
+    for _ in range(budget.pair_check_words):
+        w, acc, s = first_passage_product(sys, letters,
+                                          (0, 1, budget.pair_check_level))
+        if w in seen:                      # repeated draws are uninformative
+            continue
+        seen.add(w)
+        mats.append(GroupElement(*(complex(math.ldexp(z.real, s),
+                                           math.ldexp(z.imag, s))
+                                   for z in acc)))
+    return mats
+
+
 def _matched_norm_pair_check(sys: System, budget: PipelineBudget,
                              seed: int) -> dict:
     """Sampled pairs with comparable norms and nearly equal top directions
     must sit at bounded group distance."""
     from scipy.spatial import cKDTree
 
-    rng = block_rng(seed, TAG_EXPERIMENT, 6)
-    lev = budget.pair_check_level
-    seen = set()
-    mats = []
-    for _ in range(budget.pair_check_words):
-        w = sample_word(sys, rng, first_passage=(0, 1, lev))
-        if w in seen:                      # repeated draws are uninformative
-            continue
-        seen.add(w)
-        mats.append(product_of_word(sys, w))
+    mats = _first_passage_matrices(sys, budget, seed)
     if len(mats) < 2:
         return {"pairs": 0, "max_distance": None, "passes": None}
     norms = np.array([g.op_norm() for g in mats])

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +117,7 @@ def draw_letters(rng: np.random.Generator, probs: np.ndarray,
     """Inverse-CDF letter draws; one uniform per letter. The steps of
     `Generator.choice(len(probs), size, p=probs)` when the cumulative sum
     ends at exactly 1.0, without its per-call checks of probs."""
-    return _letters(_cdf(probs), rng.random(size))
+    return cdf_letters(letter_cdf(probs), rng.random(size))
 
 
 def letter_steps(rng: np.random.Generator, probs: np.ndarray,
@@ -126,18 +126,20 @@ def letter_steps(rng: np.random.Generator, probs: np.ndarray,
     that successive `draw_letters(rng, probs, size)` calls return, from one
     `rng.random` call per LETTER_CHUNK steps. The stream runs ahead of the
     rows taken, so `rng` serves only these rows."""
-    cdf = _cdf(probs)
+    cdf = letter_cdf(probs)
     while True:
-        yield from _letters(cdf, rng.random((LETTER_CHUNK, size)))
+        yield from cdf_letters(cdf, rng.random((LETTER_CHUNK, size)))
 
 
-def _cdf(probs: np.ndarray) -> np.ndarray:
+def letter_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative sum of probs, set to exactly 1.0 at its end: the table
+    of `cdf_letters`, for callers that map many draws."""
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
     return cdf
 
 
-def _letters(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def cdf_letters(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The letter of each uniform: the number of cdf entries <= u.
     Alphabets of 2 to COMPARE_LETTERS_MAX letters count them with one
     comparison per entry, a pass each, which beats the binary search of
@@ -236,24 +238,42 @@ def scaled_product(sys: System, u: Sequence[int],
 def sample_word(sys: System, rng, *, length: Optional[int] = None,
                 first_passage: Optional[Tuple[int, int, int]] = None) -> Word:
     """Random word: i.i.d. letters of a fixed length, or i.i.d. blocks until
-    chi exceeds the passage level (the first-passage stopping rule)."""
+    chi exceeds the passage level (the first-passage stopping rule of
+    `first_passage_product`, which tests chi only at blocks where
+    2 log2_scale + 2 passes the level, and at block STALL_CHECK_STEPS).
+    Each block's letters come from one `rng.random` call, so `rng` can
+    serve other draws in between."""
     if (length is None) == (first_passage is None):
         raise ValueError("specify exactly one of length / first_passage")
-    # the letters of `_letters`, one binary search per uniform
-    cdf = _cdf(sys.probs_array()).tolist()
+    # the letters of `cdf_letters`, one binary search per uniform
+    cdf = letter_cdf(sys.probs_array()).tolist()
 
     def letters(k: int) -> List[int]:
         return [bisect.bisect_right(cdf, u) for u in rng.random(k).tolist()]
 
     if length is not None:
         return tuple(letters(length))
+    return first_passage_product(sys, letters, first_passage)[0]
 
-    j, l, n = first_passage
+
+def first_passage_product(sys: System, letters: Callable[[int], List[int]],
+                          passage: Tuple[int, int, int]
+                          ) -> Tuple[Word, Entries, int]:
+    """(word, entries, log2_scale) of the first-passage word for
+    passage = (j, l, n): a block of j letters, then blocks of l letters,
+    each from `letters(k)`, until chi exceeds n; the word's product is
+    2^log2_scale times the entries, formed with the steps of
+    `scaled_product`.
+
+    chi is tested only where it can pass n, and at block STALL_CHECK_STEPS
+    for the stall rule: after `scaled_step` every entry is below 1, so
+    sigma^2 < 4 and chi <= 2 log2_scale + 2, and a block that leaves this
+    bound at or below n cannot stop the word."""
+    j, l, n = passage
     if not (0 <= j < l):
         raise ValueError("need 0 <= j < l")
-    # the product runs on plain entries, with the steps of scaled_product
     gens = [g.entries() for g in sys.generators]
-    acc, log2_scale = GroupElement.identity().entries(), 0.0
+    acc, log2_scale = GroupElement.identity().entries(), 0
     word, block, blocks = [], letters(j), 0
     while True:
         word += block
@@ -261,12 +281,13 @@ def sample_word(sys: System, rng, *, length: Optional[int] = None,
         for i in block:
             acc, e = scaled_step(acc, gens[i])
             log2_scale += e
-        chi = 2.0 * scaled_log2_norm(acc, log2_scale)
-        if chi > n:
-            return tuple(word)
-        if blocks == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
-            raise StallError("norm cocycle is not growing; "
-                             "system looks non-proximal")
+        if 2 * log2_scale + 2 > n or blocks == STALL_CHECK_STEPS:
+            chi = 2.0 * scaled_log2_norm(acc, log2_scale)
+            if chi > n:
+                return tuple(word), acc, log2_scale
+            if blocks == STALL_CHECK_STEPS and chi < STALL_CHI_FRACTION * n:
+                raise StallError("norm cocycle is not growing; "
+                                 "system looks non-proximal")
         if blocks > MAX_PASSAGE_BLOCKS:
             raise StallError(
                 f"chi failed to pass {n} within {MAX_PASSAGE_BLOCKS} blocks")

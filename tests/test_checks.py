@@ -23,7 +23,7 @@ from furstlab.errors import FloatOverflowError, LogBranchError
 from furstlab.sl2 import (E1, E2, EXACT_IDENTITY, GroupElement, dist_cp1,
                           exact_matrix, exact_mul, principal_log_norm,
                           random_element)
-from furstlab.words import System, product_of_word
+from furstlab.words import System, draw_letters, product_of_word
 
 SANOV = fl.get_preset("sanov")
 TWIST = fl.get_preset("twist")
@@ -188,6 +188,31 @@ def test_proximality_parabolic():
     rep = check_proximality(PARABOLIC)
     assert rep.status == "pass"      # unbounded by repeated squaring
     assert not rep.strict            # every trace equals 2
+
+
+def _ref_random_word_traces(sys_, rng):
+    """The random words of check_proximality, multiplied as GroupElements."""
+    for _ in range(checks.PROXIMALITY_TRIALS):
+        length = int(rng.integers(2, checks.PROXIMALITY_DEPTH // 2))
+        word = tuple(draw_letters(rng, sys_.probs_array(), length).tolist())
+        g = GroupElement.identity()
+        for i in word:
+            g = g @ sys_.generators[i]
+            if g.frobenius2() > 1e100:
+                break
+        yield word, g.trace()
+
+
+@pytest.mark.parametrize("name", sorted(fl.presets.PRESETS))
+def test_proximality_words_match_group_element_reference(name):
+    # the same words and traces, bit for bit, and the same draws
+    sys_ = fl.get_preset(name)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = list(checks._random_word_traces(sys_, rng))
+    want = list(_ref_random_word_traces(sys_, ref_rng))
+    assert [(w, t.real.hex(), t.imag.hex()) for w, t in got] \
+        == [(w, t.real.hex(), t.imag.hex()) for w, t in want]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # -- circle detector -----------------------------------------------------------

@@ -644,6 +644,20 @@ def test_cloud_experiments_check_params_before_sampling(monkeypatch, capsys,
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("kind", ["translation-arc", "lower-triangular-arc"])
+def test_entropy_increase_arcs_run_at_their_defaults(capsys, kind):
+    # the arcs' theta_tmax defaults to r; an explicit one beyond r is
+    # refused. Below about 30 000 twist points the entropy-slope window of
+    # every theta kind is empty, so the run needs that many
+    args = ["exp", "entropy-increase", "--preset", "twist",
+            "--param", f"theta={kind}", "--param", "count=30000"]
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--param", "theta_tmax=0.3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "> r = 0.25" in err
+
+
 def test_report_su2_control_is_inconclusive(capsys):
     # the report skips sampling when norm growth fails: exit 3, not an error
     assert main(["report", "--preset", "su2-control"]) == 3

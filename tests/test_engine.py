@@ -7,22 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import furstlab as fl
-from furstlab._parallel import TAG_LYAPUNOV, block_rng, run_blocks
+from furstlab._parallel import (TAG_BOUNDARY, TAG_LYAPUNOV, block_rng,
+                                run_blocks)
 from furstlab.cli import main
 from furstlab.dyadic import (DyadicLevels, EmpiricalMeasure,
-                             dyadic_grid_square, shannon_entropy,
+                             canonicalize_rows, dyadic_grid_square,
+                             sample_entropies, shannon_entropy,
                              sphere_to_plane, uniform_square, uniform_segment)
-from furstlab.engine import (DEFAULT_TARGET_BITS, MIN_BIN_COUNT, Walk,
-                             _conditional_letter_entropy, delta_estimate,
-                             delta_ladder, dim_estimate, lyapunov_estimate,
-                             sample_boundary)
+from furstlab.engine import (DEFAULT_TARGET_BITS, MAX_BOUNDARY_LETTERS,
+                             MIN_BIN_COUNT, Walk, _conditional_letter_entropy,
+                             _top_directions, delta_estimate, delta_ladder,
+                             dim_estimate, lyapunov_estimate, sample_boundary)
 from furstlab.errors import (ConfigError, FloatOverflowError, StallError,
                              UndersampledError)
 from furstlab.experiments import ThetaSpec, apply_atoms_to_sphere
 from furstlab.presets import PRESETS
 from furstlab.sl2 import (E1, GroupElement, ProjPoint, dist_cp1,
                           random_element)
-from furstlab.words import System, draw_letters
+from furstlab.words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION, System,
+                            draw_letters)
 
 SANOV = fl.get_preset("sanov")
 TWIST = fl.get_preset("twist")
@@ -109,8 +112,53 @@ def test_boundary_single_matrix_attractor():
 
 
 def test_boundary_stalls_on_su2():
-    with pytest.raises(StallError):
+    # the growth check after STALL_CHECK_STEPS steps, not the letter cap
+    with pytest.raises(StallError, match="not growing"):
         sample_boundary(fl.get_preset("su2-control"), 40, 512, seed=0)
+
+
+def _ref_boundary_block(sys_, target_bits, n, seed):
+    """One block of sample_boundary with a renorm after every step and a
+    test of every row: points, first letters, stop chi and steps."""
+    rng = block_rng(seed, TAG_BOUNDARY, 0)
+    goal = 2.0 * target_bits
+    walk = Walk.identity(sys_, n)
+    live = np.arange(n)
+    out = np.empty((4, n), dtype=complex)
+    first, chi_stop = np.full(n, -1), np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    for step in range(MAX_BOUNDARY_LETTERS):
+        letters = draw_letters(rng, sys_.probs_array(), n)
+        if step == 0:
+            first[:] = letters
+        if not len(live):
+            break
+        walk.right(letters[live])
+        walk.renorm()
+        chi = 2.0 * walk.log2_opnorm()
+        passed = chi > goal
+        out[:, live[passed]] = [x[passed] for x in walk.entries()]
+        chi_stop[live[passed]] = chi[passed]
+        steps[live[passed]] = step + 1
+        walk, live = walk.rows(~passed), live[~passed]
+        if step + 1 == STALL_CHECK_STEPS and max(
+                chi_stop.max(), chi.max()) < STALL_CHI_FRACTION * goal:
+            raise StallError("norm cocycle is not growing; "
+                             "system looks non-proximal")
+    rows = np.stack(_top_directions(*out), axis=1)
+    return canonicalize_rows(rows), first, chi_stop, steps
+
+
+@pytest.mark.parametrize("bits", [30.0, 40.0, 5.0])
+@pytest.mark.parametrize("name", ["twist", "sanov", "discrete-gaussian"])
+def test_boundary_matches_every_step_reference(name, bits):
+    # the lazy renorm and the bound-picked tests change no bit
+    sys_ = fl.get_preset(name)
+    cloud = sample_boundary(sys_, bits, 3000, seed=7)
+    got = (cloud.measure.points, cloud.first_letters, cloud.stop_chi,
+           cloud.steps)
+    for a, b in zip(got, _ref_boundary_block(sys_, bits, 3000, 7)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_boundary_worker_invariance():
@@ -308,12 +356,51 @@ def test_conditional_letter_entropy_matches_masses(n, k, p, seed):
     assert _conditional_letter_entropy(labels, letters, k) == max(0.0, h)
 
 
+@pytest.fixture(scope="module")
+def twist_levels():
+    cloud = sample_boundary(TWIST, 30, 200_000, seed=4)
+    return cloud, DyadicLevels(cloud.measure, 14)
+
+
+@pytest.mark.parametrize("n", [8200, 24_576, 200_000])
+def test_sample_entropies_match_per_chunk_conditional_entropy(twist_levels,
+                                                              n):
+    # the ladder's batch against one _conditional_letter_entropy per chunk
+    cloud, levels = twist_levels
+    letters = cloud.first_letters[:n]
+    for q in (2, 6, 10, 14):
+        labels = levels.labels(q)[:n]
+        joint = labels * TWIST.size + letters
+        ents = sample_entropies(np.array_split(joint, 16)
+                                + np.array_split(labels, 16))
+        got = [max(0.0, a - b) for a, b in zip(ents[:16], ents[16:])]
+        want = [_conditional_letter_entropy(lab, let, TWIST.size)
+                for lab, let in zip(np.array_split(labels, 16),
+                                    np.array_split(letters, 16))]
+        assert got == want
+
+
+def test_delta_ladder_uses_16_chunks_at_8200_points():
+    # 8200 = 16 * 512 + 8: eight chunks of 513 points and eight of 512,
+    # where a step of 8200 // 16 left a 17th chunk of 8 points
+    ladder = delta_estimate(TWIST, q_max=8, count=8200, seed=3)
+    cloud = sample_boundary(TWIST, DEFAULT_TARGET_BITS, 8200, seed=3)
+    levels = DyadicLevels(cloud.measure, 8)
+    cuts = np.cumsum([513] * 8 + [512] * 7)
+    for row in ladder.rows:
+        sub = [_conditional_letter_entropy(lab, let, TWIST.size)
+               for lab, let in zip(np.split(levels.labels(row["q"]), cuts),
+                                   np.split(cloud.first_letters, cuts))]
+        assert len(sub) == 16
+        assert row["stderr"] == float(np.std(sub, ddof=1) / np.sqrt(16))
+
+
 def test_delta_ladder_matches_masked_chunks():
     # reference: per-level sorted labels of cell_keys and one boolean mask
-    # per chunk; 4100 samples leave a short 17th chunk
+    # per chunk; 4100 samples make 16 chunks, the first four of 257 points
     cloud = sample_boundary(TWIST, 30, 4100, seed=9)
     letters, k = cloud.first_letters, TWIST.size
-    chunk_ids = np.arange(len(letters)) // (len(letters) // 16)
+    chunk_ids = np.repeat(np.arange(16), [257] * 4 + [256] * 12)
     rows = []
     for q in range(2, 11):
         labels = np.unique(cloud.measure.cell_keys(q), return_inverse=True)[1]

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import furstlab as fl
+from furstlab._parallel import TAG_EXPERIMENT, block_rng
 from furstlab.engine import RENORM_EVERY, Walk
 from furstlab.dyadic import dyadic_grid_square, uniform_segment, uniform_square, EmpiricalMeasure
 from furstlab.errors import ConfigError, StallError
 from furstlab.experiments import (PipelineBudget, ThetaSpec,
                                   _ball_counts, _concentration_score,
-                                  _walk_until,
+                                  _first_passage_matrices, _walk_until,
                                   exp_action_entropy_transfer,
                                   exp_boundary_convergence,
                                   exp_direction_cocycle, exp_entropy_increase,
@@ -25,7 +26,8 @@ from furstlab.experiments import (PipelineBudget, ThetaSpec,
 from furstlab.reporting import (VERDICT_CONSISTENT, VERDICT_INCONCLUSIVE,
                                 VERDICT_INCONSISTENT)
 from furstlab.sl2 import GroupElement
-from furstlab.words import System, letter_steps
+from furstlab.words import (System, letter_steps, product_of_word,
+                            sample_word)
 
 TWIST = fl.get_preset("twist")
 SANOV = fl.get_preset("sanov")
@@ -405,6 +407,26 @@ def test_pipeline_worker_invariance():
     b = exp_main_theorem(TWIST, PipelineBudget().small(30_000), seed=5,
                          workers=4)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("seed", [7, 1009])
+@pytest.mark.parametrize("name", ["twist", "sanov", "discrete-gaussian"])
+def test_pair_check_matrices_match_product_of_word(name, seed):
+    # reference: the check's words drawn one block at a time from its rng,
+    # each multiplied out again with GroupElement products
+    sys_ = fl.get_preset(name)
+    budget = PipelineBudget().small()
+    rng = block_rng(seed, TAG_EXPERIMENT, 6)
+    words = dict.fromkeys(
+        sample_word(sys_, rng, first_passage=(0, 1, budget.pair_check_level))
+        for _ in range(budget.pair_check_words))
+    want = [product_of_word(sys_, w) for w in words]
+
+    def bits(g):
+        return [(z.real.hex(), z.imag.hex()) for z in g.entries()]
+
+    got = _first_passage_matrices(sys_, budget, seed)
+    assert [bits(g) for g in got] == [bits(g) for g in want]
 
 
 def test_report_json_numbers_are_strings():

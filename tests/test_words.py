@@ -18,7 +18,8 @@ from furstlab.presets import PRESETS
 from furstlab.sl2 import (EXACT_IDENTITY, GroupElement, dist_cp1,
                           exact_matrix, exact_mul, random_element, sigma2)
 from furstlab.words import (STALL_CHECK_STEPS, STALL_CHI_FRACTION,
-                            ScaledMatrix, System, draw_letters, letter_steps,
+                            ScaledMatrix, System, cdf_letters, draw_letters,
+                            first_passage_product, letter_cdf, letter_steps,
                             product_of_word, sample_word, scaled_product)
 
 
@@ -205,7 +206,12 @@ def test_sample_word_keeps_its_words(name):
 def _ref_first_passage(sys_, rng, j, l, n):
     """sample_word's first passage through GroupElement products: each step
     is `@`, then a division by the power of two of the largest entry, and
-    chi is read through frobenius2, det and sigma2."""
+    chi is read through frobenius2, det and sigma2 after every block."""
+    return _ref_first_passage_product(sys_, rng, j, l, n)[0]
+
+
+def _ref_first_passage_product(sys_, rng, j, l, n):
+    """(word, product, log2_scale) of `_ref_first_passage`."""
     cdf = np.cumsum(sys_.probs_array())
     cdf[-1] = 1.0
 
@@ -231,7 +237,7 @@ def _ref_first_passage(sys_, rng, j, l, n):
             log2_scale += e
         c = chi(g, log2_scale)
         if c > n:
-            return tuple(word)
+            return tuple(word), g, log2_scale
         if blocks == STALL_CHECK_STEPS and c < STALL_CHI_FRACTION * n:
             raise StallError("norm cocycle is not growing; "
                              "system looks non-proximal")
@@ -251,6 +257,36 @@ def test_sample_word_matches_group_element_reference(name, passage):
             got = str(exc)
         try:
             want = _ref_first_passage(sys_, ref_rng, *passage)
+        except StallError as exc:
+            want = str(exc)
+        assert got == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if name == "su2-control":
+        assert got == "norm cocycle is not growing; system looks non-proximal"
+
+
+@pytest.mark.parametrize("passage", [(0, 1, 8), (1, 2, 12)])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_first_passage_product_matches_a_test_at_every_block(name, passage):
+    # chi is tested only where 2 log2_scale + 2 passes n: the same words,
+    # products and scales as a loop that tests every block, and su2-control
+    # stalls after the same letters
+    sys_ = fl.get_preset(name)
+    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    cdf = letter_cdf(sys_.probs_array())
+
+    def letters(k):
+        return cdf_letters(cdf, rng.random(k)).tolist()
+
+    for _ in range(50):
+        try:
+            word, acc, log2_scale = first_passage_product(sys_, letters,
+                                                          passage)
+            got = word, GroupElement(*acc), float(log2_scale)
+        except StallError as exc:
+            got = str(exc)
+        try:
+            want = _ref_first_passage_product(sys_, ref_rng, *passage)
         except StallError as exc:
             want = str(exc)
         assert got == want
